@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet bench bench-smoke bench-json fuzz-smoke stress-smoke stream-smoke metrics-smoke loadtest-smoke trace-smoke quality-smoke quality-json serve clean
+.PHONY: all build test test-race vet bench bench-smoke bench-json perfbench-smoke fuzz-smoke stress-smoke stream-smoke metrics-smoke loadtest-smoke trace-smoke quality-smoke quality-json serve clean
 
 all: vet build test
 
@@ -31,7 +31,7 @@ bench-smoke:
 	$(GO) test -bench='SolveCold|SolveHit|Fingerprint|HTTPSolve' -benchtime=1x -run=^$$ ./serve
 	$(GO) test -bench='SolverReuse|SolverOneShotPerCall|DualTest|SolveFacade|Parallel_' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Session_' -benchtime=1x -run=^$$ ./stream
-	$(GO) test -bench='EvalNonp' -benchtime=1x -run=^$$ ./internal/core
+	$(GO) test -bench='EvalNonp|Jump' -benchtime=1x -run=^$$ ./internal/core
 
 # Regenerate the machine-readable performance-trajectory baseline
 # (parallel engine vs serial path; see README "Performance tracking").
@@ -42,6 +42,19 @@ bench-json:
 	$(GO) run ./cmd/schedbench -json -sizes $(BENCH_SIZES) -reps $(BENCH_REPS) \
 		-parallelism $(BENCH_PAR) -o BENCH_core.json
 	$(GO) run ./cmd/schedbench -validate BENCH_core.json
+
+# One short untraced run of the end-to-end benchmark (BENCHMARK.json,
+# see README "Performance tracking") per workload.  Each run checks every
+# output itself — Verify, makespan within 3/2 of the certified bound,
+# session answers bit-identical to a fresh solver — and the target fails
+# unless its result line reports "correct":true.
+perfbench-smoke:
+	@set -e; for w in core-cold session-churn; do \
+		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
+		echo "$$w: $$line"; \
+		case "$$line" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w failed" >&2; exit 1;; esac; \
+	done
+	@echo "perfbench-smoke: ok"
 
 # Short fuzz sessions on the canonicalization/verification trust
 # boundaries and the incremental session engine.  The native fuzzer

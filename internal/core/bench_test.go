@@ -81,3 +81,51 @@ func BenchmarkEvalNonpBatch_n1e5(b *testing.B) {
 		p.EvalNonpBatch(ladder, &sc)
 	}
 }
+
+// benchJumpPrep builds one instance of the end-to-end benchmark's
+// core-cold shape: ExpensiveSetups at n = 2e4 (≈11k jobs in 2.5k classes,
+// m just below the class count, setups ~1e9), on which the Class Jumping
+// searches genuinely probe.
+func benchJumpPrep() *Prep {
+	const n = 20_000
+	return Prepare(schedgen.ExpensiveSetups(schedgen.Params{
+		M: n/10 + 1, Classes: n / 8, JobsPer: 8,
+		MaxSetup: 2_000_000_000, MaxJob: 200_000_000, Seed: 1,
+	}))
+}
+
+// benchJump times one Class Jumping search on the core-cold shape: cold
+// from the trivial bracket, and warm from a Ctl.Seed holding the cold
+// result's certified pair, the way a session re-solves after a small
+// delta.  The Prep is built once, off the clock.
+func benchJump(b *testing.B, solve func(*Prep, Ctl) (*Result, error)) {
+	p := benchJumpPrep()
+	cold, err := solve(p, Ctl{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seed := &BracketSeed{His: []sched.Rat{cold.T}}
+	if cold.HasSeedLo {
+		seed.Los = []sched.Rat{cold.SeedLo}
+	}
+	for _, bc := range []struct {
+		name string
+		ctl  Ctl
+	}{{"cold", Ctl{}}, {"warm", Ctl{Seed: seed}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := solve(p, bc.ctl); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSolvePmtnJump is the exact preemptive search (Theorem 6),
+// whose breakpoint list spans every job.
+func BenchmarkSolvePmtnJump(b *testing.B) { benchJump(b, (*Prep).SolvePmtnJump) }
+
+// BenchmarkSolveSplitJump is the exact splittable search (Theorem 3).
+func BenchmarkSolveSplitJump(b *testing.B) { benchJump(b, (*Prep).SolveSplitJump) }

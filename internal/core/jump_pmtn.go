@@ -10,7 +10,13 @@ import (
 // Compared with the splittable search, the breakpoint set is richer: the
 // partition of classes changes at 2 s_i, s_i + P_i, 4(s_i+P_i)/3 and
 // 4 s_i, and the membership of individual jobs in the big-job sets C*_i
-// changes at 2(s_i + t_j), giving O(n) breakpoints in total.  The jumps of
+// changes at 2(s_i + t_j), giving O(n) breakpoints in total.  Every one of
+// them is a third of an integer, so the search collects them as exact
+// int64 keys 3T (see pmtnBreakpoints), keeps the k keys strictly inside
+// the bracket it has when narrowing starts and sorts only those: the
+// breakpoint list costs O(n + k log k), and a warm-started re-solve,
+// whose seeded bracket holds a handful of breakpoints, skips the sort
+// almost entirely.  The jumps of
 // the I+exp classes follow the family T = 2(s_i+P_i)/(g+2) of the modified
 // step 1 (Section 4.4), for which Lemma 5 bounds the jumps inside the
 // final interval by one per class.
@@ -58,21 +64,10 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		return nil, br.err
 	}
 
-	// Breakpoints of the partition and of big-job membership.
-	bps := make([]sched.Rat, 0, p.NJob+3*p.C)
-	for i := range p.In.Classes {
-		cls := &p.In.Classes[i]
-		sp := cls.Setup + p.P[i]
-		bps = append(bps,
-			sched.R(2*cls.Setup),
-			sched.R(4*cls.Setup),
-			sched.R(sp),
-			sched.RatOf(4*sp, 3))
-		for _, t := range cls.Jobs {
-			bps = append(bps, sched.R(2*(cls.Setup+t)))
-		}
-	}
-	bps = sortRats(bps)
+	// Breakpoints of the partition and of big-job membership.  The
+	// bracket only shrinks from here on, so the ones outside it now can
+	// never be probed by a later round.
+	bps := p.pmtnBreakpoints(br.lo, br.hi)
 
 	for round := 0; round < 48 && br.err == nil; round++ {
 		br.narrowOnCandidates(test, bps)
@@ -155,4 +150,34 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		return nil, err
 	}
 	return br.annotate(&Result{Schedule: s, T: br.hi, LowerBound: br.lo, Algorithm: "pmtn/jump/fallback", Probes: br.probes, Fallback: true}, true), nil
+}
+
+// pmtnBreakpoints returns the preemptive partition and big-job membership
+// breakpoints strictly inside (lo, hi), ascending and deduplicated.  Each
+// breakpoint T is built as the integer key 3T — 6 s_i, 12 s_i,
+// 3(s_i+P_i), 4(s_i+P_i) and 6(s_i+t_j) — and every key is at most
+// 12 N <= 12 MaxTotalLoad < 2^57, so none overflows.  Key order and
+// equality are exactly the order and equality of the Rats key/3, so the
+// list equals the sorted, deduplicated Rat breakpoints restricted to
+// (lo, hi), at the cost of an int64 sort of the survivors only.
+func (p *Prep) pmtnBreakpoints(lo, hi sched.Rat) []sched.Rat {
+	kLo, kHi := keyWindow(lo, hi, 3)
+	keys := make([]int64, 0, p.NJob+4*p.C)
+	add := func(k int64) {
+		if kLo < k && k < kHi {
+			keys = append(keys, k)
+		}
+	}
+	for i := range p.In.Classes {
+		cls := &p.In.Classes[i]
+		sp := cls.Setup + p.P[i]
+		add(6 * cls.Setup)
+		add(12 * cls.Setup)
+		add(3 * sp)
+		add(4 * sp)
+		for _, t := range cls.Jobs {
+			add(6 * (cls.Setup + t))
+		}
+	}
+	return keyRats(keys, 3)
 }

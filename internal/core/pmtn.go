@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"setupsched/internal/knap"
 	"setupsched/internal/num128"
@@ -334,11 +335,11 @@ func (p *Prep) EvalPmtn(T sched.Rat, hi *sched.Rat) *PmtnEval {
 }
 
 func sortBySetupDesc(p *Prep, xs []int) {
-	sort.Slice(xs, func(a, b int) bool {
-		sa, sb := p.In.Classes[xs[a]].Setup, p.In.Classes[xs[b]].Setup
+	slices.SortFunc(xs, func(a, b int) int {
+		sa, sb := p.In.Classes[a].Setup, p.In.Classes[b].Setup
 		if sa != sb {
-			return sa > sb
+			return cmp.Compare(sb, sa)
 		}
-		return xs[a] < xs[b]
+		return cmp.Compare(a, b)
 	})
 }

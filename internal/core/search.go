@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -470,12 +471,26 @@ func lookupProbe(probes []specProbe, T sched.Rat) (ok, found bool) {
 
 // sortRats sorts a slice of rationals ascending and removes duplicates.
 func sortRats(rs []sched.Rat) []sched.Rat {
-	sort.Slice(rs, func(a, b int) bool { return rs[a].Less(rs[b]) })
-	out := rs[:0]
-	for i, r := range rs {
-		if i == 0 || !r.Equal(out[len(out)-1]) {
-			out = append(out, r)
-		}
+	slices.SortFunc(rs, sched.Rat.Cmp)
+	return slices.CompactFunc(rs, sched.Rat.Equal)
+}
+
+// keyWindow returns the exclusive integer bounds of the breakpoint keys
+// k = scale*T with T strictly inside (lo, hi): lo < k/scale < hi holds
+// exactly when floor(scale*lo) < k < ceil(scale*hi).
+func keyWindow(lo, hi sched.Rat, scale int64) (kLo, kHi int64) {
+	return lo.MulInt(scale).Floor(), hi.MulInt(scale).Ceil()
+}
+
+// keyRats sorts and deduplicates breakpoint keys in place and returns them
+// as the ascending Rats key/scale.  Distinct keys are distinct Rats, so no
+// Rat comparison is needed.
+func keyRats(keys []int64, scale int64) []sched.Rat {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	out := make([]sched.Rat, len(keys))
+	for i, k := range keys {
+		out[i] = sched.RatOf(k, scale)
 	}
 	return out
 }
@@ -668,7 +683,9 @@ func (p *Prep) dualFor(v sched.Variant) (func(sched.Rat) bool, func(sched.Rat) (
 //
 // The search maintains a right interval (lo, hi]: lo rejected (so
 // OPT > lo), hi accepted.  Phase A removes all partition breakpoints 2 s_i
-// from the interval; phase B removes the jumps 2 P_f / g of a fastest
+// from the interval, sorting only the k of them strictly inside it as
+// exact int64 keys in O(c + k log k) (see splitBreakpoints; the keys stay
+// below 2 MaxTotalLoad); phase B removes the jumps 2 P_f / g of a fastest
 // expensive class f; phase C removes the remaining (at most one per class,
 // Lemma 3) jumps.  On the final jump-free interval the required load L and
 // machine count m_exp are constant, so the smallest acceptable makespan is
@@ -702,11 +719,7 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 	}
 
 	// Phase A: partition breakpoints 2 s_i.
-	bps := make([]sched.Rat, 0, p.C)
-	for i := range p.In.Classes {
-		bps = append(bps, sched.R(2*p.In.Classes[i].Setup))
-	}
-	br.narrowOnCandidates(test, sortRats(bps))
+	br.narrowOnCandidates(test, p.splitBreakpoints(br.lo, br.hi))
 	if br.err != nil {
 		return nil, br.err
 	}
@@ -751,6 +764,20 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 	return p.closeJump(br, p.EvalSplit(br.lo, &br.hi).machineData(), test,
 		func(T sched.Rat) (*sched.Schedule, error) { return p.BuildSplit(p.EvalSplit(T, nil)) },
 		"split/jump")
+}
+
+// splitBreakpoints returns the splittable partition breakpoints 2 s_i
+// strictly inside (lo, hi), ascending and deduplicated, sorted as the
+// exact int64 keys 2 s_i <= 2 MaxTotalLoad (see pmtnBreakpoints).
+func (p *Prep) splitBreakpoints(lo, hi sched.Rat) []sched.Rat {
+	kLo, kHi := keyWindow(lo, hi, 1)
+	keys := make([]int64, 0, p.C)
+	for i := range p.In.Classes {
+		if k := 2 * p.In.Classes[i].Setup; kLo < k && k < kHi {
+			keys = append(keys, k)
+		}
+	}
+	return keyRats(keys, 1)
 }
 
 // intervalData captures the interval-constant quantities of a dual

@@ -183,7 +183,10 @@ type BucketSnapshot struct {
 }
 
 // Snapshot returns the cumulative bucket counts, total count and sum, as
-// the Prometheus exposition needs them.
+// the Prometheus exposition needs them.  The count is the +Inf bucket's
+// cumulative total rather than a separate read of the count field:
+// Observe bumps a bucket before the count, so a concurrent snapshot could
+// otherwise expose a _count one below its le="+Inf" bucket.
 func (h *Histogram) Snapshot() (buckets []BucketSnapshot, count uint64, sum float64) {
 	buckets = make([]BucketSnapshot, len(h.counts))
 	cum := uint64(0)
@@ -195,7 +198,7 @@ func (h *Histogram) Snapshot() (buckets []BucketSnapshot, count uint64, sum floa
 		}
 		buckets[i] = BucketSnapshot{UpperBound: ub, Cumulative: cum}
 	}
-	return buckets, h.count.Load(), h.Sum()
+	return buckets, cum, h.Sum()
 }
 
 // metricKind discriminates registry entries.

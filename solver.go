@@ -232,21 +232,23 @@ func resolveOptions(opts []Option) (*solveConfig, error) {
 // order the search admitted the probes and deduplicated by guess: a
 // makespan guess evaluated more than once (possible only under
 // speculative probing) is recorded at its first evaluation.
+//
+// The seen-set is keyed by the guess itself: guesses are positive and
+// normalized, so two of them are the same struct exactly when Equal.
 type traceObserver struct {
 	trace []Probe
-	seen  map[string]bool
+	seen  map[Rat]bool
 }
 
 func (t *traceObserver) ProbeStarted(Rat) {}
 func (t *traceObserver) ProbeFinished(T Rat, accepted bool) {
-	key := T.String()
 	if t.seen == nil {
-		t.seen = make(map[string]bool)
+		t.seen = make(map[Rat]bool)
 	}
-	if t.seen[key] {
+	if t.seen[T] {
 		return
 	}
-	t.seen[key] = true
+	t.seen[T] = true
 	t.trace = append(t.trace, Probe{T: T, Accepted: accepted})
 }
 func (t *traceObserver) SearchFinished(string, int) {}
