@@ -82,14 +82,13 @@ func BenchmarkEvalNonpBatch_n1e5(b *testing.B) {
 	}
 }
 
-// benchJumpPrep builds one instance of the end-to-end benchmark's
-// core-cold shape: ExpensiveSetups at n = 2e4 (≈11k jobs in 2.5k classes,
-// m just below the class count, setups ~1e9), on which the Class Jumping
-// searches genuinely probe.
-func benchJumpPrep() *Prep {
-	const n = 20_000
+// coreColdPrep builds one instance of the end-to-end benchmark's
+// core-cold shape at nominal size n: ExpensiveSetups with m just below the
+// class count and setups ~1e9, on which the Class Jumping searches
+// genuinely probe.
+func coreColdPrep(n int) *Prep {
 	return Prepare(schedgen.ExpensiveSetups(schedgen.Params{
-		M: n/10 + 1, Classes: n / 8, JobsPer: 8,
+		M: int64(n/10 + 1), Classes: n / 8, JobsPer: 8,
 		MaxSetup: 2_000_000_000, MaxJob: 200_000_000, Seed: 1,
 	}))
 }
@@ -99,7 +98,7 @@ func benchJumpPrep() *Prep {
 // result's certified pair, the way a session re-solves after a small
 // delta.  The Prep is built once, off the clock.
 func benchJump(b *testing.B, solve func(*Prep, Ctl) (*Result, error)) {
-	p := benchJumpPrep()
+	p := coreColdPrep(20_000) // ≈11k jobs in 2.5k classes
 	cold, err := solve(p, Ctl{})
 	if err != nil {
 		b.Fatal(err)
@@ -129,3 +128,58 @@ func BenchmarkSolvePmtnJump(b *testing.B) { benchJump(b, (*Prep).SolvePmtnJump) 
 
 // BenchmarkSolveSplitJump is the exact splittable search (Theorem 3).
 func BenchmarkSolveSplitJump(b *testing.B) { benchJump(b, (*Prep).SolveSplitJump) }
+
+// buildAtAccepted returns the variant's builder bound to the accepting
+// evaluation at the exact search's answer for p, the construction every
+// exact solve ends with.
+func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(*RunScratch) (*sched.Schedule, error) {
+	tb.Helper()
+	switch v {
+	case sched.Splittable:
+		r, err := p.SolveSplitJump(Ctl{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ev := p.EvalSplit(r.T, nil)
+		return func(sc *RunScratch) (*sched.Schedule, error) { return p.BuildSplitScratch(ev, sc) }
+	case sched.Preemptive:
+		r, err := p.SolvePmtnJump(Ctl{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ev := p.EvalPmtn(r.T, nil)
+		return func(sc *RunScratch) (*sched.Schedule, error) { return p.BuildPmtnScratch(ev, sc) }
+	}
+	tb.Fatalf("no run builder for %v", v)
+	return nil
+}
+
+// benchBuild times one construction on the core-cold shape: fresh
+// allocates its working memory per build (Solver, serve), scratch reuses
+// one warm RunScratch (stream.Session re-solves).
+func benchBuild(b *testing.B, v sched.Variant) {
+	build := buildAtAccepted(b, coreColdPrep(20_000), v)
+	var warm RunScratch
+	if _, err := build(&warm); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		sc   *RunScratch
+	}{{"fresh", nil}, {"scratch", &warm}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := build(bc.sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkBuildPmtn is the preemptive construction (Theorem 5(ii)).
+func BenchmarkBuildPmtn(b *testing.B) { benchBuild(b, sched.Preemptive) }
+
+// BenchmarkBuildSplit is the splittable construction (Theorem 7(ii)).
+func BenchmarkBuildSplit(b *testing.B) { benchBuild(b, sched.Splittable) }

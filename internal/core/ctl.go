@@ -84,23 +84,40 @@ type Ctl struct {
 	// change the reported bound (see ALGORITHMS.md, "Warm-started
 	// re-solves").
 	Seed *BracketSeed
-	// Scratch lends the schedule builders reusable working memory; nil
-	// allocates per call.  Output is identical either way.  Setting it is
-	// only sound when the caller serializes all solves sharing the
+	// Scratch lends every schedule builder (non-preemptive, preemptive,
+	// splittable and the 2-approximations) and the non-preemptive dual
+	// test reusable working memory; nil allocates per call.  Output is
+	// identical either way, and no result aliases the scratch: each build
+	// ends by copying its slots into one exactly sized array.  Setting it
+	// is only sound when the caller serializes all solves sharing the
 	// scratch (stream.Session holds its lock across the whole solve);
-	// the concurrent paths (Solver, SolveAll fan-out) must leave it nil.
+	// the concurrent paths (Solver, SolveAll fan-out, serve) must leave
+	// it nil.
 	Scratch *BuildScratch
 }
 
 // BuildScratch aggregates the builders' and dual tests' reusable working
-// memory (see Ctl.Scratch).  The zero value is ready for use.
+// memory (see Ctl.Scratch).  The zero value is ready for use; once warm,
+// a re-solve's builds stop regrowing slot and working lists.
 type BuildScratch struct {
 	Nonp NonpScratch
+	// Run backs the preemptive, splittable and 2-approximation builders:
+	// their slot arena, run table, wrap sequence and working lists.
+	Run RunScratch
 	// Eval backs the non-preemptive dual test's per-probe arrays, so a
 	// warm re-solve's serial probes allocate nothing (the searches route
 	// speculative batches through EvalNonpBatch, which keeps the serial
 	// test single-threaded and the shared scratch sound).
 	Eval NonpEvalScratch
+}
+
+// runs returns the lent run-builder scratch, or nil (the builders then
+// allocate per call).
+func (c Ctl) runs() *RunScratch {
+	if c.Scratch == nil {
+		return nil
+	}
+	return &c.Scratch.Run
 }
 
 // width returns the effective speculation width (>= 1).

@@ -33,11 +33,11 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		return nil, err
 	}
 	if p.M >= int64(p.NJob) {
-		s := p.oneJobPerMachine(sched.Preemptive)
+		s := p.oneJobPerMachine(sched.Preemptive, ctl.runs())
 		return &Result{Schedule: s, T: s.T, LowerBound: s.T, Algorithm: "pmtn/jump"}, nil
 	}
 	test := func(T sched.Rat) bool { return p.EvalPmtn(T, nil).OK }
-	build := func(T sched.Rat) (*sched.Schedule, error) { return p.BuildPmtn(p.EvalPmtn(T, nil)) }
+	build := func(T sched.Rat) (*sched.Schedule, error) { return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs()) }
 	tmin := p.TMin(sched.Preemptive)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
 	if br.probe(test, tmin) {
@@ -129,7 +129,7 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		evPoint := p.EvalPmtn(tNew, nil)
 		br.end(tNew, evPoint.OK)
 		if evPoint.OK && evPoint.L == evInt.L {
-			s, err := p.BuildPmtn(evPoint)
+			s, err := p.BuildPmtnScratch(evPoint, ctl.runs())
 			if err != nil {
 				return nil, err
 			}

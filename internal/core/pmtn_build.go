@@ -1,24 +1,12 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"setupsched/internal/wrap"
 	"setupsched/sched"
 )
-
-// piece is a (possibly fractional) part of a job.
-type piece struct {
-	job    int
-	length sched.Rat
-}
-
-// cheapBatch is one class's contribution to the nice instance's cheap wrap
-// sequence.
-type cheapBatch struct {
-	class  int
-	pieces []piece
-}
 
 // kItem is one job piece destined for the bottom of the large machines.
 type kItem struct {
@@ -37,6 +25,12 @@ type kItem struct {
 // in K run strictly below T/2 while their sibling pieces in the nice part
 // run at or above T/2, so no job ever runs in parallel with itself.
 func (p *Prep) BuildPmtn(ev *PmtnEval) (*sched.Schedule, error) {
+	return p.BuildPmtnScratch(ev, nil)
+}
+
+// BuildPmtnScratch is BuildPmtn drawing its working memory from sc; a nil
+// sc allocates fresh memory (identical output either way).
+func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, error) {
 	if !ev.OK {
 		return nil, errInternal("BuildPmtn on rejected evaluation (%s)", ev.Reason)
 	}
@@ -49,78 +43,74 @@ func (p *Prep) BuildPmtn(ev *PmtnEval) (*sched.Schedule, error) {
 	uRat := func(u int64) sched.Rat { return sched.RatOf(u, uDen) }
 	halfT := T.Half()
 	quarterT := T.Quarter()
-	out := &sched.Schedule{Variant: sched.Preemptive, T: T}
+	b := runsFor(p, sc)
 
 	// Step 1: large machines, one I0exp class each, starting at T/2.
-	largeRuns := make([]int, 0, len(ev.ExpZero))
 	for _, i := range ev.ExpZero {
 		cls := &p.In.Classes[i] // expensive, so cls.Setup > T/2 > 0
-		b := sched.NewMachineBuilder()
-		b.PlaceAt(sched.SlotSetup, i, -1, halfT, sched.R(cls.Setup))
+		b.begin()
+		b.placeAt(sched.SlotSetup, i, -1, halfT, sched.R(cls.Setup))
 		for j, t := range cls.Jobs {
-			b.Place(sched.SlotJob, i, j, sched.R(t))
+			b.place(sched.SlotJob, i, j, sched.R(t))
 		}
-		largeRuns = append(largeRuns, out.AddMachine(b.Slots()))
+		b.large = append(b.large, b.end(1))
 	}
-	l := int64(len(largeRuns))
+	l := int64(len(b.large))
 
-	// Step 2: distribute the I-chp load between the nice instance and K.
-	var niceCheap []cheapBatch
-	var kPieces []kItem
+	// Step 2: distribute the I-chp load between the nice instance's cheap
+	// wrap sequence (b.seq) and K (b.kItems).
 	for _, i := range ev.ChpPlus {
-		niceCheap = append(niceCheap, fullBatch(p, i))
+		b.fullBatch(p, i)
 	}
 	splitClass := -1
 	if ev.CaseA {
 		splitClass = splitClassOf(ev)
-		inStar := make(map[int]int, len(ev.Star))
-		for k, i := range ev.Star {
-			inStar[i] = k
+		if len(b.inStar) < p.C {
+			b.inStar = make([]bool, p.C)
+		} else {
+			clear(b.inStar)
+		}
+		for _, i := range ev.Star {
+			b.inStar[i] = true
 		}
 		for k, i := range ev.Star {
 			cls := &p.In.Classes[i]
 			switch {
 			case ev.Sel[k]:
-				niceCheap = append(niceCheap, fullBatch(p, i))
+				b.fullBatch(p, i)
 			case k == ev.SplitPos:
-				nb, kp, err := splitStarClass(p, ev, i)
-				if err != nil {
+				if err := b.splitStarClass(p, ev, i); err != nil {
 					return nil, err
 				}
-				niceCheap = append(niceCheap, nb)
-				kPieces = append(kPieces, kp...)
 			default:
 				// Unselected: obligatory pieces j(2) to the nice part,
 				// j(1) pieces and small jobs to K.
-				var nice []piece
 				for j, t := range cls.Jobs {
 					if isBigFor(cls.Setup, t, tn, td) {
-						nice = append(nice, piece{j, uRat(2*(cls.Setup+t)*td - tn)})
-						kPieces = append(kPieces, kItem{i, j, uRat(tn - 2*cls.Setup*td)})
+						b.nicePiece(p, i, j, uRat(2*(cls.Setup+t)*td-tn))
+						b.kItems = append(b.kItems, kItem{i, j, uRat(tn - 2*cls.Setup*td)})
 					} else {
-						kPieces = append(kPieces, kItem{i, j, sched.R(t)})
+						b.kItems = append(b.kItems, kItem{i, j, sched.R(t)})
 					}
 				}
-				niceCheap = append(niceCheap, cheapBatch{class: i, pieces: nice})
 			}
 		}
 		for _, i := range ev.ChpMinus {
-			if _, ok := inStar[i]; !ok {
-				kPieces = append(kPieces, wholeK(p, i)...)
+			if !b.inStar[i] {
+				b.wholeK(p, i)
 			}
 		}
 	} else {
 		splitClass = ev.BSplit
 		for _, i := range ev.Star {
-			niceCheap = append(niceCheap, fullBatch(p, i))
+			b.fullBatch(p, i)
 		}
 		for _, i := range ev.NiceRest {
-			niceCheap = append(niceCheap, fullBatch(p, i))
+			b.fullBatch(p, i)
 		}
 		if ev.BSplit >= 0 {
 			cls := &p.In.Classes[ev.BSplit]
 			budget := ev.BSplitU
-			var nice []piece
 			for j, t := range cls.Jobs {
 				maxU := 2 * t * td
 				take := maxU
@@ -129,36 +119,33 @@ func (p *Prep) BuildPmtn(ev *PmtnEval) (*sched.Schedule, error) {
 				}
 				budget -= take
 				if take > 0 {
-					nice = append(nice, piece{j, uRat(take)})
+					b.nicePiece(p, ev.BSplit, j, uRat(take))
 				}
 				if take < maxU {
-					kPieces = append(kPieces, kItem{ev.BSplit, j, uRat(maxU - take)})
+					b.kItems = append(b.kItems, kItem{ev.BSplit, j, uRat(maxU - take)})
 				}
 			}
 			if budget != 0 {
 				return nil, errInternal("case-B split budget not exhausted (%d units left)", budget)
 			}
-			niceCheap = append(niceCheap, cheapBatch{class: ev.BSplit, pieces: nice})
 		}
 		for _, i := range ev.KRest {
-			kPieces = append(kPieces, wholeK(p, i)...)
+			b.wholeK(p, i)
 		}
 	}
 
 	// Step 3: the nice instance on the residual m-l machines.
-	niceRuns, err := p.buildNice(T, p.M-l, ev.ExpPlus, ev.Gamma, ev.ExpMinus, niceCheap)
-	if err != nil {
+	if err := p.buildNice(b, T, p.M-l, ev.ExpPlus, ev.Gamma, ev.ExpMinus); err != nil {
 		return nil, err
 	}
-	out.Runs = append(out.Runs, niceRuns...)
 
 	// Step 4: place K at the bottoms of the large machines.
-	if len(kPieces) > 0 {
-		if err := p.placeK(out, largeRuns, kPieces, splitClass, halfT, quarterT); err != nil {
+	if len(b.kItems) > 0 {
+		if err := p.placeK(b, splitClass, halfT, quarterT); err != nil {
 			return nil, err
 		}
 	}
-	return out, nil
+	return b.emit(&sched.Schedule{Variant: sched.Preemptive, T: T}), nil
 }
 
 // splitClassOf returns the class index of the case-A split item, or -1.
@@ -174,24 +161,30 @@ func isBigFor(s, t, tn, td int64) bool {
 	return cmpProd(2*(s+t), td, tn, 1) > 0
 }
 
-// fullBatch returns the whole class as a cheap batch.
-func fullBatch(p *Prep, class int) cheapBatch {
-	cls := &p.In.Classes[class]
-	pieces := make([]piece, len(cls.Jobs))
-	for j, t := range cls.Jobs {
-		pieces[j] = piece{j, sched.R(t)}
+// nicePiece appends a piece of a job to the nice instance's cheap wrap
+// sequence.  Each class's pieces arrive together, and the class setup
+// opens its batch at the first one, so a class without nice pieces adds
+// no setup.
+func (b *RunScratch) nicePiece(p *Prep, class, job int, length sched.Rat) {
+	if class != b.niceClass {
+		b.niceClass = class
+		b.seq.AddSetup(class, p.In.Classes[class].Setup)
 	}
-	return cheapBatch{class: class, pieces: pieces}
+	b.seq.AddJob(class, job, length)
 }
 
-// wholeK returns every job of the class as a K item.
-func wholeK(p *Prep, class int) []kItem {
-	cls := &p.In.Classes[class]
-	items := make([]kItem, len(cls.Jobs))
-	for j, t := range cls.Jobs {
-		items[j] = kItem{class, j, sched.R(t)}
+// fullBatch adds the whole class as a cheap batch.
+func (b *RunScratch) fullBatch(p *Prep, class int) {
+	for j, t := range p.In.Classes[class].Jobs {
+		b.nicePiece(p, class, j, sched.R(t))
 	}
-	return items
+}
+
+// wholeK adds every job of the class as a K item.
+func (b *RunScratch) wholeK(p *Prep, class int) {
+	for j, t := range p.In.Classes[class].Jobs {
+		b.kItems = append(b.kItems, kItem{class, j, sched.R(t)})
+	}
 }
 
 // splitStarClass distributes the split class's jobs between the nice part
@@ -199,13 +192,11 @@ func wholeK(p *Prep, class int) []kItem {
 // piece j[1] keeps s_e + t <= T/2 (paper equation (6) and Note 3; we use a
 // per-job greedy that preserves the same invariants with small-denominator
 // rationals, see DESIGN.md).
-func splitStarClass(p *Prep, ev *PmtnEval, class int) (cheapBatch, []kItem, error) {
+func (b *RunScratch) splitStarClass(p *Prep, ev *PmtnEval, class int) error {
 	cls := &p.In.Classes[class]
 	tn, td := ev.RefNum, ev.RefDen
 	uDen := 2 * td
 	surplus := ev.SplitU
-	var nice []piece
-	var ks []kItem
 	for j, t := range cls.Jobs {
 		var minU int64
 		if isBigFor(cls.Setup, t, tn, td) {
@@ -219,16 +210,16 @@ func splitStarClass(p *Prep, ev *PmtnEval, class int) (cheapBatch, []kItem, erro
 		surplus -= raise
 		t2 := minU + raise
 		if t2 > 0 {
-			nice = append(nice, piece{j, sched.RatOf(t2, uDen)})
+			b.nicePiece(p, class, j, sched.RatOf(t2, uDen))
 		}
 		if t2 < maxU {
-			ks = append(ks, kItem{class, j, sched.RatOf(maxU-t2, uDen)})
+			b.kItems = append(b.kItems, kItem{class, j, sched.RatOf(maxU-t2, uDen)})
 		}
 	}
 	if surplus != 0 {
-		return cheapBatch{}, nil, errInternal("split-class surplus %d units not distributed", surplus)
+		return errInternal("split-class surplus %d units not distributed", surplus)
 	}
-	return cheapBatch{class: class, pieces: nice}, ks, nil
+	return nil
 }
 
 // placeK places the K pieces at the bottoms [0, T/2) of the large
@@ -236,76 +227,74 @@ func splitStarClass(p *Prep, ev *PmtnEval, class int) (cheapBatch, []kItem, erro
 // their own setup; the rest (K-) is wrapped into a first full gap
 // [0, T/2) and gaps [T/4, T/2) on the remaining large machines, ordered by
 // class with the split class first.
-func (p *Prep) placeK(out *sched.Schedule, largeRuns []int, kPieces []kItem, splitClass int, halfT, quarterT sched.Rat) error {
-	var kPlus, kMinus []kItem
-	for _, it := range kPieces {
+func (p *Prep) placeK(b *RunScratch, splitClass int, halfT, quarterT sched.Rat) error {
+	b.kPlus, b.kMinus = b.kPlus[:0], b.kMinus[:0]
+	for _, it := range b.kItems {
 		if it.length.Cmp(quarterT) > 0 {
-			kPlus = append(kPlus, it)
+			b.kPlus = append(b.kPlus, it)
 		} else {
-			kMinus = append(kMinus, it)
+			b.kMinus = append(b.kMinus, it)
 		}
 	}
-	if len(kPlus) > len(largeRuns) {
-		return errInternal("K+ needs %d large machines, have %d", len(kPlus), len(largeRuns))
+	if len(b.kPlus) > len(b.large) {
+		return errInternal("K+ needs %d large machines, have %d", len(b.kPlus), len(b.large))
 	}
-	for k, it := range kPlus {
+	for k, it := range b.kPlus {
 		s := p.In.Classes[it.class].Setup
 		if sched.R(s).Add(it.length).Cmp(halfT) > 0 {
 			return errInternal("K+ piece of class %d exceeds T/2", it.class)
 		}
-		b := sched.NewMachineBuilder()
+		b.begin()
 		if s > 0 {
-			b.Place(sched.SlotSetup, it.class, -1, sched.R(s))
+			b.place(sched.SlotSetup, it.class, -1, sched.R(s))
 		}
-		b.Place(sched.SlotJob, it.class, it.job, it.length)
-		run := &out.Runs[largeRuns[k]]
-		run.Slots = append(b.Slots(), run.Slots...)
+		b.place(sched.SlotJob, it.class, it.job, it.length)
+		b.runs[b.large[k]].pre = b.span()
 	}
-	if len(kMinus) == 0 {
+	if len(b.kMinus) == 0 {
 		return nil
 	}
-	lPrime := len(kPlus)
-	if lPrime >= len(largeRuns) {
+	lPrime := len(b.kPlus)
+	if lPrime >= len(b.large) {
 		return errInternal("no large machines left for K- wrap")
 	}
 	// Group by class, split class first, then ascending class index.
-	sort.SliceStable(kMinus, func(a, b int) bool {
-		ca, cb := kMinus[a].class, kMinus[b].class
-		if (ca == splitClass) != (cb == splitClass) {
-			return ca == splitClass
+	slices.SortStableFunc(b.kMinus, func(x, y kItem) int {
+		if (x.class == splitClass) != (y.class == splitClass) {
+			if x.class == splitClass {
+				return -1
+			}
+			return 1
 		}
-		return ca < cb
+		return cmp.Compare(x.class, y.class)
 	})
-	var q wrap.Sequence
+	b.seq.Reset()
 	last := -1
-	for _, it := range kMinus {
+	for _, it := range b.kMinus {
 		if it.class != last {
-			q.AddSetup(it.class, p.In.Classes[it.class].Setup)
+			b.seq.AddSetup(it.class, p.In.Classes[it.class].Setup)
 			last = it.class
 		}
-		q.AddJob(it.class, it.job, it.length)
+		b.seq.AddJob(it.class, it.job, it.length)
 	}
-	gaps := make([]wrap.Gap, 0, len(largeRuns)-lPrime)
-	gaps = append(gaps, wrap.Gap{Machine: int64(lPrime), A: sched.Rat{}, B: halfT})
-	for g := lPrime + 1; g < len(largeRuns); g++ {
-		gaps = append(gaps, wrap.Gap{Machine: int64(g), A: quarterT, B: halfT})
+	b.gaps = append(b.gaps[:0], wrap.Gap{Machine: int64(lPrime), A: sched.Rat{}, B: halfT})
+	for g := lPrime + 1; g < len(b.large); g++ {
+		b.gaps = append(b.gaps, wrap.Gap{Machine: int64(g), A: quarterT, B: halfT})
 	}
-	placed, err := wrap.Wrap(gaps, wrap.TailRun{}, &q, p.setups())
-	if err != nil {
+	if err := b.wrapSeq(p, wrap.TailRun{}); err != nil {
 		return errInternal("K- wrap failed: %v", err)
 	}
-	for g, slots := range placed.Machines {
-		if len(slots) == 0 {
-			continue
+	for g, sp := range b.placed.Machines {
+		if sp.Len() > 0 {
+			b.runs[b.large[lPrime+g]].pre = sp
 		}
-		run := &out.Runs[largeRuns[lPrime+g]]
-		run.Slots = append(append([]sched.Slot(nil), slots...), run.Slots...)
 	}
 	return nil
 }
 
 // buildNice schedules a nice instance (empty I0exp) on `budget` fresh
-// machines (Theorem 4(ii), Algorithm 2 with the Section 4.4 step 1):
+// machines (Theorem 4(ii), Algorithm 2 with the Section 4.4 step 1),
+// wrapping the cheap wrap sequence b.seq:
 //
 //	step 1: each I+exp class i fills gamma_i machines, the first
 //	        gamma_i - 1 to exactly s_i + T/2 (> T) and the last to at
@@ -314,10 +303,9 @@ func (p *Prep) placeK(out *sched.Schedule, largeRuns []int, kPieces []kItem, spl
 //	        an odd last class sits alone on machine mu;
 //	step 3: the cheap load is wrapped into the gap [T, 3/2T) of mu and
 //	        gaps [T/2, 3/2T) on the remaining machines.
-func (p *Prep) buildNice(T sched.Rat, budget int64, expPlus []int, gamma []int64, expMinus []int, cheap []cheapBatch) ([]sched.MachineRun, error) {
+func (p *Prep) buildNice(b *RunScratch, T sched.Rat, budget int64, expPlus []int, gamma []int64, expMinus []int) error {
 	halfT := T.Half()
 	top := T.MulInt(3).DivInt(2)
-	var runs []sched.MachineRun
 	used := int64(0)
 
 	// Step 1.
@@ -326,9 +314,9 @@ func (p *Prep) buildNice(T sched.Rat, budget int64, expPlus []int, gamma []int64
 		g := gamma[k]
 		jobIdx, jobLeft := 0, sched.R(cls.Jobs[0])
 		for u := int64(0); u < g; u++ {
-			b := sched.NewMachineBuilder()
+			b.begin()
 			if cls.Setup > 0 {
-				b.Place(sched.SlotSetup, i, -1, sched.R(cls.Setup))
+				b.place(sched.SlotSetup, i, -1, sched.R(cls.Setup))
 			}
 			cap := halfT
 			if u == g-1 {
@@ -336,7 +324,7 @@ func (p *Prep) buildNice(T sched.Rat, budget int64, expPlus []int, gamma []int64
 			}
 			for cap.Sign() > 0 && jobIdx < len(cls.Jobs) {
 				take := sched.MinRat(cap, jobLeft)
-				b.Place(sched.SlotJob, i, jobIdx, take)
+				b.place(sched.SlotJob, i, jobIdx, take)
 				cap = cap.Sub(take)
 				jobLeft = jobLeft.Sub(take)
 				if jobLeft.IsZero() {
@@ -346,72 +334,59 @@ func (p *Prep) buildNice(T sched.Rat, budget int64, expPlus []int, gamma []int64
 					}
 				}
 			}
-			if b.Top().Cmp(top) > 0 {
-				return nil, errInternal("nice step 1 machine exceeds 3/2T (class %d)", i)
+			if b.top.Cmp(top) > 0 {
+				return errInternal("nice step 1 machine exceeds 3/2T (class %d)", i)
 			}
-			runs = append(runs, sched.MachineRun{Count: 1, Slots: b.Slots()})
+			b.end(1)
 			used++
 		}
 		if jobIdx < len(cls.Jobs) {
-			return nil, errInternal("nice step 1 left work of class %d", i)
+			return errInternal("nice step 1 left work of class %d", i)
 		}
 	}
 
 	// Step 2.
 	muIdx := -1
 	for k := 0; k < len(expMinus); k += 2 {
-		b := sched.NewMachineBuilder()
+		b.begin()
 		for _, i := range []int{expMinus[k], pairOrNeg(expMinus, k+1)} {
 			if i < 0 {
 				continue
 			}
 			cls := &p.In.Classes[i]
 			if cls.Setup > 0 {
-				b.Place(sched.SlotSetup, i, -1, sched.R(cls.Setup))
+				b.place(sched.SlotSetup, i, -1, sched.R(cls.Setup))
 			}
 			for j, t := range cls.Jobs {
-				b.Place(sched.SlotJob, i, j, sched.R(t))
+				b.place(sched.SlotJob, i, j, sched.R(t))
 			}
 		}
+		ri := b.end(1)
 		if k+1 >= len(expMinus) {
-			muIdx = len(runs)
+			muIdx = ri
 		}
-		runs = append(runs, sched.MachineRun{Count: 1, Slots: b.Slots()})
 		used++
 	}
 
 	// Step 3.
-	var q wrap.Sequence
-	for _, batch := range cheap {
-		if len(batch.pieces) == 0 {
-			continue
-		}
-		q.AddSetup(batch.class, p.In.Classes[batch.class].Setup)
-		for _, pc := range batch.pieces {
-			q.AddJob(batch.class, pc.job, pc.length)
-		}
-	}
-	if q.Len() > 0 {
-		var gaps []wrap.Gap
+	if b.seq.Len() > 0 {
+		b.gaps = b.gaps[:0]
 		if muIdx >= 0 {
-			gaps = append(gaps, wrap.Gap{Machine: int64(muIdx), A: T, B: top})
+			b.gaps = append(b.gaps, wrap.Gap{Machine: int64(muIdx), A: T, B: top})
 		}
 		tail := wrap.TailRun{Count: budget - used, A: halfT, B: top}
 		if tail.Count < 0 {
-			return nil, errInternal("nice instance machine budget exceeded (%d used of %d)", used, budget)
+			return errInternal("nice instance machine budget exceeded (%d used of %d)", used, budget)
 		}
-		placed, err := wrap.Wrap(gaps, tail, &q, p.setups())
-		if err != nil {
-			return nil, errInternal("nice cheap wrap failed: %v", err)
+		if err := b.wrapSeq(p, tail); err != nil {
+			return errInternal("nice cheap wrap failed: %v", err)
 		}
-		if muIdx >= 0 && len(placed.Machines) > 0 {
-			runs[muIdx].Slots = append(runs[muIdx].Slots, placed.Machines[0]...)
+		if muIdx >= 0 && len(b.placed.Machines) > 0 {
+			b.runs[muIdx].post = b.placed.Machines[0]
 		}
-		for _, r := range placed.Tail {
-			runs = append(runs, r)
-		}
+		b.addTail()
 	}
-	return runs, nil
+	return nil
 }
 
 func pairOrNeg(xs []int, k int) int {

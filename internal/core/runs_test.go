@@ -1,0 +1,174 @@
+package core
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"setupsched/sched"
+	"setupsched/schedgen"
+)
+
+// arenaSolves are the searches whose schedules come out of the slot
+// arena (plus the non-preemptive exact search, whose own builder obeys
+// the same cap == len contract).
+var arenaSolves = []struct {
+	name  string
+	solve func(*Prep, Ctl) (*Result, error)
+}{
+	{"split/2approx", (*Prep).SolveSplit2},
+	{"split/eps", func(p *Prep, c Ctl) (*Result, error) { return p.SolveEps(c, sched.Splittable, 1e-3) }},
+	{"split/exact", (*Prep).SolveSplitJump},
+	{"pmtn/2approx", func(p *Prep, c Ctl) (*Result, error) { return p.SolveNonp2(c, sched.Preemptive) }},
+	{"pmtn/eps", func(p *Prep, c Ctl) (*Result, error) { return p.SolveEps(c, sched.Preemptive, 1e-3) }},
+	{"pmtn/exact", (*Prep).SolvePmtnJump},
+	{"nonp/2approx", func(p *Prep, c Ctl) (*Result, error) { return p.SolveNonp2(c, sched.NonPreemptive) }},
+	{"nonp/exact", (*Prep).SolveNonpSearch},
+}
+
+// arenaInstances covers every schedgen family on few machines and on
+// more machines than jobs (one job per machine, long tail runs), plus
+// pmtnHandInstances.
+func arenaInstances() []*sched.Instance {
+	var out []*sched.Instance
+	for _, fam := range schedgen.Families {
+		out = append(out,
+			fam.Make(schedgen.Params{M: 16, Classes: 40, JobsPer: 5, MaxSetup: 200, MaxJob: 300, Seed: 3}),
+			fam.Make(schedgen.Params{M: 400, Classes: 12, JobsPer: 4, MaxSetup: 300, MaxJob: 400, Seed: 4}))
+	}
+	return append(out, pmtnHandInstances()...)
+}
+
+// pmtnHandInstances are the hand-built knapsack (case A) and greedy
+// (case B) preemptive instances of partition_test.go, accepted at T = 100.
+func pmtnHandInstances() []*sched.Instance {
+	caseA := &sched.Instance{M: 9}
+	for k := 0; k < 7; k++ {
+		caseA.Classes = append(caseA.Classes, sched.Class{Setup: 55, Jobs: []int64{25}})
+	}
+	caseA.Classes = append(caseA.Classes,
+		sched.Class{Setup: 52, Jobs: []int64{48, 48}},
+		sched.Class{Setup: 10, Jobs: []int64{45, 4}},
+		sched.Class{Setup: 6, Jobs: []int64{47}})
+	caseB := &sched.Instance{M: 10, Classes: []sched.Class{
+		{Setup: 60, Jobs: []int64{25}},
+		{Setup: 10, Jobs: []int64{45, 4}},
+		{Setup: 4, Jobs: []int64{20, 7}},
+		{Setup: 3, Jobs: []int64{11}},
+	}}
+	return []*sched.Instance{caseA, caseB}
+}
+
+// cloneSchedule deep-copies s, keeping nil slices nil.
+func cloneSchedule(s *sched.Schedule) *sched.Schedule {
+	c := *s
+	c.Runs = slices.Clone(s.Runs)
+	for i := range c.Runs {
+		c.Runs[i].Slots = slices.Clone(c.Runs[i].Slots)
+	}
+	return &c
+}
+
+// checkExactCap fails unless every run's slot slice has cap == len, so an
+// append to one machine (BuildSplit step 2, placeK) cannot overwrite the
+// next machine's slots.
+func checkExactCap(t *testing.T, tag string, s *sched.Schedule) {
+	t.Helper()
+	for i, r := range s.Runs {
+		if cap(r.Slots) != len(r.Slots) {
+			t.Fatalf("%s: run %d has len %d, cap %d", tag, i, len(r.Slots), cap(r.Slots))
+		}
+	}
+}
+
+// TestArenaExactCapacity pins the emit contract on every arena builder:
+// each machine's slots are exactly sized, with and without a lent
+// scratch, and the two outputs are identical.
+func TestArenaExactCapacity(t *testing.T) {
+	var sc BuildScratch
+	for k, in := range arenaInstances() {
+		p := Prepare(in)
+		for _, as := range arenaSolves {
+			fresh, err := as.solve(p, Ctl{})
+			if err != nil {
+				t.Fatalf("instance %d %s: %v", k, as.name, err)
+			}
+			lent, err := as.solve(p, Ctl{Scratch: &sc})
+			if err != nil {
+				t.Fatalf("instance %d %s (lent): %v", k, as.name, err)
+			}
+			checkExactCap(t, as.name, fresh.Schedule)
+			checkExactCap(t, as.name+" (lent)", lent.Schedule)
+			if !reflect.DeepEqual(fresh.Schedule, lent.Schedule) {
+				t.Fatalf("instance %d %s: lent-scratch schedule differs from fresh", k, as.name)
+			}
+		}
+	}
+	// The knapsack and greedy branches at the guess the hand examples
+	// were built for.
+	for _, in := range pmtnHandInstances() {
+		p := Prepare(in)
+		ev := p.EvalPmtn(sched.R(100), nil)
+		s, err := p.BuildPmtnScratch(ev, &sc.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkExactCap(t, "pmtn@100", s)
+		if err := s.Validate(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestArenaLentScratchKeepsResult builds a sequence of schedules through
+// one lent scratch and checks that no later build changes an earlier
+// schedule: results must not alias the arena or the working lists.
+func TestArenaLentScratchKeepsResult(t *testing.T) {
+	var sc BuildScratch
+	type kept struct {
+		tag       string
+		got, copy *sched.Schedule
+	}
+	var all []kept
+	for k, in := range arenaInstances() {
+		p := Prepare(in)
+		for _, as := range arenaSolves {
+			r, err := as.solve(p, Ctl{Scratch: &sc})
+			if err != nil {
+				t.Fatalf("instance %d %s: %v", k, as.name, err)
+			}
+			all = append(all, kept{as.name, r.Schedule, cloneSchedule(r.Schedule)})
+		}
+	}
+	for i, kp := range all {
+		if !reflect.DeepEqual(kp.got, kp.copy) {
+			t.Fatalf("schedule %d (%s) changed after later builds reused its scratch", i, kp.tag)
+		}
+	}
+}
+
+// TestArenaAllocsFlat pins that a warm scratch makes construction's
+// allocation count independent of the instance size: the n = 2e4
+// core-cold shape may allocate no more per build than the n = 2e3 one
+// (the schedule, its slot array and its run array remain).
+func TestArenaAllocsFlat(t *testing.T) {
+	for _, v := range []sched.Variant{sched.Preemptive, sched.Splittable} {
+		var allocs []float64
+		for _, n := range []int{2_000, 20_000} {
+			build := buildAtAccepted(t, coreColdPrep(n), v)
+			var sc RunScratch
+			if _, err := build(&sc); err != nil {
+				t.Fatal(err)
+			}
+			allocs = append(allocs, testing.AllocsPerRun(5, func() {
+				if _, err := build(&sc); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		t.Logf("%v: %v allocs per warm build at n=2e3, %v at n=2e4", v, allocs[0], allocs[1])
+		if allocs[1] > allocs[0] {
+			t.Errorf("%v: warm build allocates %v at n=2e4 vs %v at n=2e3", v, allocs[1], allocs[0])
+		}
+	}
+}

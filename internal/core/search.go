@@ -39,14 +39,15 @@ type Result struct {
 	SeedUsed bool
 }
 
-// RatioUpperBound returns Makespan/LowerBound as a float, an upper bound
-// on the realized approximation ratio.
-func (r *Result) RatioUpperBound() float64 {
-	lb := r.LowerBound.Float64()
+// Ratio returns makespan/lowerBound as a float, an upper bound on the
+// realized approximation ratio of a result with that makespan and
+// certified lower bound.
+func Ratio(makespan, lowerBound sched.Rat) float64 {
+	lb := lowerBound.Float64()
 	if lb <= 0 {
 		return math.Inf(1)
 	}
-	return r.Schedule.Makespan().Float64() / lb
+	return makespan.Float64() / lb
 }
 
 // bracket maintains the dual-search invariant: every probe at or below lo
@@ -500,7 +501,7 @@ func (p *Prep) SolveSplit2(ctl Ctl) (*Result, error) {
 	if err := ctl.interrupted(); err != nil {
 		return nil, err
 	}
-	s, err := p.TwoApproxSplit()
+	s, err := p.TwoApproxSplit(ctl.runs())
 	if err != nil {
 		return nil, err
 	}
@@ -512,7 +513,7 @@ func (p *Prep) SolveNonp2(ctl Ctl, v sched.Variant) (*Result, error) {
 	if err := ctl.interrupted(); err != nil {
 		return nil, err
 	}
-	s, err := p.TwoApproxNonPreemptive(v)
+	s, err := p.TwoApproxNonPreemptive(v, ctl.runs())
 	if err != nil {
 		return nil, err
 	}
@@ -545,7 +546,7 @@ func epsToRat(eps float64) sched.Rat {
 // the 3/2-dual test over [T_min, N] until the bracket's relative width is
 // below eps, then build at the accepted end.
 func (p *Prep) SolveEps(ctl Ctl, v sched.Variant, eps float64) (*Result, error) {
-	test, build, name := p.dualFor(v)
+	test, build, name := p.dualFor(ctl, v)
 	tmin := p.TMin(v)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
 	if v != sched.Splittable && v != sched.Preemptive {
@@ -660,16 +661,19 @@ func (p *Prep) evalScratchFor(ctl Ctl) *NonpEvalScratch {
 	return &NonpEvalScratch{}
 }
 
-// dualFor returns the dual test and builder for a variant.
-func (p *Prep) dualFor(v sched.Variant) (func(sched.Rat) bool, func(sched.Rat) (*sched.Schedule, error), string) {
+// dualFor returns the dual test and builder for a variant; the builders
+// draw on the Ctl's scratch when one is lent.
+func (p *Prep) dualFor(ctl Ctl, v sched.Variant) (func(sched.Rat) bool, func(sched.Rat) (*sched.Schedule, error), string) {
 	switch v {
 	case sched.Splittable:
 		return func(T sched.Rat) bool { return p.EvalSplit(T, nil).OK },
-			func(T sched.Rat) (*sched.Schedule, error) { return p.BuildSplit(p.EvalSplit(T, nil)) },
+			func(T sched.Rat) (*sched.Schedule, error) {
+				return p.BuildSplitScratch(p.EvalSplit(T, nil), ctl.runs())
+			},
 			"split"
 	case sched.Preemptive:
 		return func(T sched.Rat) bool { return p.EvalPmtn(T, nil).OK },
-			func(T sched.Rat) (*sched.Schedule, error) { return p.BuildPmtn(p.EvalPmtn(T, nil)) },
+			func(T sched.Rat) (*sched.Schedule, error) { return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs()) },
 			"pmtn"
 	default:
 		return func(T sched.Rat) bool { return p.EvalNonp(T).OK },
@@ -698,7 +702,7 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 		if err := br.checkpoint(); err != nil {
 			return nil, err
 		}
-		s, err := p.BuildSplit(p.EvalSplit(tmin, nil))
+		s, err := p.BuildSplitScratch(p.EvalSplit(tmin, nil), ctl.runs())
 		if err != nil {
 			return nil, err
 		}
@@ -762,7 +766,9 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 
 	// Closing step (Algorithm 1, step 9).
 	return p.closeJump(br, p.EvalSplit(br.lo, &br.hi).machineData(), test,
-		func(T sched.Rat) (*sched.Schedule, error) { return p.BuildSplit(p.EvalSplit(T, nil)) },
+		func(T sched.Rat) (*sched.Schedule, error) {
+			return p.BuildSplitScratch(p.EvalSplit(T, nil), ctl.runs())
+		},
 		"split/jump")
 }
 
@@ -851,7 +857,7 @@ func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
 		return nil, err
 	}
 	if p.M >= int64(p.NJob) {
-		s := p.oneJobPerMachine(sched.NonPreemptive)
+		s := p.oneJobPerMachine(sched.NonPreemptive, ctl.runs())
 		return &Result{Schedule: s, T: s.T, LowerBound: s.T, Algorithm: "nonp/binsearch"}, nil
 	}
 	// Every serial probe runs through the reusable eval scratch, so a

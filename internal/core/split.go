@@ -103,17 +103,22 @@ func (p *Prep) EvalSplit(T sched.Rat, hi *sched.Rat) *SplitEval {
 // cheap setup) and into gaps [T/2, 3/2T) on the m - m_exp unused machines,
 // emitting compressed machine runs for the unused-machine region.
 func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
+	return p.BuildSplitScratch(ev, nil)
+}
+
+// BuildSplitScratch is BuildSplit drawing its working memory from sc; a
+// nil sc allocates fresh memory (identical output either way).
+func (p *Prep) BuildSplitScratch(ev *SplitEval, sc *RunScratch) (*sched.Schedule, error) {
 	if !ev.OK {
 		return nil, errInternal("BuildSplit on rejected evaluation (%s)", ev.Reason)
 	}
 	T := ev.T
 	halfT := T.Half()
 	top := T.MulInt(3).DivInt(2)
-	out := &sched.Schedule{Variant: sched.Splittable, T: T}
+	b := runsFor(p, sc)
 
-	// Step 1: expensive classes.
-	var cheapGaps []wrap.Gap
-	gapOwner := []int{} // schedule run index per cheap gap
+	// Step 1: expensive classes.  The last machine of a class that stays
+	// below T gets a cheap gap; b.owners records its run.
 	for k, i := range ev.Exp {
 		cls := &p.In.Classes[i]
 		beta := ev.Beta[k]
@@ -129,10 +134,10 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 					full = beta - 1 - u
 				}
 				if full >= 2 {
-					b := sched.NewMachineBuilder()
-					b.Place(sched.SlotSetup, i, -1, setup)
-					b.Place(sched.SlotJob, i, jobIdx, halfT)
-					out.AddRun(full, b.Slots())
+					b.begin()
+					b.place(sched.SlotSetup, i, -1, setup)
+					b.place(sched.SlotJob, i, jobIdx, halfT)
+					b.end(full)
 					jobLeft = jobLeft.Sub(halfT.MulInt(full))
 					if jobLeft.IsZero() && jobIdx+1 < len(cls.Jobs) {
 						jobIdx++
@@ -142,8 +147,8 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 					continue
 				}
 			}
-			b := sched.NewMachineBuilder()
-			b.Place(sched.SlotSetup, i, -1, setup)
+			b.begin()
+			b.place(sched.SlotSetup, i, -1, setup)
 			cap := halfT
 			if u == beta-1 {
 				// Last machine takes the remainder r in (0, T/2].
@@ -151,7 +156,7 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 			}
 			for cap.Sign() > 0 && jobIdx < len(cls.Jobs) {
 				take := sched.MinRat(cap, jobLeft)
-				b.Place(sched.SlotJob, i, jobIdx, take)
+				b.place(sched.SlotJob, i, jobIdx, take)
 				cap = cap.Sub(take)
 				jobLeft = jobLeft.Sub(take)
 				if jobLeft.IsZero() {
@@ -161,13 +166,13 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 					}
 				}
 			}
-			ri := out.AddMachine(b.Slots())
-			if u == beta-1 && b.Top().Cmp(T) < 0 {
+			ri := b.end(1)
+			if u == beta-1 && b.top.Cmp(T) < 0 {
 				// Reserve [L, L+T/2) for one cheap setup, fill above.
-				cheapGaps = append(cheapGaps, wrap.Gap{
-					Machine: int64(ri), A: b.Top().Add(halfT), B: top,
+				b.gaps = append(b.gaps, wrap.Gap{
+					Machine: int64(ri), A: b.top.Add(halfT), B: top,
 				})
-				gapOwner = append(gapOwner, ri)
+				b.owners = append(b.owners, ri)
 			}
 		}
 		if jobLeft.Sign() > 0 || jobIdx < len(cls.Jobs)-1 {
@@ -177,22 +182,17 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 
 	// Step 2: cheap classes into the gaps plus unused machines.
 	if len(ev.Chp) > 0 {
-		var q wrap.Sequence
 		for _, i := range ev.Chp {
-			q.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs)
+			b.seq.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs)
 		}
 		tail := wrap.TailRun{Count: p.M - ev.MExp, A: halfT, B: top}
-		placed, err := wrap.Wrap(cheapGaps, tail, &q, p.setups())
-		if err != nil {
+		if err := b.wrapSeq(p, tail); err != nil {
 			return nil, errInternal("splittable cheap wrap failed: %v", err)
 		}
-		for g, slots := range placed.Machines {
-			ri := gapOwner[g]
-			out.Runs[ri].Slots = append(out.Runs[ri].Slots, slots...)
+		for g, sp := range b.placed.Machines {
+			b.runs[b.owners[g]].post = sp
 		}
-		for _, r := range placed.Tail {
-			out.AddRun(r.Count, r.Slots)
-		}
+		b.addTail()
 	}
-	return out, nil
+	return b.emit(&sched.Schedule{Variant: sched.Splittable, T: T}), nil
 }

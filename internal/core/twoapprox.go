@@ -7,23 +7,20 @@ import (
 
 // TwoApproxSplit is the O(n) 2-approximation for the splittable case
 // (Lemma 8): wrap the whole instance as one sequence into m identical gaps
-// [s_max, s_max + N/m), leaving room for any setup below each gap.
-func (p *Prep) TwoApproxSplit() (*sched.Schedule, error) {
-	var q wrap.Sequence
+// [s_max, s_max + N/m), leaving room for any setup below each gap.  It
+// draws its working memory from sc; nil allocates fresh memory.
+func (p *Prep) TwoApproxSplit(sc *RunScratch) (*sched.Schedule, error) {
+	b := runsFor(p, sc)
 	for i := range p.In.Classes {
-		q.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs)
+		b.seq.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs)
 	}
-	a := sched.R(p.SMax)
-	b := a.Add(sched.RatOf(p.N, p.M))
-	placed, err := wrap.Wrap(nil, wrap.TailRun{Count: p.M, A: a, B: b}, &q, p.setups())
-	if err != nil {
+	lo := sched.R(p.SMax)
+	hi := lo.Add(sched.RatOf(p.N, p.M))
+	if err := b.wrapSeq(p, wrap.TailRun{Count: p.M, A: lo, B: hi}); err != nil {
 		return nil, errInternal("splittable 2-approx wrap failed: %v", err)
 	}
-	out := &sched.Schedule{Variant: sched.Splittable, T: p.TMin(sched.Splittable)}
-	for _, r := range placed.Tail {
-		out.AddRun(r.Count, r.Slots)
-	}
-	return out, nil
+	b.addTail()
+	return b.emit(&sched.Schedule{Variant: sched.Splittable, T: p.TMin(sched.Splittable)}), nil
 }
 
 // nfItem is one next-fit sequence element for the non-preemptive/preemptive
@@ -39,13 +36,14 @@ type nfItem struct {
 // non-preemptive (and hence also preemptive) case (Lemma 9): next-fit by
 // class with threshold T_min, then move every T_min-crossing item to the
 // beginning of the next machine, paying one extra setup for moved jobs.
-func (p *Prep) TwoApproxNonPreemptive(v sched.Variant) (*sched.Schedule, error) {
+// It emits through sc; nil allocates fresh memory.
+func (p *Prep) TwoApproxNonPreemptive(v sched.Variant, sc *RunScratch) (*sched.Schedule, error) {
 	if v == sched.Splittable {
 		return nil, errInternal("TwoApproxNonPreemptive called with splittable variant")
 	}
 	// Trivial optimum when m >= n: one job (plus setup) per machine.
 	if p.M >= int64(p.NJob) {
-		return p.oneJobPerMachine(v), nil
+		return p.oneJobPerMachine(v, sc), nil
 	}
 	tmin := sched.MaxRat(sched.RatOf(p.N, p.M), sched.R(p.SPT))
 	// Work on the scaled threshold exactly: compare load*den vs num.
@@ -104,21 +102,21 @@ func (p *Prep) TwoApproxNonPreemptive(v sched.Variant) (*sched.Schedule, error) 
 		in[u+1].items = append(in[u+1].items, last)
 	}
 
-	out := &sched.Schedule{Variant: v, T: tmin}
+	b := runsFor(p, sc)
 	for u := range machines {
 		items := append(in[u].items, machines[u]...)
 		items = dropUselessSetups(items)
-		b := sched.NewMachineBuilder()
+		b.begin()
 		for _, it := range items {
 			if it.isSetup {
-				b.Place(sched.SlotSetup, it.class, -1, sched.R(it.length))
+				b.place(sched.SlotSetup, it.class, -1, sched.R(it.length))
 			} else {
-				b.Place(sched.SlotJob, it.class, it.job, sched.R(it.length))
+				b.place(sched.SlotJob, it.class, it.job, sched.R(it.length))
 			}
 		}
-		out.AddMachine(b.Slots())
+		b.end(1)
 	}
-	return out, nil
+	return b.emit(&sched.Schedule{Variant: v, T: tmin}), nil
 }
 
 // dropUselessSetups removes setup items that are not directly followed by
@@ -138,18 +136,18 @@ func dropUselessSetups(items []nfItem) []nfItem {
 // oneJobPerMachine returns the trivial optimal schedule for m >= n: every
 // job gets its own machine with one setup.  Its makespan is
 // max_i (s_i + t_max^(i)) = OPT.
-func (p *Prep) oneJobPerMachine(v sched.Variant) *sched.Schedule {
-	out := &sched.Schedule{Variant: v, T: sched.R(p.SPT)}
+func (p *Prep) oneJobPerMachine(v sched.Variant, sc *RunScratch) *sched.Schedule {
+	b := runsFor(p, sc)
 	for i := range p.In.Classes {
 		c := &p.In.Classes[i]
 		for j := range c.Jobs {
-			b := sched.NewMachineBuilder()
+			b.begin()
 			if c.Setup > 0 {
-				b.Place(sched.SlotSetup, i, -1, sched.R(c.Setup))
+				b.place(sched.SlotSetup, i, -1, sched.R(c.Setup))
 			}
-			b.Place(sched.SlotJob, i, j, sched.R(c.Jobs[j]))
-			out.AddMachine(b.Slots())
+			b.place(sched.SlotJob, i, j, sched.R(c.Jobs[j]))
+			b.end(1)
 		}
 	}
-	return out
+	return b.emit(&sched.Schedule{Variant: v, T: sched.R(p.SPT)})
 }

@@ -151,13 +151,14 @@ func Figures() ([]Figure, error) {
 		{Machine: 2, A: sched.R(2), B: sched.R(7)},
 		{Machine: 3, A: sched.R(4), B: sched.R(9)},
 	}
-	placed, err := wrap.Wrap(gaps, wrap.TailRun{}, &q, []int64{1, 2})
+	var placed wrap.Placement
+	arena, err := wrap.Wrap(nil, &placed, gaps, wrap.TailRun{}, &q, []int64{1, 2})
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}
 	ws := &sched.Schedule{Variant: sched.Splittable, T: sched.R(6)}
-	for _, slots := range placed.Machines {
-		ws.AddMachine(slots)
+	for _, sp := range placed.Machines {
+		ws.AddMachine(sp.Slots(arena))
 	}
 	figs = append(figs, renderFigure("fig6",
 		"Figure 6: Batch Wrapping into a wrap template",
@@ -174,7 +175,7 @@ func Figures() ([]Figure, error) {
 		{Setup: 6, Jobs: []int64{11, 7}},
 	}}
 	p := core.Prepare(nf)
-	s2, err := p.TwoApproxNonPreemptive(sched.NonPreemptive)
+	s2, err := p.TwoApproxNonPreemptive(sched.NonPreemptive, nil)
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}

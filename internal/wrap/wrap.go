@@ -14,11 +14,19 @@
 // emitted as machine runs with multiplicities, which is the trick the paper
 // uses (proof of Theorem 7) to make the splittable algorithm run in
 // O(n + c) even when m is much larger than n.
+//
+// Wrap emits into a caller-owned slot arena: it appends every slot it
+// places to one slice and reports each machine's slots as an index range
+// into it, so a whole schedule construction (the wrapped part and the
+// builder's own machines) shares one growing backing array that the
+// builder copies once, exactly sized, into the finished schedule.  Gaps
+// are filled one after another, so each machine's slots are contiguous.
 package wrap
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"setupsched/sched"
 )
@@ -89,17 +97,49 @@ func (q *Sequence) Load() sched.Rat { return q.total }
 // Len returns the number of items.
 func (q *Sequence) Len() int { return len(q.Items) }
 
-// Placement is the result of wrapping a sequence into a template.
+// Reset empties the sequence, keeping its item storage for reuse.
+func (q *Sequence) Reset() {
+	q.Items = q.Items[:0]
+	q.total = sched.Rat{}
+}
+
+// Span is the half-open index range [Lo, Hi) of one machine's slots in
+// the arena they were appended to.
+type Span struct{ Lo, Hi int }
+
+// Len returns the number of slots in the span.
+func (s Span) Len() int { return s.Hi - s.Lo }
+
+// Slots returns the span's slots in arena, with capacity ending at Hi so
+// an append to the result cannot overwrite the slots that follow.
+func (s Span) Slots(arena []sched.Slot) []sched.Slot { return arena[s.Lo:s.Hi:s.Hi] }
+
+// Run is Count identical tail machines, each holding the slots of Span.
+type Run struct {
+	Count int64
+	Span
+}
+
+// Placement is the result of wrapping a sequence into a template; its
+// spans index the arena the Wrap call appended to.
 type Placement struct {
 	// Machines[g] holds the slots placed on the machine of explicit gap g
 	// (possibly including one setup below the gap start), in time order.
 	// Entries may be empty when the sequence ended early.
-	Machines [][]sched.Slot
+	Machines []Span
 	// Tail holds machine runs placed on tail-run machines, in machine
 	// order.  The sum of their counts is at most the tail count.
-	Tail []sched.MachineRun
+	Tail []Run
 	// TailUsed is the number of tail machines that received load.
 	TailUsed int64
+}
+
+// reset sizes the placement for g explicit gaps, reusing its storage.
+func (pl *Placement) reset(g int) {
+	pl.Machines = slices.Grow(pl.Machines[:0], g)[:g]
+	clear(pl.Machines)
+	pl.Tail = pl.Tail[:0]
+	pl.TailUsed = 0
 }
 
 var (
@@ -115,8 +155,9 @@ type wrapState struct {
 	gaps   []Gap
 	tail   TailRun
 	place  *Placement
+	arena  []sched.Slot
 	gapIdx int // next explicit gap to open; len(gaps)+k for tail machine k
-	cur    []sched.Slot
+	lo     int // arena index of the open gap's first slot
 	curGap Gap
 	open   bool
 	t      sched.Rat // cursor within the open gap
@@ -124,43 +165,41 @@ type wrapState struct {
 }
 
 // Wrap places the sequence q into the template formed by the explicit gaps
-// followed by the optional tail run.  It returns ErrTemplateTooSmall if the
-// template's total span is insufficient.
+// followed by the optional tail run.  It appends the placed slots to
+// arena, returns the extended arena, and fills pl (reusing its storage)
+// with each machine's index range in it.  It returns ErrTemplateTooSmall
+// if the template's total span is insufficient.
 //
 // setups must hold the per-class setup times; they are consulted when a
 // split job needs a fresh setup below the next gap.
-func Wrap(gaps []Gap, tail TailRun, q *Sequence, setups []int64) (*Placement, error) {
+func Wrap(arena []sched.Slot, pl *Placement, gaps []Gap, tail TailRun, q *Sequence, setups []int64) ([]sched.Slot, error) {
 	// Capacity pre-check: S(omega) >= L(Q).
 	var span sched.Rat
 	for _, g := range gaps {
 		if g.A.Sign() < 0 || g.B.Cmp(g.A) <= 0 {
-			return nil, fmt.Errorf("wrap: malformed gap [%s,%s)", g.A, g.B)
+			return arena, fmt.Errorf("wrap: malformed gap [%s,%s)", g.A, g.B)
 		}
 		span = span.Add(g.Span())
 	}
 	if tail.Count > 0 {
 		if tail.A.Sign() < 0 || tail.B.Cmp(tail.A) <= 0 {
-			return nil, fmt.Errorf("wrap: malformed tail gap [%s,%s)", tail.A, tail.B)
+			return arena, fmt.Errorf("wrap: malformed tail gap [%s,%s)", tail.A, tail.B)
 		}
 		span = span.Add(tail.B.Sub(tail.A).MulInt(tail.Count))
 	}
 	if span.Cmp(q.Load()) < 0 {
-		return nil, fmt.Errorf("%w: S=%s < L=%s", ErrTemplateTooSmall, span, q.Load())
+		return arena, fmt.Errorf("%w: S=%s < L=%s", ErrTemplateTooSmall, span, q.Load())
 	}
 
-	st := &wrapState{
-		gaps:   gaps,
-		tail:   tail,
-		place:  &Placement{Machines: make([][]sched.Slot, len(gaps))},
-		setups: setups,
-	}
+	pl.reset(len(gaps))
+	st := wrapState{gaps: gaps, tail: tail, place: pl, arena: arena, setups: setups}
 	for i := range q.Items {
 		if err := st.placeItem(&q.Items[i]); err != nil {
-			return nil, err
+			return st.arena, err
 		}
 	}
 	st.closeGap()
-	return st.place, nil
+	return st.arena, nil
 }
 
 // advance opens the next gap, optionally placing a setup of class `class`
@@ -180,7 +219,7 @@ func (st *wrapState) advance(class int) error {
 	st.curGap = g
 	st.open = true
 	st.t = g.A
-	st.cur = nil
+	st.lo = len(st.arena)
 	if class >= 0 {
 		s := st.setups[class]
 		if s > 0 {
@@ -188,30 +227,26 @@ func (st *wrapState) advance(class int) error {
 			if start.Sign() < 0 {
 				return fmt.Errorf("%w: class %d setup %d below gap start %s", ErrSetupBelowGap, class, s, g.A)
 			}
-			st.cur = append(st.cur, sched.Slot{Kind: sched.SlotSetup, Class: class, Job: -1, Start: start, End: g.A})
+			st.arena = append(st.arena, sched.Slot{Kind: sched.SlotSetup, Class: class, Job: -1, Start: start, End: g.A})
 		}
 	}
 	return nil
 }
 
-// closeGap flushes the current machine's slots into the placement.
+// closeGap records the open machine's slots in the placement.
 func (st *wrapState) closeGap() {
 	if !st.open {
 		return
 	}
-	idx := st.gapIdx - 1
-	if idx < len(st.gaps) {
-		st.place.Machines[idx] = st.cur
-	} else if len(st.cur) > 0 {
-		st.place.Tail = append(st.place.Tail, sched.MachineRun{Count: 1, Slots: st.cur})
+	sp := Span{st.lo, len(st.arena)}
+	if idx := st.gapIdx - 1; idx < len(st.gaps) {
+		st.place.Machines[idx] = sp
+	} else if sp.Len() > 0 {
+		st.place.Tail = append(st.place.Tail, Run{Count: 1, Span: sp})
 		st.place.TailUsed++
 	}
 	st.open = false
-	st.cur = nil
 }
-
-// inTail reports whether the open gap is a tail gap.
-func (st *wrapState) inTail() bool { return st.open && st.gapIdx > len(st.gaps) }
 
 // tailLeft returns how many tail gaps remain unopened.
 func (st *wrapState) tailLeft() int64 {
@@ -227,7 +262,7 @@ func (st *wrapState) emit(kind sched.SlotKind, class, job int, length sched.Rat)
 		return
 	}
 	end := st.t.Add(length)
-	st.cur = append(st.cur, sched.Slot{Kind: kind, Class: class, Job: job, Start: st.t, End: end})
+	st.arena = append(st.arena, sched.Slot{Kind: kind, Class: class, Job: job, Start: st.t, End: end})
 	st.t = end
 }
 
@@ -266,8 +301,9 @@ func (st *wrapState) placeItem(it *Item) error {
 				}
 				if full >= 2 {
 					st.closeGap()
-					slots := fullGapSlots(it, st.tail, st.setups)
-					st.place.Tail = append(st.place.Tail, sched.MachineRun{Count: full, Slots: slots})
+					lo := len(st.arena)
+					st.arena = appendFullGap(st.arena, it, st.tail, st.setups)
+					st.place.Tail = append(st.place.Tail, Run{Count: full, Span: Span{lo, len(st.arena)}})
 					st.place.TailUsed += full
 					st.gapIdx += int(full)
 					remaining = remaining.Sub(gapLen.MulInt(full))
@@ -295,19 +331,17 @@ func fullGapCount(remaining, gapLen sched.Rat) int64 {
 	return ratio.Floor()
 }
 
-// fullGapSlots builds the slot layout of one fully consumed tail gap:
+// appendFullGap appends the slot layout of one fully consumed tail gap:
 // an optional setup below the gap plus a job piece spanning the gap.
-func fullGapSlots(it *Item, tail TailRun, setups []int64) []sched.Slot {
-	var slots []sched.Slot
+func appendFullGap(arena []sched.Slot, it *Item, tail TailRun, setups []int64) []sched.Slot {
 	if s := setups[it.Class]; s > 0 {
-		slots = append(slots, sched.Slot{
+		arena = append(arena, sched.Slot{
 			Kind: sched.SlotSetup, Class: it.Class, Job: -1,
 			Start: tail.A.SubInt(s), End: tail.A,
 		})
 	}
-	slots = append(slots, sched.Slot{
+	return append(arena, sched.Slot{
 		Kind: sched.SlotJob, Class: it.Class, Job: it.Job,
 		Start: tail.A, End: tail.B,
 	})
-	return slots
 }

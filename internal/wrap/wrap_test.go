@@ -8,20 +8,37 @@ import (
 	"setupsched/sched"
 )
 
+// placed is a placement together with the arena its spans index.
+type placed struct {
+	arena []sched.Slot
+	*Placement
+}
+
+// wrapFresh wraps q into a fresh arena.
+func wrapFresh(gaps []Gap, tail TailRun, q *Sequence, setups []int64) (placed, error) {
+	p := placed{Placement: &Placement{}}
+	var err error
+	p.arena, err = Wrap(nil, p.Placement, gaps, tail, q, setups)
+	return p, err
+}
+
+// machine returns the slots of explicit gap g's machine.
+func (p placed) machine(g int) []sched.Slot { return p.Machines[g].Slots(p.arena) }
+
 // collect assembles a full Schedule from a placement plus pre-existing
 // machine content (nil for fresh machines).
-func collect(p *Placement, pre [][]sched.Slot, v sched.Variant) *sched.Schedule {
+func collect(p placed, pre [][]sched.Slot, v sched.Variant) *sched.Schedule {
 	s := &sched.Schedule{Variant: v}
-	for g, slots := range p.Machines {
+	for g := range p.Machines {
 		var all []sched.Slot
 		if pre != nil {
 			all = append(all, pre[g]...)
 		}
-		all = append(all, slots...)
+		all = append(all, p.machine(g)...)
 		s.AddMachine(all)
 	}
 	for _, r := range p.Tail {
-		s.AddRun(r.Count, r.Slots)
+		s.AddRun(r.Count, r.Slots(p.arena))
 	}
 	return s
 }
@@ -44,7 +61,7 @@ func TestWrapSingleGapFits(t *testing.T) {
 	q.AddBatch(0, 2, in.Classes[0].Jobs)
 	seqLoad(t, &q)
 	gaps := []Gap{{Machine: 0, A: sched.R(0), B: sched.R(9)}}
-	p, err := Wrap(gaps, TailRun{}, &q, []int64{2})
+	p, err := wrapFresh(gaps, TailRun{}, &q, []int64{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +84,7 @@ func TestWrapSplitsJobAcrossGaps(t *testing.T) {
 		{Machine: 0, A: sched.R(0), B: sched.R(6)},
 		{Machine: 1, A: sched.R(1), B: sched.R(7)},
 	}
-	p, err := Wrap(gaps, TailRun{}, &q, []int64{1})
+	p, err := wrapFresh(gaps, TailRun{}, &q, []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +94,11 @@ func TestWrapSplitsJobAcrossGaps(t *testing.T) {
 	}
 	// First machine: setup [0,1), piece [1,6).  Second: setup [0,1) below
 	// gap, piece [1,6).
-	if len(p.Machines[0]) != 2 || len(p.Machines[1]) != 2 {
-		t.Fatalf("unexpected slot counts: %d, %d", len(p.Machines[0]), len(p.Machines[1]))
+	if len(p.machine(0)) != 2 || len(p.machine(1)) != 2 {
+		t.Fatalf("unexpected slot counts: %d, %d", len(p.machine(0)), len(p.machine(1)))
 	}
-	if !p.Machines[1][0].Start.Equal(sched.R(0)) || p.Machines[1][0].Kind != sched.SlotSetup {
-		t.Errorf("continuation setup not below gap: %+v", p.Machines[1][0])
+	if !p.machine(1)[0].Start.Equal(sched.R(0)) || p.machine(1)[0].Kind != sched.SlotSetup {
+		t.Errorf("continuation setup not below gap: %+v", p.machine(1)[0])
 	}
 }
 
@@ -99,7 +116,7 @@ func TestWrapMovesSetupBelowNextGap(t *testing.T) {
 		{Machine: 0, A: sched.R(0), B: sched.R(7)}, // room for 2+3, then 4 would cross
 		{Machine: 1, A: sched.R(5), B: sched.R(11)},
 	}
-	p, err := Wrap(gaps, TailRun{}, &q, []int64{2, 4})
+	p, err := wrapFresh(gaps, TailRun{}, &q, []int64{2, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +125,7 @@ func TestWrapMovesSetupBelowNextGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The class-1 setup occupies [1,5) below gap 2 and its job [5,7).
-	m1 := p.Machines[1]
+	m1 := p.machine(1)
 	if len(m1) != 2 || m1[0].Kind != sched.SlotSetup || !m1[0].Start.Equal(sched.R(1)) {
 		t.Errorf("setup below gap misplaced: %+v", m1)
 	}
@@ -124,7 +141,7 @@ func TestWrapBorderExactSetupThenJob(t *testing.T) {
 		{Machine: 0, A: sched.R(0), B: sched.R(3)},
 		{Machine: 1, A: sched.R(3), B: sched.R(8)},
 	}
-	p, err := Wrap(gaps, TailRun{}, &q, []int64{3})
+	p, err := wrapFresh(gaps, TailRun{}, &q, []int64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +158,7 @@ func TestWrapTemplateTooSmall(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 1, []int64{100})
 	gaps := []Gap{{Machine: 0, A: sched.R(0), B: sched.R(5)}}
-	_, err := Wrap(gaps, TailRun{}, &q, []int64{1})
+	_, err := wrapFresh(gaps, TailRun{}, &q, []int64{1})
 	if !errors.Is(err, ErrTemplateTooSmall) {
 		t.Errorf("err = %v, want ErrTemplateTooSmall", err)
 	}
@@ -154,7 +171,7 @@ func TestWrapSetupDoesNotFitBelowGap(t *testing.T) {
 		{Machine: 0, A: sched.R(0), B: sched.R(8)},
 		{Machine: 1, A: sched.R(2), B: sched.R(8)}, // only 2 below gap, setup is 3
 	}
-	_, err := Wrap(gaps, TailRun{}, &q, []int64{3})
+	_, err := wrapFresh(gaps, TailRun{}, &q, []int64{3})
 	if !errors.Is(err, ErrSetupBelowGap) {
 		t.Errorf("err = %v, want ErrSetupBelowGap", err)
 	}
@@ -166,7 +183,7 @@ func TestWrapTailRunCapacityCheck(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 2, []int64{5000})
 	tail := TailRun{Count: 1000, A: sched.R(2), B: sched.R(7)}
-	_, err := Wrap(nil, tail, &q, []int64{2})
+	_, err := wrapFresh(nil, tail, &q, []int64{2})
 	if !errors.Is(err, ErrTemplateTooSmall) {
 		t.Errorf("err = %v, want ErrTemplateTooSmall", err)
 	}
@@ -179,7 +196,7 @@ func TestWrapTailRunBulkCompression(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 1, in.Classes[0].Jobs)
 	tail := TailRun{Count: 300, A: sched.R(1), B: sched.R(11)} // span 10
-	p, err := Wrap(nil, tail, &q, []int64{1})
+	p, err := wrapFresh(nil, tail, &q, []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +246,7 @@ func TestWrapRandomizedFeasibility(t *testing.T) {
 			setups[i] = classes[i].Setup
 		}
 		tail := TailRun{Count: m, A: sched.R(smax), B: sched.R(smax + h)}
-		p, err := Wrap(nil, tail, &q, setups)
+		p, err := wrapFresh(nil, tail, &q, setups)
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
@@ -265,7 +282,7 @@ func TestWrapBulkThenNewJobGetsSetup(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 3, in.Classes[0].Jobs)
 	tail := TailRun{Count: 10, A: sched.R(3), B: sched.R(13)} // span 10
-	p, err := Wrap(nil, tail, &q, []int64{3})
+	p, err := wrapFresh(nil, tail, &q, []int64{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +300,72 @@ func TestWrapZeroSetupClassFirstItem(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 0, in.Classes[0].Jobs)
 	tail := TailRun{Count: 3, A: sched.R(0), B: sched.R(7)}
-	p, err := Wrap(nil, tail, &q, []int64{0})
+	p, err := wrapFresh(nil, tail, &q, []int64{0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := collect(p, nil, sched.Splittable)
 	if err := s.Validate(in); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWrapArenaSpans checks the arena contract: Wrap appends after the
+// arena's existing slots without touching them, every span's slot slice
+// has cap == len (an append to one machine cannot overwrite the next),
+// spans follow each other in machine order, and a reused Placement is
+// reset to the new template.
+func TestWrapArenaSpans(t *testing.T) {
+	in := &sched.Instance{M: 40, Classes: []sched.Class{
+		{Setup: 1, Jobs: []int64{5, 4, 30}},
+		{Setup: 2, Jobs: []int64{3, 3, 2, 60}},
+	}}
+	var q Sequence
+	for i, c := range in.Classes {
+		q.AddBatch(i, c.Setup, c.Jobs)
+	}
+	gaps := []Gap{
+		{Machine: 0, A: sched.R(2), B: sched.R(9)},
+		{Machine: 1, A: sched.R(3), B: sched.R(8)},
+	}
+	tail := TailRun{Count: 38, A: sched.R(2), B: sched.R(7)}
+	sentinel := sched.Slot{Kind: sched.SlotJob, Class: 7, Job: 7, Start: sched.R(70), End: sched.R(77)}
+	arena := []sched.Slot{sentinel, sentinel, sentinel}
+	pl := &Placement{Machines: make([]Span, 5), Tail: make([]Run, 3)} // stale content
+	arena, err := Wrap(arena, pl, gaps, tail, &q, []int64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < 3; k++ {
+		if arena[k] != sentinel {
+			t.Fatalf("Wrap overwrote existing arena slot %d: %+v", k, arena[k])
+		}
+	}
+	if len(pl.Machines) != len(gaps) {
+		t.Fatalf("placement has %d machines for %d gaps", len(pl.Machines), len(gaps))
+	}
+	next := 3
+	spans := append([]Span(nil), pl.Machines...)
+	for _, r := range pl.Tail {
+		spans = append(spans, r.Span)
+	}
+	for k, sp := range spans {
+		if sp.Lo != next || sp.Hi < sp.Lo {
+			t.Fatalf("span %d = %+v, want it to start at %d", k, sp, next)
+		}
+		next = sp.Hi
+		if s := sp.Slots(arena); cap(s) != len(s) {
+			t.Fatalf("span %d: len %d, cap %d", k, len(s), cap(s))
+		}
+	}
+	if next != len(arena) {
+		t.Fatalf("spans end at %d, arena has %d slots", next, len(arena))
+	}
+	s := collect(placed{arena, pl}, nil, sched.Splittable)
+	if err := s.Validate(in); err != nil {
+		t.Fatal(err)
+	}
+	if s.MachineCount() != int64(len(gaps))+pl.TailUsed {
+		t.Fatalf("placement uses %d machines, TailUsed says %d", s.MachineCount(), pl.TailUsed)
 	}
 }

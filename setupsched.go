@@ -146,12 +146,13 @@ func Solve(in *Instance, v Variant, opts *Options) (*Result, error) {
 }
 
 func finish(r *core.Result) *Result {
+	mk := r.Schedule.Makespan()
 	return &Result{
 		Schedule:   r.Schedule,
-		Makespan:   r.Schedule.Makespan(),
+		Makespan:   mk,
 		Guess:      r.T,
 		LowerBound: r.LowerBound,
-		Ratio:      r.RatioUpperBound(),
+		Ratio:      core.Ratio(mk, r.LowerBound),
 		Algorithm:  r.Algorithm,
 		Probes:     r.Probes,
 		Fallback:   r.Fallback,

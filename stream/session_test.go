@@ -3,6 +3,9 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"setupsched"
@@ -177,6 +180,109 @@ func TestSessionSolveAll(t *testing.T) {
 	if _, err := s.SolveAll(ctx, nil, WithAlgorithm(setupsched.Exact32)); err == nil {
 		t.Fatal("SolveAll accepted WithAlgorithm")
 	}
+}
+
+// sameSchedule reports how a session answer differs from a fresh
+// solver's, comparing the schedule bit for bit; nil when identical.
+func sameSchedule(got *Result, want *setupsched.Result) error {
+	switch {
+	case got.Fallback || want.Fallback:
+		return nil
+	case !got.Makespan.Equal(want.Makespan) || !got.LowerBound.Equal(want.LowerBound) || !got.Guess.Equal(want.Guess):
+		return fmt.Errorf("session (mk=%s lb=%s T=%s) != fresh (mk=%s lb=%s T=%s)",
+			got.Makespan, got.LowerBound, got.Guess, want.Makespan, want.LowerBound, want.Guess)
+	case !reflect.DeepEqual(got.Schedule, want.Schedule):
+		return errors.New("session schedule differs from the fresh solver's")
+	}
+	return nil
+}
+
+// TestSessionsResolveBesideSolveAll runs a shared Solver's concurrent
+// SolveAll while two sessions re-solve under churn.  Each session lends
+// its own build scratch to every solve and the Solver lends none, so the
+// race detector must stay quiet and every answer must match its serial
+// or fresh-solver reference bit for bit.
+func TestSessionsResolveBesideSolveAll(t *testing.T) {
+	ctx := context.Background()
+	solver, err := setupsched.NewSolver(testInstance(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := solver.SolveAll(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas := []sched.Delta{
+		{Op: sched.DeltaAddJobs, Class: 3, Jobs: []int64{41, 7}},
+		{Op: sched.DeltaRemoveJob, Class: 1, Job: 0},
+		{Op: sched.DeltaAddClass, Setup: 12, Jobs: []int64{30, 2}},
+		{Op: sched.DeltaSetSetup, Class: 2, Setup: 95},
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for iter := 0; iter < 3; iter++ {
+			got, err := solver.SolveAll(ctx, setupsched.WithParallelism(3))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i, rr := range got {
+				if rr.Err != nil {
+					t.Errorf("SolveAll %s: %v", rr.Run, rr.Err)
+					return
+				}
+				if !reflect.DeepEqual(rr.Result.Schedule, want[i].Result.Schedule) {
+					t.Errorf("SolveAll %s: schedule differs from the serial run", rr.Run)
+				}
+			}
+		}
+	}()
+	for _, seed := range []int64{9, 10} {
+		go func() {
+			defer wg.Done()
+			in := testInstance(seed)
+			s, err := NewSession(in)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mirror := in.Clone()
+			for _, d := range deltas {
+				if err := s.Apply(ctx, d); err != nil {
+					t.Errorf("seed %d %s: %v", seed, d, err)
+					return
+				}
+				if _, err := d.Apply(mirror); err != nil {
+					t.Errorf("seed %d %s (mirror): %v", seed, d, err)
+					return
+				}
+				fresh, err := setupsched.NewSolver(mirror.Clone())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, run := range setupsched.PaperRuns() {
+					got, err := s.Solve(ctx, run.Variant, WithAlgorithm(run.Algorithm))
+					if err != nil {
+						t.Errorf("seed %d %s %s: %v", seed, d, run, err)
+						return
+					}
+					ref, err := fresh.Solve(ctx, run.Variant, setupsched.WithAlgorithm(run.Algorithm))
+					if err != nil {
+						t.Errorf("seed %d %s %s (fresh): %v", seed, d, run, err)
+						return
+					}
+					if err := sameSchedule(got, ref); err != nil {
+						t.Errorf("seed %d %s %s: %v", seed, d, run, err)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestSessionMachineScalingDropsSeeds(t *testing.T) {

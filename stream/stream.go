@@ -617,12 +617,13 @@ func (s *Session) solveLocked(ctx context.Context, v sched.Variant, algo setupsc
 		obs.SearchFinished(r.Algorithm, r.Probes)
 	}
 
+	mk := r.Schedule.Makespan()
 	res := &setupsched.Result{
 		Schedule:   r.Schedule,
-		Makespan:   r.Schedule.Makespan(),
+		Makespan:   mk,
 		Guess:      r.T,
 		LowerBound: r.LowerBound,
-		Ratio:      r.RatioUpperBound(),
+		Ratio:      core.Ratio(mk, r.LowerBound),
 		Algorithm:  r.Algorithm,
 		Probes:     r.Probes,
 		Fallback:   r.Fallback,
