@@ -31,7 +31,7 @@ bench-smoke:
 	$(GO) test -bench='SolveCold|SolveHit|Fingerprint|HTTPSolve' -benchtime=1x -run=^$$ ./serve
 	$(GO) test -bench='SolverReuse|SolverOneShotPerCall|DualTest|SolveFacade|Parallel_' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Session_' -benchtime=1x -run=^$$ ./stream
-	$(GO) test -bench='EvalNonp|Jump|Build' -benchtime=1x -run=^$$ ./internal/core
+	$(GO) test -bench='EvalNonp|Jump|Build|Probe' -benchtime=1x -run=^$$ ./internal/core
 
 # Regenerate the machine-readable performance-trajectory baseline
 # (parallel engine vs serial path; see README "Performance tracking").

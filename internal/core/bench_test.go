@@ -129,6 +129,45 @@ func BenchmarkSolvePmtnJump(b *testing.B) { benchJump(b, (*Prep).SolvePmtnJump) 
 // BenchmarkSolveSplitJump is the exact splittable search (Theorem 3).
 func BenchmarkSolveSplitJump(b *testing.B) { benchJump(b, (*Prep).SolveSplitJump) }
 
+// benchProbe replays the guesses one cold exact search on the core-cold
+// shape probes (recorded through Ctl.Obs), one op = all of them: record
+// evaluates each through the allocating EvalX(T, nil), decision through
+// the searches' decision-only probe.
+func benchProbe(b *testing.B, solve func(*Prep, Ctl) (*Result, error), record, decision func(*Prep, sched.Rat) bool) {
+	p := coreColdPrep(20_000)
+	var obs orderObserver
+	if _, err := solve(p, Ctl{Obs: &obs}); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name  string
+		probe func(*Prep, sched.Rat) bool
+	}{{"record", record}, {"decision", decision}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				for _, T := range obs.started {
+					bc.probe(p, T)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkProbeSplit is the splittable dual test (Theorem 7) over the
+// 13 guesses of one cold SolveSplitJump.
+func BenchmarkProbeSplit(b *testing.B) {
+	benchProbe(b, (*Prep).SolveSplitJump,
+		func(p *Prep, T sched.Rat) bool { return p.EvalSplit(T, nil).OK }, (*Prep).splitOK)
+}
+
+// BenchmarkProbePmtn is the preemptive dual test (Theorems 4/5) over the
+// 16 guesses of one cold SolvePmtnJump.
+func BenchmarkProbePmtn(b *testing.B) {
+	benchProbe(b, (*Prep).SolvePmtnJump,
+		func(p *Prep, T sched.Rat) bool { return p.EvalPmtn(T, nil).OK }, (*Prep).pmtnOK)
+}
+
 // buildAtAccepted returns the variant's builder bound to the accepting
 // evaluation at the exact search's answer for p, the construction every
 // exact solve ends with.

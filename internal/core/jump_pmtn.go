@@ -36,7 +36,7 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		s := p.oneJobPerMachine(sched.Preemptive, ctl.runs())
 		return &Result{Schedule: s, T: s.T, LowerBound: s.T, Algorithm: "pmtn/jump"}, nil
 	}
-	test := func(T sched.Rat) bool { return p.EvalPmtn(T, nil).OK }
+	test := p.pmtnOK
 	build := func(T sched.Rat) (*sched.Schedule, error) { return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs()) }
 	tmin := p.TMin(sched.Preemptive)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}

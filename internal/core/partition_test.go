@@ -98,7 +98,8 @@ func TestGammaFormula(t *testing.T) {
 		}
 		P := minP + rng.Int63n(3*T)
 		TR := sched.R(T)
-		got := (&pmtnPredicates{point: true, T: TR}).gamma(s + P)
+		th := newDualThresholds(TR, nil)
+		got := th.gamma(s + P)
 		// Paper definition.
 		betaP := (2 * P) / T // floor
 		var want int64

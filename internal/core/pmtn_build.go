@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"setupsched/internal/num128"
 	"setupsched/internal/wrap"
 	"setupsched/sched"
 )
@@ -62,17 +63,17 @@ func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, 
 	for _, i := range ev.ChpPlus {
 		b.fullBatch(p, i)
 	}
+	if len(b.inStar) < p.C {
+		b.inStar = make([]bool, p.C)
+	} else {
+		clear(b.inStar)
+	}
+	for _, i := range ev.Star {
+		b.inStar[i] = true
+	}
 	splitClass := -1
 	if ev.CaseA {
 		splitClass = splitClassOf(ev)
-		if len(b.inStar) < p.C {
-			b.inStar = make([]bool, p.C)
-		} else {
-			clear(b.inStar)
-		}
-		for _, i := range ev.Star {
-			b.inStar[i] = true
-		}
 		for k, i := range ev.Star {
 			cls := &p.In.Classes[i]
 			switch {
@@ -101,36 +102,12 @@ func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, 
 			}
 		}
 	} else {
-		splitClass = ev.BSplit
 		for _, i := range ev.Star {
 			b.fullBatch(p, i)
 		}
-		for _, i := range ev.NiceRest {
-			b.fullBatch(p, i)
-		}
-		if ev.BSplit >= 0 {
-			cls := &p.In.Classes[ev.BSplit]
-			budget := ev.BSplitU
-			for j, t := range cls.Jobs {
-				maxU := 2 * t * td
-				take := maxU
-				if take > budget {
-					take = budget
-				}
-				budget -= take
-				if take > 0 {
-					b.nicePiece(p, ev.BSplit, j, uRat(take))
-				}
-				if take < maxU {
-					b.kItems = append(b.kItems, kItem{ev.BSplit, j, uRat(maxU - take)})
-				}
-			}
-			if budget != 0 {
-				return nil, errInternal("case-B split budget not exhausted (%d units left)", budget)
-			}
-		}
-		for _, i := range ev.KRest {
-			b.wholeK(p, i)
+		var err error
+		if splitClass, err = b.caseBGreedy(p, ev, l); err != nil {
+			return nil, err
 		}
 	}
 
@@ -154,6 +131,80 @@ func splitClassOf(ev *PmtnEval) int {
 		return ev.Star[ev.SplitPos]
 	}
 	return -1
+}
+
+// caseBGreedy splits the I-chp classes outside I*chp between the nice
+// part and K (case B): largest setups first, whole classes join the nice
+// part while A + B* plus their load fits (m-l)T, so the boundary class,
+// which is split, has a small setup, and the nice part receives exactly
+// F - B*.  The rest go to K whole.  It returns the split class, or -1.
+// The dual test never reads this split (case B adds no load to L_pmtn),
+// so it is part of the construction rather than of every probe.
+func (b *RunScratch) caseBGreedy(p *Prep, ev *PmtnEval, l int64) (int, error) {
+	tn, td := ev.RefNum, ev.RefDen
+	b.rest = b.rest[:0]
+	for _, i := range ev.ChpMinus {
+		if !b.inStar[i] {
+			b.rest = append(b.rest, i)
+		}
+	}
+	sortBySetupDesc(p, b.rest)
+	cum := ev.NiceLoad
+	k := 0
+	for ; k < len(b.rest); k++ {
+		i := b.rest[k]
+		next := cum + p.In.Classes[i].Setup + p.P[i]
+		// Fits entirely iff A + B* + next <= (m-l)T.
+		if cmpProd(p.M-l, tn, next, td) < 0 {
+			break
+		}
+		b.fullBatch(p, i)
+		cum = next
+	}
+	split := -1
+	if k < len(b.rest) {
+		e := b.rest[k]
+		cls := &p.In.Classes[e]
+		// Nice-side job time of e in units of 1/(2 td):
+		// 2((m-l)tn - (cum+s_e)td).  It is below 2 P_e td because e does
+		// not fit whole; when it is not positive, e goes to K whole.
+		var lhs, rhs num128.Acc
+		lhs.AddProd(2*(p.M-l), tn)
+		rhs.AddProd(2*(cum+cls.Setup), td)
+		if budget, fits := lhs.Minus(&rhs); fits && budget > 0 {
+			split = e
+			for j, t := range cls.Jobs {
+				maxU := 2 * t * td
+				take := min(maxU, budget)
+				budget -= take
+				if take > 0 {
+					b.nicePiece(p, e, j, sched.RatOf(take, 2*td))
+				}
+				if take < maxU {
+					b.kItems = append(b.kItems, kItem{e, j, sched.RatOf(maxU-take, 2*td)})
+				}
+			}
+			if budget != 0 {
+				return -1, errInternal("case-B split budget not exhausted (%d units left)", budget)
+			}
+			k++
+		}
+		for _, i := range b.rest[k:] {
+			b.wholeK(p, i)
+		}
+	}
+	return split, nil
+}
+
+// sortBySetupDesc orders classes by descending setup, ties by index.
+func sortBySetupDesc(p *Prep, xs []int) {
+	slices.SortFunc(xs, func(a, b int) int {
+		sa, sb := p.In.Classes[a].Setup, p.In.Classes[b].Setup
+		if sa != sb {
+			return cmp.Compare(sb, sa)
+		}
+		return cmp.Compare(a, b)
+	})
 }
 
 // isBigFor reports s + t > T/2, i.e. 2(s+t) > T.

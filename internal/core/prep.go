@@ -198,10 +198,73 @@ func (p *Prep) TMin(v sched.Variant) sched.Rat {
 // slice is part of the immutable Prep; callers must not modify it.
 func (p *Prep) setups() []int64 { return p.Setups }
 
-// mulRatCmp reports the sign of a*T - b where a, b >= 0 and T is rational,
-// computed exactly in 128 bits.
-func mulRatCmp(a int64, t sched.Rat, b int64) int {
-	return cmpProd(a, t.Num(), b, t.Den())
+// dualThresholds turns the partition comparisons of the splittable and
+// preemptive dual tests into int64 compares, computed once per
+// evaluation.  Every value compared against them (2s_i, 4s_i, s_i+P_i,
+// 4(s_i+P_i), 2(s_i+t_j)) is an integer below 4 MaxTotalLoad < 2^56, so
+// at a point T
+//
+//	x > T   <=>  x >= floor(T)+1    (above)
+//	x < T   <=>  x <= ceil(T)-1     (below)
+//	4x > 3T <=>  4x >= floor(3T)+1  (above3)
+//
+// and on an open interval (T, hi), for every T' inside at once,
+//
+//	x > T'   <=>  x >= ceil(hi)     (above)
+//	x < T'   <=>  x <= floor(T)     (below)
+//	4x > 3T' <=>  4x >= ceil(3hi)   (above3).
+//
+// above and above3 are clamped to thrCap, which no compared value
+// reaches, so a huge guess cannot overflow them.
+type dualThresholds struct {
+	point bool
+	// ref is T at a point and hi on an interval: the guess the machine
+	// counts and the capacity tests are taken at.
+	ref                  sched.Rat
+	above, below, above3 int64
+}
+
+const thrCap = int64(1) << 62
+
+func newDualThresholds(T sched.Rat, hi *sched.Rat) dualThresholds {
+	if hi == nil {
+		t3, ok := num128.FloorDiv(3, T.Num(), T.Den())
+		if !ok {
+			t3 = thrCap
+		}
+		return dualThresholds{
+			point: true, ref: T,
+			above:  min(T.Floor(), thrCap) + 1,
+			below:  T.Ceil() - 1,
+			above3: min(t3, thrCap) + 1,
+		}
+	}
+	h3, ok := num128.CeilDiv(3, hi.Num(), hi.Den())
+	if !ok {
+		h3 = thrCap
+	}
+	return dualThresholds{
+		ref:    *hi,
+		above:  min(hi.Ceil(), thrCap),
+		below:  T.Floor(),
+		above3: min(h3, thrCap),
+	}
+}
+
+// jumps returns ceil(x/T) at a point and floor(x/hi)+1 on an interval,
+// an exact 128-bit division: beta_i = jumps(2 P_i) is the splittable
+// machine count.
+func (th *dualThresholds) jumps(x int64) int64 {
+	if th.point {
+		return sched.CeilDivInt(x, th.ref)
+	}
+	return sched.FloorDivInt(x, th.ref) + 1
+}
+
+// gamma returns the Section 4.4 machine count
+// max(ceil(2(s_i+P_i)/T) - 2, 1) of an I+exp class with s_i+P_i = sp.
+func (th *dualThresholds) gamma(sp int64) int64 {
+	return max(th.jumps(2*sp)-2, 1)
 }
 
 // errInternal wraps construction-invariant violations.  These indicate a

@@ -28,7 +28,8 @@ type RunScratch struct {
 	kItems    []kItem
 	kPlus     []kItem
 	kMinus    []kItem
-	inStar    []bool
+	inStar    []bool // BuildPmtn: I*chp membership per class
+	rest      []int  // BuildPmtn case B: I-chp classes outside I*chp
 }
 
 // slotRun is one schedule run under construction: count machines sharing

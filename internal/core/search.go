@@ -666,13 +666,13 @@ func (p *Prep) evalScratchFor(ctl Ctl) *NonpEvalScratch {
 func (p *Prep) dualFor(ctl Ctl, v sched.Variant) (func(sched.Rat) bool, func(sched.Rat) (*sched.Schedule, error), string) {
 	switch v {
 	case sched.Splittable:
-		return func(T sched.Rat) bool { return p.EvalSplit(T, nil).OK },
+		return p.splitOK,
 			func(T sched.Rat) (*sched.Schedule, error) {
 				return p.BuildSplitScratch(p.EvalSplit(T, nil), ctl.runs())
 			},
 			"split"
 	case sched.Preemptive:
-		return func(T sched.Rat) bool { return p.EvalPmtn(T, nil).OK },
+		return p.pmtnOK,
 			func(T sched.Rat) (*sched.Schedule, error) { return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs()) },
 			"pmtn"
 	default:
@@ -695,7 +695,7 @@ func (p *Prep) dualFor(ctl Ctl, v sched.Variant) (func(sched.Rat) bool, func(sch
 // machine count m_exp are constant, so the smallest acceptable makespan is
 // either hi or L/m, decided in O(1) (step 9 of Algorithm 1).
 func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
-	test := func(T sched.Rat) bool { return p.EvalSplit(T, nil).OK }
+	test := p.splitOK
 	tmin := p.TMin(sched.Splittable)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
 	if br.probe(test, tmin) {

@@ -26,7 +26,8 @@ type SplitEval struct {
 	L    int64 // L_split (valid only when machine test passed)
 }
 
-// EvalSplit runs the splittable dual test in O(c) given Prep.
+// EvalSplit runs the splittable dual test in O(c) given Prep and records
+// its partition, machine counts and load.
 //
 // Interval mode: when hi is non-nil the evaluation describes every T in the
 // open interval (T, hi) under the precondition that no partition breakpoint
@@ -34,63 +35,71 @@ type SplitEval struct {
 // then decided by comparisons against hi and beta_i via floor division.
 func (p *Prep) EvalSplit(T sched.Rat, hi *sched.Rat) *SplitEval {
 	ev := &SplitEval{T: T}
+	ev.OK = p.evalSplit(newDualThresholds(T, hi), ev)
+	return ev
+}
+
+// splitOK decides the splittable dual test at the point T without
+// recording the evaluation: the searches' probe path, which allocates
+// nothing.
+func (p *Prep) splitOK(T sched.Rat) bool {
+	return p.evalSplit(newDualThresholds(T, nil), nil)
+}
+
+// evalSplit is the one decision core behind EvalSplit and splitOK: a
+// single O(c) scan with an int64 partition compare per class.  A non-nil
+// ev receives the partition, the beta_i and the load.
+func (p *Prep) evalSplit(th dualThresholds, ev *SplitEval) bool {
 	// Guard: OPT > s_max, so any T < s_max is rejected (T = s_max itself
 	// is constructible when the load and machine tests pass, and rejecting
 	// it would break the closing step's certified-rejection chain).
-	if T.CmpInt(p.SMax) < 0 && hi == nil {
-		ev.Reason = "T < s_max < OPT"
-		return ev
+	if th.point && p.SMax >= th.above {
+		return ev.reject(false, "T < s_max < OPT")
 	}
-	expensive := func(s int64) bool {
-		if hi != nil {
-			return sched.R(2*s).Cmp(*hi) >= 0
-		}
-		return T.CmpInt(2*s) < 0
-	}
-	beta := func(work int64) int64 {
-		if hi != nil {
-			return sched.FloorDivInt(2*work, *hi) + 1
-		}
-		return sched.CeilDivInt(2*work, T)
-	}
-	for i := range p.In.Classes {
-		if expensive(p.In.Classes[i].Setup) {
-			ev.Exp = append(ev.Exp, i)
-			b := beta(p.P[i])
-			ev.Beta = append(ev.Beta, b)
-			ev.MExp += b
-			if ev.MExp > p.M {
-				ev.MachFail = true
-				ev.Reason = "m < m_exp (expensive classes need too many machines)"
-				return ev
+	// L_split = P(J) + sum_{cheap} s_i + sum_{exp} beta_i s_i
+	//         = N + sum_{exp} (beta_i - 1) s_i.
+	// Once m_exp <= m it fits in int64: beta_i*s_i <= 2 P_i + s_i (since
+	// s_i <= T), so L <= 3 N, and also sum beta_i s_i <= m*s_max <=
+	// MaxMachineLoadProduct.
+	var mexp, extra int64
+	for i, s := range p.Setups {
+		if 2*s < th.above { // cheap: s_i <= T/2
+			if ev != nil {
+				ev.Chp = append(ev.Chp, i)
 			}
-		} else {
-			ev.Chp = append(ev.Chp, i)
+			continue
 		}
+		b := th.jumps(2 * p.P[i]) // beta_i = ceil(2 P_i / T)
+		mexp += b
+		if ev != nil {
+			ev.Exp = append(ev.Exp, i)
+			ev.Beta = append(ev.Beta, b)
+			ev.MExp = mexp
+		}
+		if mexp > p.M {
+			return ev.reject(true, "m < m_exp (expensive classes need too many machines)")
+		}
+		extra += (b - 1) * s
 	}
-	// m_exp <= m established; now L_split fits in int64:
-	// beta_i*s_i <= 2 P_i + s_i (since s_i <= T), so L <= 3 N, and also
-	// sum beta_i s_i <= m*s_max <= MaxMachineLoadProduct.
-	ev.L = p.PJ
-	for _, i := range ev.Chp {
-		ev.L += p.In.Classes[i].Setup
+	L := p.N + extra
+	if ev != nil {
+		ev.L = L
 	}
-	for k, i := range ev.Exp {
-		ev.L += ev.Beta[k] * p.In.Classes[i].Setup
+	// In interval mode the test is reported at the supremum hi for
+	// bracket narrowing; the closing step handles the threshold L/m.
+	if cmpProd(p.M, th.ref.Num(), L, th.ref.Den()) < 0 {
+		return ev.reject(false, "m*T < L_split (load exceeds capacity)")
 	}
-	ref := T
-	if hi != nil {
-		// For all T' in (T, hi): m T' >= L iff m*T >= L at the infimum is
-		// not required -- the closing step handles the threshold; here we
-		// report the test at the supremum for bracket narrowing.
-		ref = *hi
+	return true
+}
+
+// reject records a rejection on a non-nil evaluation and returns false.
+func (ev *SplitEval) reject(machFail bool, reason string) bool {
+	if ev != nil {
+		ev.MachFail = machFail
+		ev.Reason = reason
 	}
-	if cmpProd(p.M, ref.Num(), ev.L, ref.Den()) < 0 {
-		ev.Reason = "m*T < L_split (load exceeds capacity)"
-		return ev
-	}
-	ev.OK = true
-	return ev
+	return false
 }
 
 // BuildSplit constructs a feasible splittable schedule with makespan at

@@ -33,8 +33,8 @@ func TestBatchIsolatesInvalidAndCanceledItems(t *testing.T) {
 				Instance: &sched.Instance{M: 0}, // fails Validate
 			}
 		case canceledAt:
-			// A solve whose first probe takes several milliseconds, given
-			// a 1ms budget: the deadline reliably cancels it mid-search.
+			// A solve whose search outlasts a 1ms budget (see
+			// heavyInstance): the deadline reliably cancels it.
 			req = &SolveRequest{
 				ID:        strconv.Itoa(i),
 				Instance:  heavyInstance(),

@@ -458,17 +458,16 @@ func TestBatchPreservesOrderUnderConcurrency(t *testing.T) {
 	}
 }
 
-// heavyInstance is shaped so a single preemptive dual test costs several
-// milliseconds (n = 5e5): a 1ms timeout has expired by the time the first
-// probe finishes, so the pre-build checkpoint reliably aborts the solve.
-// heavyInstance is shaped so a single dual-test probe takes milliseconds:
-// the per-probe cost is Ω(classes) regardless of the eval data layout, so
-// many tiny classes (rather than few large ones, which the SoA eval now
-// probes in microseconds) keep the timeout paths reliably triggerable.
-// The class count is capped by what fits one NDJSON batch line (8 MiB).
+// heavyInstance is shaped so that a preemptive solve spends well over a
+// millisecond in search work that no probe speedup removes: it is the
+// end-to-end benchmark's core-cold shape at nominal n = 2e5 (113k jobs
+// in 25k classes on m just below the class count), whose trivial
+// preemptive bound is rejected, so the O(n log n) breakpoint sort runs
+// before the third probe.  A 1ms timeout has therefore expired at a
+// between-probe or pre-build checkpoint however fast a single probe is.
 func heavyInstance() *sched.Instance {
 	return schedgen.ExpensiveSetups(schedgen.Params{
-		M: 512, Classes: 150000, JobsPer: 2, MaxSetup: 100000, MaxJob: 1000, Seed: 7,
+		M: 20001, Classes: 25000, JobsPer: 8, MaxSetup: 40_000_000, MaxJob: 4_000_000, Seed: 7,
 	})
 }
 
