@@ -34,7 +34,7 @@ bench-smoke:
 	$(GO) test -bench='EvalNonp|Jump|Build|Probe' -benchtime=1x -run=^$$ ./internal/core
 
 # Regenerate the machine-readable performance-trajectory baseline
-# (parallel engine vs serial path; see README "Performance tracking").
+# (SolveAll fan-out vs serial path; see README "Performance tracking").
 BENCH_SIZES ?= 1000,10000,100000
 BENCH_REPS  ?= 3
 BENCH_PAR   ?= 4

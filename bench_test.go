@@ -8,8 +8,9 @@ package setupsched
 //     the near-linear bounds.
 //   - BenchmarkFigure*_ benchmarks the constructions behind each figure.
 //   - BenchmarkDual_* measures a single O(n) dual test per variant.
-//   - BenchmarkAblation_* quantifies the design choices called out in
-//     DESIGN.md (run compression for huge m, probe counts of the searches).
+//   - BenchmarkAblation_* quantifies two design choices: run compression
+//     for huge m (ALGORITHMS.md, "Schedule emission") and Class Jumping
+//     against the eps-search (ALGORITHMS.md, "Search machinery").
 //
 // Run with:  go test -bench=. -benchmem .
 
@@ -295,13 +296,14 @@ func BenchmarkAblation_JumpVsEps_Eps(b *testing.B) {
 	}
 }
 
-// --- Parallel engine: speculative probing and SolveAll fan-out ---
+// --- Parallel engine: SolveAll fan-out ---
 //
 // The serial/parallel pairs below are the wall-clock datapoints behind
-// BENCH_core.json (see cmd/schedbench -json).  The instance shape is
-// machine-rich and setup-dominated so every search genuinely probes
-// (~10-24 dual tests); on a single-core box the parallel variants pay
-// goroutine overhead without a win — compare the pairs on GOMAXPROCS > 1.
+// the solveall/paper rows of BENCH_core.json (see cmd/schedbench -json).
+// The instance shape is machine-rich and setup-dominated so every search
+// genuinely probes (~10-24 dual tests); on a single-core box the fan-out
+// pays goroutine overhead without a win — compare the pairs on
+// GOMAXPROCS > 1.
 
 func benchSearchyInstance(n int) *Instance {
 	classes := n / 8
@@ -313,34 +315,6 @@ func benchSearchyInstance(n int) *Instance {
 		MaxSetup: 500, MaxJob: 60, Seed: int64(n),
 	})
 }
-
-func benchSpeculativeNonp(b *testing.B, k int) {
-	p := core.Prepare(benchSearchyInstance(100000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveNonpSearch(core.Ctl{Parallelism: k}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParallel_NonpSearch_Serial(b *testing.B) { benchSpeculativeNonp(b, 1) }
-func BenchmarkParallel_NonpSearch_Spec4(b *testing.B)  { benchSpeculativeNonp(b, 4) }
-
-func benchSpeculativeEps(b *testing.B, k int) {
-	p := core.Prepare(benchSearchyInstance(100000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveEps(core.Ctl{Parallelism: k}, sched.Preemptive, 1e-6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParallel_EpsSearch_Serial(b *testing.B) { benchSpeculativeEps(b, 1) }
-func BenchmarkParallel_EpsSearch_Spec4(b *testing.B)  { benchSpeculativeEps(b, 4) }
 
 func benchSolveAll(b *testing.B, par int) {
 	s, err := NewSolver(benchSearchyInstance(100000))

@@ -9,10 +9,10 @@
 //	schedbench -validate BENCH_core.json
 //
 // The default (table) output is the source of EXPERIMENTS.md.  With
-// -json the command instead measures the parallel solve engine against
-// the serial path (speculative probing per algorithm plus the SolveAll
-// nine-run fan-out) and the incremental session engine against stateless
-// re-solving (warm re-solve after a delta vs cold NewSolver+Solve), and
+// -json the command instead measures each paper search serially, the
+// SolveAll nine-run fan-out against its serial path, and the incremental
+// session engine against stateless re-solving (warm re-solve after a
+// delta vs cold NewSolver+Solve), and
 // records the run into the machine-readable BENCH_core.json report
 // tracking the repo's performance trajectory.  The report holds one run
 // per environment (go version / OS / arch / GOMAXPROCS): regenerating
@@ -41,7 +41,7 @@ func main() {
 	skipScaling := flag.Bool("skip-scaling", false, "skip the (slower) scaling table")
 	jsonMode := flag.Bool("json", false, "emit the machine-readable BENCH_core.json report instead of tables")
 	out := flag.String("o", "", "with -json: write the report to this file instead of stdout")
-	parallelism := flag.Int("parallelism", 0, "with -json: goroutine width of the parallel datapoints (default GOMAXPROCS)")
+	parallelism := flag.Int("parallelism", 0, "with -json: SolveAll fan-out width of the parallel datapoints (default GOMAXPROCS)")
 	validate := flag.String("validate", "", "validate an existing BENCH_core.json report and exit")
 	flag.Parse()
 

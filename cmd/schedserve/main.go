@@ -3,7 +3,7 @@
 // Usage:
 //
 //	schedserve [-addr :8080] [-workers N] [-cache 4096] [-solvers 1024] \
-//	           [-timeout 0] [-max-parallelism GOMAXPROCS] [-max-batches 2*N] \
+//	           [-timeout 0] [-max-batches 2*N] \
 //	           [-max-sessions 256] [-session-ttl 15m] \
 //	           [-shard-id ID] [-session-snapshot FILE] \
 //	           [-pprof] [-slow-solve 0] [-flight 256]
@@ -91,7 +91,6 @@ func main() {
 	cacheSize := flag.Int("cache", 4096, "result cache capacity in entries (negative disables)")
 	solverCache := flag.Int("solvers", 1024, "prepared-solver cache capacity in entries (negative disables)")
 	timeout := flag.Duration("timeout", 0, "per-solve timeout (0 disables; requests may set a tighter timeout_ms)")
-	maxPar := flag.Int("max-parallelism", runtime.GOMAXPROCS(0), "cap on the per-request parallelism knob (negative forces serial solves)")
 	maxBatches := flag.Int("max-batches", 0, "concurrent batch requests before 429 (0 = 2*workers, negative = unlimited)")
 	maxSessions := flag.Int("max-sessions", 256, "live incremental solve sessions retained, LRU-evicted past this (negative disables sessions)")
 	sessionTTL := flag.Duration("session-ttl", 15*time.Minute, "idle session eviction deadline (negative disables the TTL)")
@@ -110,7 +109,6 @@ func main() {
 		Workers:              *workers,
 		CacheSize:            *cacheSize,
 		SolverCacheSize:      *solverCache,
-		MaxParallelism:       *maxPar,
 		SolveTimeout:         *timeout,
 		MaxConcurrentBatches: *maxBatches,
 		SessionCapacity:      *maxSessions,
@@ -148,8 +146,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("schedserve: listening on %s (workers=%d, cache=%d, solvers=%d, timeout=%v, max-parallelism=%d, max-batches=%d, max-sessions=%d, session-ttl=%v)",
-			*addr, *workers, *cacheSize, *solverCache, *timeout, *maxPar, *maxBatches, *maxSessions, *sessionTTL)
+		log.Printf("schedserve: listening on %s (workers=%d, cache=%d, solvers=%d, timeout=%v, max-batches=%d, max-sessions=%d, session-ttl=%v)",
+			*addr, *workers, *cacheSize, *solverCache, *timeout, *maxBatches, *maxSessions, *sessionTTL)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -9,14 +9,14 @@
 // Usage:
 //
 //	schedstress [-families all] [-profiles all] [-seeds 20] [-seedbase 0]
-//	            [-workers NumCPU] [-parallelism 1] [-crosscheck 0]
+//	            [-workers NumCPU] [-parallelism 1]
 //	            [-duration 0] [-eps 1e-3] [-maxviol 20] [-progress 10s] [-v]
 //	schedstress -drift [-regimes all] [-steps 24] ...
 //
 //	schedstress -families all -seeds 50          # one full verified sweep
 //	schedstress -duration 10s                    # soak until the clock runs out
 //	schedstress -families nearhalf,ratstress -v  # drill into two regimes
-//	schedstress -parallelism 4 -crosscheck 4     # exercise + verify the parallel engine
+//	schedstress -parallelism 4                   # exercise the SolveAll fan-out
 //	schedstress -drift -seeds 10                 # incremental-vs-fresh identity soak
 //
 // With -drift the soak switches to the streaming layer: schedgen drift
@@ -61,7 +61,6 @@ func run() int {
 	seedBase := flag.Int64("seedbase", 0, "first seed of the sweep")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel check workers")
 	parallelism := flag.Int("parallelism", 1, "per-instance SolveAll fan-out width (each instance's nine algorithms solved concurrently)")
-	crossCheck := flag.Int("crosscheck", 0, "if > 1, also verify the parallel engine (fan-out + speculative probing at this width) is bit-identical to the serial path")
 	duration := flag.Duration("duration", 0, "keep sweeping fresh seeds until this much time has passed (0 = one sweep)")
 	eps := flag.Float64("eps", diff.DefaultEpsilon, "accuracy of the eps-search specs")
 	exactBudget := flag.Int64("exactbudget", 0, "if > 0, run the branch-and-bound exact reference per instance with this node budget (true-ratio checks where it converges, certified OPT brackets where it does not)")
@@ -142,8 +141,7 @@ func run() int {
 			Families: fams, Profiles: profs,
 			Seeds: *seeds, SeedBase: *seedBase + int64(rounds)*(*seeds),
 			Epsilon: *eps, ExactNodeBudget: *exactBudget,
-			Workers: *workers, MaxViolations: *maxViol,
-			Parallelism: *parallelism, CrossCheckParallel: *crossCheck,
+			Workers: *workers, MaxViolations: *maxViol, Parallelism: *parallelism,
 			Observe: hist.ObserveDuration,
 			Progress: func(instances, solves int64, violations int) {
 				liveInstances.Store(baseInstances + instances)

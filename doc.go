@@ -79,31 +79,23 @@
 // A Solver is immutable after NewSolver and safe for concurrent use: any
 // number of goroutines may call Solve, SolveAll, DualTest and LowerBound
 // on one Solver simultaneously, all sharing the one prepared instance.
-// On top of that, two knobs parallelize a single logical request:
-//
-//   - Solve with WithParallelism(n) probes speculatively: the dual
-//     search evaluates up to n candidate guesses concurrently per round
-//     and keeps the tightest accept/reject bracket.  The accepted guess,
-//     certified lower bound and schedule are bit-identical to the serial
-//     search; only latency, Probes and the Trace length change.
-//   - SolveAll solves many (variant, algorithm) combinations — by
-//     default the paper's nine, see PaperRuns and WithRuns — off the one
-//     shared preparation, with WithParallelism(n) bounding the number of
-//     concurrent runs and results reported in deterministic (requested)
-//     order.
+// Every search probes serially, one guess at a time, as in the paper.
+// SolveAll solves many (variant, algorithm) combinations — by default the
+// paper's nine, see PaperRuns and WithRuns — off the one shared
+// preparation, with WithParallelism(n) bounding the number of concurrent
+// runs and results reported in deterministic (requested) order.
 //
 // Observer event ordering: one solve emits its events sequentially from
-// the goroutine coordinating it, never concurrently.  A speculative
-// batch of k guesses is reported as a block — k ProbeStarted calls in
-// ascending-T order before any evaluation runs, then the k matching
-// ProbeFinished calls in the same order.  An Observer shared by several
-// concurrent solves (one metrics sink behind a server, or any Observer
-// passed to SolveAll) must be safe for concurrent use.  Result.Trace
-// stays execution-ordered and deduplicated by guess under speculation.
+// its own goroutine, never concurrently, and each ProbeStarted(T) is
+// followed by its ProbeFinished(T) before the next probe starts.  An
+// Observer shared by several concurrent solves (one metrics sink behind
+// a server, or any Observer passed to SolveAll) must be safe for
+// concurrent use.  Result.Trace holds one entry per probe, in execution
+// order.
 //
 // The whole tree runs race-clean (go test -race ./..., enforced in CI),
-// and internal/diff cross-checks the parallel engine's bit-identity
-// against the serial path over the full schedgen catalog.
+// and internal/diff cross-checks that the SolveAll fan-out returns
+// bit-identical results to serial solves over the full schedgen catalog.
 //
 // # Observability
 //
@@ -162,10 +154,8 @@
 // under permutation of classes and of jobs within a class.  Cached
 // results are re-checked with Verify before they are served.  The
 // service keeps one prepared Solver per fingerprint, honors per-request
-// timeouts, client-disconnect cancellation and a per-request parallelism
-// knob (speculative probing, clamped server-side), and reports
-// probe-level search metrics plus the process's goroutine posture on
-// /v1/stats.  Stateful delta traffic goes through the /v1/sessions
+// timeouts and client-disconnect cancellation, and reports probe-level
+// search metrics plus the process's goroutine posture on /v1/stats.  Stateful delta traffic goes through the /v1/sessions
 // endpoints, which keep stream.Sessions alive server-side under TTL and
 // LRU eviction; a saturated batch worker pool answers 429 with
 // Retry-After instead of queueing unboundedly.
@@ -206,6 +196,7 @@
 // FuzzVerifySchedule) guard the canonicalization and verification trust
 // boundaries.
 //
-// See the examples/ directory for runnable end-to-end scenarios and
-// DESIGN.md for the system inventory and reproduction notes.
+// See the examples/ directory for runnable end-to-end scenarios, README.md
+// ("Architecture", "Performance tracking") for the system inventory and
+// reproduction notes, and ALGORITHMS.md for the paper-to-code map.
 package setupsched

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"time"
 
 	"setupsched"
@@ -38,8 +39,10 @@ type BenchResult struct {
 	// N is the instance's job count.
 	N int `json:"n"`
 	// Mode pairs up baselines and contenders: "serial" vs "parallel"
-	// (speculative probing resp. SolveAll fan-out), and "cold" vs "warm"
-	// (fresh NewSolver+Solve per change vs session delta + warm re-solve).
+	// (the SolveAll fan-out; single-solve paths are measured serially
+	// only, though older runs also hold parallel rows for them), and
+	// "cold" vs "warm" (fresh NewSolver+Solve per change vs session delta
+	// + warm re-solve).
 	Mode string `json:"mode"`
 	// Parallelism is the goroutine width of the parallel mode (1
 	// otherwise).
@@ -108,18 +111,19 @@ func MergeRun(rep *BenchReport, run BenchRun) {
 // benchSpec is one measured solve path.
 type benchSpec struct {
 	name string
-	// single marks paths that are one Solver.Solve call, which a span
-	// recorder can attribute to phases (the fan-out interleaves nine
+	// single marks paths that are one Solver.Solve call: they probe
+	// serially, so they are measured in serial mode only, and a span
+	// recorder can attribute them to phases (the fan-out interleaves nine
 	// searches' probe events, so its spans would misattribute).
 	single bool
-	run    func(s *setupsched.Solver, parallelism int, extra ...setupsched.Option) (probes int, err error)
+	run    func(s *setupsched.Solver, opts ...setupsched.Option) (probes int, err error)
 }
 
 func benchSpecs() []benchSpec {
 	var out []benchSpec
 	for _, r := range setupsched.PaperRuns() {
 		if r.Algorithm == setupsched.TwoApprox {
-			continue // no search to speculate on
+			continue // no search to measure
 		}
 		r := r
 		var name string
@@ -136,12 +140,8 @@ func benchSpecs() []benchSpec {
 		} else {
 			name += "exact32"
 		}
-		out = append(out, benchSpec{name: name, single: true, run: func(s *setupsched.Solver, parallelism int, extra ...setupsched.Option) (int, error) {
-			opts := []setupsched.Option{setupsched.WithAlgorithm(r.Algorithm)}
-			if parallelism > 1 {
-				opts = append(opts, setupsched.WithParallelism(parallelism))
-			}
-			opts = append(opts, extra...)
+		out = append(out, benchSpec{name: name, single: true, run: func(s *setupsched.Solver, extra ...setupsched.Option) (int, error) {
+			opts := append([]setupsched.Option{setupsched.WithAlgorithm(r.Algorithm)}, extra...)
 			res, err := s.Solve(context.Background(), r.Variant, opts...)
 			if err != nil {
 				return 0, err
@@ -149,11 +149,7 @@ func benchSpecs() []benchSpec {
 			return res.Probes, nil
 		}})
 	}
-	out = append(out, benchSpec{name: "solveall/paper", run: func(s *setupsched.Solver, parallelism int, _ ...setupsched.Option) (int, error) {
-		var opts []setupsched.Option
-		if parallelism > 1 {
-			opts = append(opts, setupsched.WithParallelism(parallelism))
-		}
+	out = append(out, benchSpec{name: "solveall/paper", run: func(s *setupsched.Solver, opts ...setupsched.Option) (int, error) {
 		rrs, err := s.SolveAll(context.Background(), opts...)
 		if err != nil {
 			return 0, err
@@ -172,12 +168,12 @@ func benchSpecs() []benchSpec {
 
 // BenchCoreInstance builds the setup-heavy instance shape used for the
 // trajectory datapoints.  Unlike the uniform shape, its dual searches
-// genuinely probe, so the speculative, fan-out and warm-start paths are
-// all exercised.  Setup and job magnitudes are large (~2e9 resp. ~2e8):
+// genuinely probe, so the fan-out and warm-start paths are both
+// exercised.  Setup and job magnitudes are large (~2e9 resp. ~2e8):
 // the searches' probe counts scale with log T — the paper's
 // O(n log(n + Delta)) — so value-heavy instances are where search cost,
-// and therefore speculation and warm starts, genuinely matter; tiny
-// magnitudes would hide the search behind the O(n) schedule emission.
+// and therefore warm starts, genuinely matter; tiny magnitudes would
+// hide the search behind the O(n) schedule emission.
 // (v1 reports used MaxSetup 500; v2 datapoints are not comparable.)
 func BenchCoreInstance(n int) *sched.Instance {
 	classes := n / 8
@@ -292,10 +288,11 @@ func benchSession(in *sched.Instance, v sched.Variant, reps int) (cold, warm Ben
 	return cold, warm, nil
 }
 
-// BenchCore measures the parallel solve engine against the serial path
-// and the session engine against stateless re-solving, across instance
-// sizes, returning one environment-keyed run.  parallelism <= 1 defaults
-// to runtime.GOMAXPROCS(0).
+// BenchCore measures each paper search serially, the SolveAll fan-out
+// against its serial path, and the session engine against stateless
+// re-solving, across instance sizes, returning one environment-keyed run.
+// parallelism is the fan-out width; <= 1 defaults to
+// runtime.GOMAXPROCS(0).
 func BenchCore(sizes []int, reps, parallelism int) (*BenchRun, error) {
 	if len(sizes) == 0 {
 		return nil, errors.New("benchjson: BenchCore needs at least one size")
@@ -333,18 +330,26 @@ func BenchCore(sizes []int, reps, parallelism int) (*BenchRun, error) {
 		}
 		nj := in.NumJobs()
 		for _, spec := range benchSpecs() {
-			for _, mode := range []struct {
+			modes := []struct {
 				name string
 				par  int
-			}{{"serial", 1}, {"parallel", parallelism}} {
+			}{{"serial", 1}, {"parallel", parallelism}}
+			if spec.single {
+				modes = modes[:1]
+			}
+			for _, mode := range modes {
+				var opts []setupsched.Option
+				if mode.par > 1 {
+					opts = append(opts, setupsched.WithParallelism(mode.par))
+				}
 				var probes int
 				// One warm-up solve keeps one-time costs out of the mean.
-				if probes, err = spec.run(solver, mode.par); err != nil {
+				if probes, err = spec.run(solver, opts...); err != nil {
 					return nil, fmt.Errorf("%s n=%d %s: %w", spec.name, n, mode.name, err)
 				}
 				start := time.Now()
 				for r := 0; r < reps; r++ {
-					if _, err := spec.run(solver, mode.par); err != nil {
+					if _, err := spec.run(solver, opts...); err != nil {
 						return nil, fmt.Errorf("%s n=%d %s: %w", spec.name, n, mode.name, err)
 					}
 				}
@@ -357,9 +362,9 @@ func BenchCore(sizes []int, reps, parallelism int) (*BenchRun, error) {
 				// One extra instrumented solve attributes the serial row
 				// to the paper's phases (search vs. build; prepare is the
 				// instance's one-time NewSolver cost).
-				if mode.name == "serial" && spec.single {
+				if spec.single {
 					rec := obs.NewSpanRecorder()
-					if _, err := spec.run(solver, 1, setupsched.WithObserver(rec)); err != nil {
+					if _, err := spec.run(solver, setupsched.WithObserver(rec)); err != nil {
 						return nil, fmt.Errorf("%s n=%d spans: %w", spec.name, n, err)
 					}
 					phases := obs.PhaseDurations(rec.Root())
@@ -383,8 +388,9 @@ func BenchCore(sizes []int, reps, parallelism int) (*BenchRun, error) {
 
 // ValidateBenchReport checks the structural invariants of a BENCH_core
 // report: schema tag, at least one run, environment fields, unique
-// environment keys, and positive measurements with a mode counterpart
-// (serial/parallel resp. cold/warm) for every (name, n) within each run.
+// environment keys, and positive measurements with a known mode.  Within
+// each run, every (name, n) of the SolveAll fan-out needs its
+// serial/parallel pair and every session row its cold/warm pair.
 func ValidateBenchReport(rep *BenchReport) error {
 	if rep == nil {
 		return errors.New("benchjson: nil bench report")
@@ -435,6 +441,9 @@ func validateRun(run *BenchRun) error {
 		seen[key{r.Name, r.N, r.Mode}] = true
 	}
 	for k := range seen {
+		if k.name != "solveall/paper" && !strings.HasPrefix(k.name, "session/") {
+			continue // single-solve paths are measured serially only
+		}
 		if !seen[key{k.name, k.n, modePeer[k.mode]}] {
 			return fmt.Errorf("result %s n=%d has no %s counterpart", k.name, k.n, modePeer[k.mode])
 		}

@@ -29,7 +29,7 @@ func TestBenchCoreShape(t *testing.T) {
 		}
 	}
 	for _, want := range []string{
-		"split/exact32/serial", "split/exact32/parallel",
+		"split/exact32/serial",
 		"solveall/paper/serial", "solveall/paper/parallel",
 		"session/splittable/cold", "session/splittable/warm",
 		"session/preemptive/cold", "session/preemptive/warm",
@@ -38,6 +38,9 @@ func TestBenchCoreShape(t *testing.T) {
 		if !names[want] {
 			t.Errorf("missing datapoint %s", want)
 		}
+	}
+	if names["split/exact32/parallel"] {
+		t.Error("single-solve path split/exact32 emitted a parallel row; it probes serially")
 	}
 
 	buf, err := json.Marshal(rep)
@@ -94,7 +97,8 @@ func TestValidateBenchReportRejects(t *testing.T) {
 		{"environment", func(r *BenchReport) { r.Runs[0].GoMaxProcs = 0 }},
 		{"no results", func(r *BenchReport) { r.Runs[0].Results = nil }},
 		{"bad mode", func(r *BenchReport) { r.Runs[0].Results[0].Mode = "warp" }},
-		{"unpaired", func(r *BenchReport) { r.Runs[0].Results = r.Runs[0].Results[:1] }},
+		{"unpaired fan-out", func(r *BenchReport) { r.Runs[0].Results = dropMode(r.Runs[0].Results, "parallel") }},
+		{"unpaired session", func(r *BenchReport) { r.Runs[0].Results = dropMode(r.Runs[0].Results, "warm") }},
 		{"duplicate env", func(r *BenchReport) { r.Runs = append(r.Runs, r.Runs[0]) }},
 	}
 	for _, tc := range cases {
@@ -109,4 +113,15 @@ func TestValidateBenchReportRejects(t *testing.T) {
 			t.Errorf("%s: validator accepted a broken report", tc.name)
 		}
 	}
+}
+
+// dropMode returns the results without the rows of one mode.
+func dropMode(rs []BenchResult, mode string) []BenchResult {
+	var out []BenchResult
+	for _, r := range rs {
+		if r.Mode != mode {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -68,20 +68,6 @@ func BenchmarkEvalNonpScratch_n1e5(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalNonpBatch_n1e5 is the speculative probe batch: all 8
-// guesses decided in one fused sweep over the classes, each class's
-// setup and job partition loaded once for the whole batch.
-func BenchmarkEvalNonpBatch_n1e5(b *testing.B) {
-	p, ladder := benchEvalPrep(100_000)
-	var sc NonpBatchScratch
-	p.EvalNonpBatch(ladder, &sc)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.EvalNonpBatch(ladder, &sc)
-	}
-}
-
 // coreColdPrep builds one instance of the end-to-end benchmark's
 // core-cold shape at nominal size n: ExpensiveSetups with m just below the
 // class count and setups ~1e9, on which the Class Jumping searches

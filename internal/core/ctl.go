@@ -16,15 +16,11 @@ var ErrProbeLimit = errors.New("probe limit reached")
 // searches.
 //
 // Event ordering contract: all events of one solve are emitted
-// sequentially from the goroutine coordinating that solve, never
-// concurrently — even when the search probes speculatively
-// (Ctl.Parallelism > 1).  A speculative batch of k guesses is reported as
-// a block: k ProbeStarted calls in ascending-T order before any of the k
-// evaluations runs, then k ProbeFinished calls in the same ascending-T
-// order once all of them have returned.  Serial probes (the default)
-// interleave Started/Finished pairwise as before.  An Observer shared by
-// several concurrent solves (e.g. one metrics sink behind a server) must
-// itself be safe for concurrent use.
+// sequentially from the solve's goroutine, never concurrently, and each
+// ProbeStarted(T) is followed by its ProbeFinished(T) before the next
+// probe starts.  A search never probes the same guess twice.  An Observer
+// shared by several concurrent solves (e.g. one metrics sink behind a
+// server) must itself be safe for concurrent use.
 type Observer interface {
 	// ProbeStarted fires before a dual test is evaluated at guess T.
 	ProbeStarted(T sched.Rat)
@@ -58,25 +54,16 @@ type BracketSeed struct {
 
 // Ctl carries the per-solve control surface through the searches: a
 // cancellation context, an optional probe observer, an optional probe
-// budget and the speculative-probing width.  The zero value means "run to
-// completion, serially, unobserved".
+// budget, a warm-start seed and lent scratch memory.  The zero value means
+// "run to completion, unobserved".
 type Ctl struct {
 	// Ctx cancels the search between probes; nil means never cancel.
 	Ctx context.Context
 	// Obs receives probe events; nil means no observation.
 	Obs Observer
 	// ProbeLimit aborts the search with ErrProbeLimit once this many
-	// probes have run; zero or negative means unlimited.  Speculative
-	// probes count against the budget like serial ones, so a tight limit
-	// may abort a speculative search where the serial one converges.
+	// probes have run; zero or negative means unlimited.
 	ProbeLimit int
-	// Parallelism is the speculative probe width: the searches may
-	// evaluate up to this many candidate guesses T concurrently per
-	// round, keeping the tightest resulting accept/reject bracket.  The
-	// accepted guess, certified lower bound and schedule are bit-identical
-	// to the serial search for any width; only wall-clock time, the probe
-	// count and the Trace length change.  Zero or one means fully serial.
-	Parallelism int
 	// Seed warm-starts the exact searches (Class Jumping, the integral
 	// non-preemptive search) from a previously certified bracket; nil
 	// means a cold start.  The eps-search ignores it: its certified pair
@@ -105,9 +92,7 @@ type BuildScratch struct {
 	// their slot arena, run table, wrap sequence and working lists.
 	Run RunScratch
 	// Eval backs the non-preemptive dual test's per-probe arrays, so a
-	// warm re-solve's serial probes allocate nothing (the searches route
-	// speculative batches through EvalNonpBatch, which keeps the serial
-	// test single-threaded and the shared scratch sound).
+	// warm re-solve's probes allocate nothing.
 	Eval NonpEvalScratch
 }
 
@@ -118,14 +103,6 @@ func (c Ctl) runs() *RunScratch {
 		return nil
 	}
 	return &c.Scratch.Run
-}
-
-// width returns the effective speculation width (>= 1).
-func (c Ctl) width() int {
-	if c.Parallelism < 1 {
-		return 1
-	}
-	return c.Parallelism
 }
 
 // interrupted reports the context error, if any.  The deadline is also

@@ -46,9 +46,9 @@ func sameNonpEval(t *testing.T, tag string, got, want *NonpEval) {
 }
 
 // TestEvalNonpLayoutMatchesRef pins the SoA eval (binary-search
-// thresholds over sorted jobs + prefix sums), its scratch variant and the
-// batched sweep to the original per-job walk, field for field, across the
-// generator catalog.
+// thresholds over sorted jobs + prefix sums) and its scratch variant to
+// the original per-job walk, field for field, across the generator
+// catalog.
 func TestEvalNonpLayoutMatchesRef(t *testing.T) {
 	for _, fam := range schedgen.Families {
 		fam := fam
@@ -62,15 +62,10 @@ func TestEvalNonpLayoutMatchesRef(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed * 7919))
 				ladder := evalLadder(p, rng)
 				var sc NonpEvalScratch
-				var bsc NonpBatchScratch
-				oks := p.EvalNonpBatch(ladder, &bsc)
-				for li, T := range ladder {
+				for _, T := range ladder {
 					want := p.EvalNonpRef(T)
 					sameNonpEval(t, "soa", p.EvalNonp(T), want)
 					sameNonpEval(t, "scratch", p.EvalNonpScratch(T, &sc), want)
-					if oks[li] != want.OK {
-						t.Fatalf("batch outcome at T=%s: %v, want %v", T, oks[li], want.OK)
-					}
 				}
 			}
 		})
@@ -464,14 +459,6 @@ func TestEvalNonpScratchZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("EvalNonpScratch allocates %v per run, want 0", n)
 	}
-
-	var bsc NonpBatchScratch
-	p.EvalNonpBatch(ladder, &bsc)
-	if n := testing.AllocsPerRun(100, func() {
-		p.EvalNonpBatch(ladder, &bsc)
-	}); n != 0 {
-		t.Fatalf("EvalNonpBatch allocates %v per run, want 0", n)
-	}
 }
 
 // FuzzEvalNonpLayout cross-checks the SoA eval against the reference walk
@@ -511,8 +498,5 @@ func FuzzEvalNonpLayout(f *testing.F) {
 		sameNonpEval(t, "soa", p.EvalNonp(T), want)
 		var sc NonpEvalScratch
 		sameNonpEval(t, "scratch", p.EvalNonpScratch(T, &sc), want)
-		if oks := p.EvalNonpBatch([]sched.Rat{T, T.MulInt(2)}, &NonpBatchScratch{}); oks[0] != want.OK {
-			t.Fatalf("batch outcome %v, want %v", oks[0], want.OK)
-		}
 	})
 }

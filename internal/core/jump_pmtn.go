@@ -27,7 +27,7 @@ import (
 // re-verifies its candidate T_new = L/m with a full point evaluation; if
 // the selection shifted, the search subdivides at T_new and retries,
 // falling back to a sound conservative answer after a bounded number of
-// rounds (see DESIGN.md, "Knapsack constancy").
+// rounds (see ALGORITHMS.md, "Knapsack constancy").
 func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 	if err := ctl.interrupted(); err != nil {
 		return nil, err

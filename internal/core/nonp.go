@@ -89,96 +89,6 @@ func (p *Prep) EvalNonpScratch(TR sched.Rat, sc *NonpEvalScratch) *NonpEval {
 	return ev
 }
 
-// NonpBatchScratch holds the per-guess accumulators of EvalNonpBatch so
-// repeated speculative batches in one search are allocation-free.  Zero
-// value is ready; not safe for concurrent use.
-type NonpBatchScratch struct {
-	t      []int64
-	mprime []int64
-	l      []int64
-	dead   []bool
-	ok     []bool
-}
-
-func (sc *NonpBatchScratch) ensure(k int) {
-	if cap(sc.t) < k {
-		sc.t = make([]int64, k)
-		sc.mprime = make([]int64, k)
-		sc.l = make([]int64, k)
-		sc.dead = make([]bool, k)
-		sc.ok = make([]bool, k)
-	}
-	sc.t = sc.t[:k]
-	sc.mprime = sc.mprime[:k]
-	sc.l = sc.l[:k]
-	sc.dead = sc.dead[:k]
-	sc.ok = sc.ok[:k]
-}
-
-// EvalNonpBatch decides the non-preemptive dual test for every guess in
-// one shared sweep over the classes: each class's setup, maximum and
-// sorted segment are loaded once and reused for all k guesses, instead
-// of k independent passes re-walking the whole layout.  The per-guess
-// accept/reject outcomes are bit-identical to k EvalNonp calls — the
-// machine-demand and load accumulations are fused into a single pass,
-// which is sound because every per-class term of L depends only on that
-// class's own m_i.  The returned slice is owned by sc and valid until
-// the next call.
-func (p *Prep) EvalNonpBatch(Ts []sched.Rat, sc *NonpBatchScratch) []bool {
-	k := len(Ts)
-	sc.ensure(k)
-	alive := 0
-	for j, TR := range Ts {
-		T := TR.Floor()
-		sc.t[j] = T
-		sc.mprime[j] = 0
-		sc.l[j] = p.PJ
-		sc.dead[j] = T < p.SPT
-		if !sc.dead[j] {
-			alive++
-		}
-	}
-	for i := 0; i < p.C && alive > 0; i++ {
-		s := p.Setups[i]
-		tm := p.TMaxC[i]
-		for j := 0; j < k; j++ {
-			if sc.dead[j] {
-				continue
-			}
-			T := sc.t[j]
-			var mi int64
-			switch {
-			case 2*s > T:
-				mi = ceilDiv64(p.P[i], T-s)
-			case 2*(s+tm) <= T:
-				// mi = 0: no machine demand; the x_i load term below
-				// still applies (a non-empty class needs one setup).
-			default:
-				jobs := p.Sorted[i]
-				bigThr := T/2 + 1
-				bigIdx := lowerBound64(jobs, bigThr)
-				kIdx := lowerBound64(jobs[:bigIdx], bigThr-s)
-				kWork := p.Pref[i][bigIdx] - p.Pref[i][kIdx]
-				mi = int64(len(jobs)-bigIdx) + ceilDiv64(kWork, T-s)
-			}
-			sc.mprime[j] += mi
-			if sc.mprime[j] > p.M {
-				sc.dead[j] = true // m < m'
-				alive--
-				continue
-			}
-			sc.l[j] += mi * s
-			if p.P[i] > mi*(T-s) { // x_i > 0
-				sc.l[j] += s
-			}
-		}
-	}
-	for j := range sc.ok {
-		sc.ok[j] = !sc.dead[j] && p.M*sc.t[j] >= sc.l[j]
-	}
-	return sc.ok
-}
-
 // evalNonpCore runs both passes of the dual test on ev, which must carry
 // T >= SPT, Mi and XiPos of length C with arbitrary contents (they are
 // fully overwritten), and an empty Exp.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,7 +9,7 @@ import (
 	"setupsched/schedgen"
 )
 
-// solveWith runs every search algorithm of a variant with the given Ctl.
+// allSearches returns every search algorithm of a variant.
 func allSearches(v sched.Variant) map[string]func(p *Prep, ctl Ctl) (*Result, error) {
 	out := map[string]func(p *Prep, ctl Ctl) (*Result, error){
 		"eps": func(p *Prep, ctl Ctl) (*Result, error) { return p.SolveEps(ctl, v, 1e-3) },
@@ -26,64 +25,9 @@ func allSearches(v sched.Variant) map[string]func(p *Prep, ctl Ctl) (*Result, er
 	return out
 }
 
-// TestSpeculativeBitIdentical asserts that the speculative searches return
-// bit-identical accepted guesses, lower bounds and makespans for every
-// speculation width, across the full schedgen catalog and all variants.
-func TestSpeculativeBitIdentical(t *testing.T) {
-	// Three regimes: one where most duals accept the trivial bound (fast
-	// paths), and two setup-heavy ones whose searches genuinely probe
-	// (7-17 dual tests each, see the class-jumping breakpoint structure).
-	regimes := []schedgen.Params{
-		{M: 6, Classes: 20, JobsPer: 4, MaxSetup: 60, MaxJob: 90},
-		{M: 32, Classes: 40, JobsPer: 3, MaxSetup: 500, MaxJob: 60},
-		{M: 8, Classes: 12, JobsPer: 1, MaxSetup: 300, MaxJob: 300},
-	}
-	for _, fam := range schedgen.Families {
-		for _, params := range regimes {
-			for seed := int64(0); seed < 2; seed++ {
-				p := params
-				p.Seed = seed
-				in := fam.Make(p)
-				prep := Prepare(in)
-				for _, v := range sched.Variants {
-					for name, run := range allSearches(v) {
-						serial, err := run(prep, Ctl{})
-						if err != nil {
-							t.Fatalf("%s/%s/%v seed %d: serial: %v", fam.Name, name, v, seed, err)
-						}
-						for _, k := range []int{2, 3, 4, 8} {
-							spec, err := run(prep, Ctl{Parallelism: k})
-							if err != nil {
-								t.Fatalf("%s/%s/%v seed %d k=%d: %v", fam.Name, name, v, seed, k, err)
-							}
-							tag := fmt.Sprintf("%s/%s/%v seed %d k=%d", fam.Name, name, v, seed, k)
-							if !spec.T.Equal(serial.T) {
-								t.Errorf("%s: guess %s != serial %s", tag, spec.T, serial.T)
-							}
-							if !spec.LowerBound.Equal(serial.LowerBound) {
-								t.Errorf("%s: lower bound %s != serial %s", tag, spec.LowerBound, serial.LowerBound)
-							}
-							if !spec.Schedule.Makespan().Equal(serial.Schedule.Makespan()) {
-								t.Errorf("%s: makespan %s != serial %s", tag, spec.Schedule.Makespan(), serial.Schedule.Makespan())
-							}
-							if spec.Algorithm != serial.Algorithm {
-								t.Errorf("%s: algorithm %q != serial %q", tag, spec.Algorithm, serial.Algorithm)
-							}
-							if spec.Probes < serial.Probes {
-								t.Errorf("%s: speculative probes %d < serial %d (speculation can only add probes)",
-									tag, spec.Probes, serial.Probes)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestPrepConcurrentUse hammers one shared Prep from many goroutines mixing
-// dual evaluations, builds and full (speculative) searches.  Run under
-// -race this is the concurrency-contract regression test for Prep.
+// dual evaluations, builds and full searches.  Run under -race this is the
+// concurrency-contract regression test for Prep.
 func TestPrepConcurrentUse(t *testing.T) {
 	in := schedgen.BigJobs(schedgen.Params{M: 8, Classes: 40, JobsPer: 5, MaxSetup: 80, MaxJob: 120, Seed: 7})
 	prep := Prepare(in)
@@ -118,7 +62,7 @@ func TestPrepConcurrentUse(t *testing.T) {
 						}
 					}
 				default:
-					if _, err := prep.SolvePmtnJump(Ctl{Parallelism: 4}); err != nil {
+					if _, err := prep.SolvePmtnJump(Ctl{}); err != nil {
 						errs <- err
 						return
 					}
@@ -133,90 +77,80 @@ func TestPrepConcurrentUse(t *testing.T) {
 	}
 }
 
-// orderObserver records the probe event stream and fails on contract
-// violations: a ProbeFinished without a preceding ProbeStarted for the
-// same guess, or concurrent (interleaved-from-two-goroutines) events are
-// surfaced as out-of-order sequences.
+// orderObserver records the probe event stream and notes every breach of
+// the Observer contract: a ProbeStarted while another probe is open, or a
+// ProbeFinished that does not close the open probe's guess.
 type orderObserver struct {
-	started  []sched.Rat
-	finished []sched.Rat
+	started    []sched.Rat
+	finished   []sched.Rat
+	open       bool
+	violations []string
 }
 
-func (o *orderObserver) ProbeStarted(T sched.Rat) { o.started = append(o.started, T) }
+func (o *orderObserver) ProbeStarted(T sched.Rat) {
+	if o.open {
+		o.violations = append(o.violations, fmt.Sprintf("Started(%s) while Started(%s) is open", T, o.started[len(o.started)-1]))
+	}
+	o.open = true
+	o.started = append(o.started, T)
+}
+
 func (o *orderObserver) ProbeFinished(T sched.Rat, ok bool) {
+	if !o.open || !T.Equal(o.started[len(o.started)-1]) {
+		o.violations = append(o.violations, fmt.Sprintf("Finished(%s) does not close the open probe", T))
+	}
+	o.open = false
 	o.finished = append(o.finished, T)
 }
+
 func (o *orderObserver) SearchFinished(string, int) {}
 
-// TestSpeculativeObserverOrdering is the regression test for the
-// bracket.probe observer contract under speculation: every guess is
-// started exactly once and finished exactly once, no guess is probed
-// twice (Trace stays deduplicated), and the number of events matches the
-// reported probe count.
-func TestSpeculativeObserverOrdering(t *testing.T) {
-	for _, fam := range []schedgen.Family{schedgen.Families[0], schedgen.Families[5]} {
-		in := fam.Make(schedgen.Params{M: 5, Classes: 24, JobsPer: 4, MaxSetup: 50, MaxJob: 70, Seed: 11})
-		prep := Prepare(in)
-		for _, v := range sched.Variants {
-			for name, run := range allSearches(v) {
-				for _, k := range []int{1, 4} {
-					obs := &orderObserver{}
-					res, err := run(prep, Ctl{Obs: obs, Parallelism: k})
-					if err != nil {
-						t.Fatalf("%s/%s/%v k=%d: %v", fam.Name, name, v, k, err)
-					}
-					tag := fmt.Sprintf("%s/%s/%v k=%d", fam.Name, name, v, k)
-					if len(obs.started) != res.Probes || len(obs.finished) != res.Probes {
-						t.Fatalf("%s: %d started / %d finished events for %d probes",
-							tag, len(obs.started), len(obs.finished), res.Probes)
-					}
-					seen := map[string]int{}
-					for _, T := range obs.started {
-						seen[T.String()]++
-					}
-					for s, n := range seen {
-						if n > 1 {
-							t.Errorf("%s: guess %s probed %d times (want deduplicated probes)", tag, s, n)
+// TestSerialObserverOrdering pins the Observer contract every search
+// keeps: ProbeStarted(T) and ProbeFinished(T) strictly alternate with the
+// same T, no guess is probed twice, and the event count equals the
+// reported probe count.  Result.Trace and the span recorder rely on it.
+func TestSerialObserverOrdering(t *testing.T) {
+	// Three regimes: one where most duals accept the trivial bound (fast
+	// paths), and two setup-heavy ones whose searches genuinely probe.
+	regimes := []schedgen.Params{
+		{M: 6, Classes: 20, JobsPer: 4, MaxSetup: 60, MaxJob: 90},
+		{M: 32, Classes: 40, JobsPer: 3, MaxSetup: 500, MaxJob: 60},
+		{M: 8, Classes: 12, JobsPer: 1, MaxSetup: 300, MaxJob: 300},
+	}
+	for _, fam := range schedgen.Families {
+		for ri, params := range regimes {
+			for seed := int64(0); seed < 2; seed++ {
+				p := params
+				p.Seed = seed
+				prep := Prepare(fam.Make(p))
+				for _, v := range sched.Variants {
+					for name, run := range allSearches(v) {
+						tag := fmt.Sprintf("%s/regime %d/seed %d/%s/%v", fam.Name, ri, seed, name, v)
+						obs := &orderObserver{}
+						res, err := run(prep, Ctl{Obs: obs})
+						if err != nil {
+							t.Fatalf("%s: %v", tag, err)
 						}
-					}
-					fin := map[string]int{}
-					for _, T := range obs.finished {
-						fin[T.String()]++
-						if fin[T.String()] > seen[T.String()] {
-							t.Errorf("%s: ProbeFinished(%s) without matching ProbeStarted", tag, T)
+						for _, msg := range obs.violations {
+							t.Errorf("%s: %s", tag, msg)
+						}
+						if obs.open {
+							t.Errorf("%s: last probe never finished", tag)
+						}
+						if len(obs.started) != res.Probes || len(obs.finished) != res.Probes {
+							t.Errorf("%s: %d started / %d finished events for %d probes",
+								tag, len(obs.started), len(obs.finished), res.Probes)
+						}
+						seen := map[sched.Rat]bool{}
+						for _, T := range obs.started {
+							if seen[T] {
+								t.Errorf("%s: guess %s probed twice", tag, T)
+							}
+							seen[T] = true
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestSpeculativeCancellation checks that cancellation aborts speculative
-// searches with the context's error, exactly like the serial path.
-func TestSpeculativeCancellation(t *testing.T) {
-	// Setup-heavy regime whose non-preemptive search needs ~11 probes, so
-	// both the cancellation and the probe budget genuinely interrupt it.
-	in := schedgen.ExpensiveSetups(schedgen.Params{M: 32, Classes: 40, JobsPer: 3, MaxSetup: 500, MaxJob: 60, Seed: 11})
-	prep := Prepare(in)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := prep.SolveNonpSearch(Ctl{Ctx: ctx, Parallelism: 4}); err == nil {
-		t.Fatal("canceled speculative search returned no error")
-	} else if err != context.Canceled {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	// A probe budget must also cut speculative batches short.  Calibrate
-	// the limit against the unbounded serial run so the search is
-	// guaranteed to need more probes than the budget allows.
-	full, err := prep.SolveNonpSearch(Ctl{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Probes < 3 {
-		t.Fatalf("calibration instance converged in %d probes; need >= 3", full.Probes)
-	}
-	if _, err := prep.SolveNonpSearch(Ctl{ProbeLimit: 2, Parallelism: 8}); err != ErrProbeLimit {
-		t.Fatalf("want ErrProbeLimit, got %v", err)
 	}
 }

@@ -242,7 +242,7 @@ func (b *RunScratch) wholeK(p *Prep, class int) {
 // and K so that the nice part receives exactly L*_e + x_e*w_e and every K
 // piece j[1] keeps s_e + t <= T/2 (paper equation (6) and Note 3; we use a
 // per-job greedy that preserves the same invariants with small-denominator
-// rationals, see DESIGN.md).
+// rationals, see ALGORITHMS.md, "Dual tests and constructions").
 func (b *RunScratch) splitStarClass(p *Prep, ev *PmtnEval, class int) error {
 	cls := &p.In.Classes[class]
 	tn, td := ev.RefNum, ev.RefDen

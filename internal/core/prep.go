@@ -38,8 +38,8 @@ func cmpProd(a, b, c, d int64) int { return num128.CmpProd(a, b, c, d) }
 // per-probe state in per-call evaluation records (SplitEval, PmtnEval,
 // NonpEval) and builder locals, so any number of goroutines may run any
 // of them on one shared Prep concurrently.  This is what allows one
-// prepared instance to back speculative probing (Ctl.Parallelism) and
-// whole-solve fan-out (the public Solver.SolveAll) without copies.
+// prepared instance to back whole-solve fan-out (the public
+// Solver.SolveAll) without copies.
 type Prep struct {
 	In   *sched.Instance
 	M    int64

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"sync"
 
 	"setupsched/sched"
 )
@@ -68,12 +67,6 @@ type bracket struct {
 	// seeded records that a Ctl.Seed hi-guess was confirmed by its probe
 	// (a warm hit); surfaced as Result.SeedUsed.
 	seeded bool
-	// batch, when set, decides a whole speculative batch in one call —
-	// one shared sweep over the classes instead of per-guess goroutine
-	// fan-out.  probeBatch then never runs the serial test function
-	// concurrently, which is what lets that function use a per-solve
-	// eval scratch.  Outcomes must be bit-identical to per-guess tests.
-	batch func([]sched.Rat) []bool
 }
 
 // seedNarrow probes the Ctl's warm-start guesses, narrowing the bracket
@@ -192,125 +185,10 @@ func (br *bracket) probe(test func(sched.Rat) bool, T sched.Rat) bool {
 	return false
 }
 
-// specProbe is the outcome of one guess of a speculative batch.
-type specProbe struct {
-	T  sched.Rat
-	ok bool
-}
-
-// probeBatch speculatively evaluates several candidate guesses at once on
-// up to Ctl.Parallelism goroutines.  Ts must be sorted ascending and
-// deduplicated.  The pre-probe bookkeeping (cancellation check, probe
-// budget, ProbeStarted) runs for every admitted candidate in ascending-T
-// order before any evaluation starts, and every ProbeFinished fires in the
-// same order after all evaluations returned, so observers never see
-// concurrent or reordered events (see the Observer contract).  A budget or
-// cancellation cut admits only a prefix.  The bracket itself is not moved;
-// callers merge the outcomes with adopt or their own monotone update.
-func (br *bracket) probeBatch(test func(sched.Rat) bool, Ts []sched.Rat) []specProbe {
-	out := make([]specProbe, 0, len(Ts))
-	for _, T := range Ts {
-		if !br.begin(T) {
-			break
-		}
-		out = append(out, specProbe{T: T})
-	}
-	switch len(out) {
-	case 0:
-		return out
-	case 1:
-		out[0].ok = test(out[0].T)
-		br.end(out[0].T, out[0].ok)
-		return out
-	}
-	if br.batch != nil {
-		Ts2 := make([]sched.Rat, len(out))
-		for i := range out {
-			Ts2[i] = out[i].T
-		}
-		for i, ok := range br.batch(Ts2) {
-			out[i].ok = ok
-		}
-		for _, pr := range out {
-			br.end(pr.T, pr.ok)
-		}
-		return out
-	}
-	workers := br.ctl.width()
-	if workers > len(out) {
-		workers = len(out)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(out); i += workers {
-				out[i].ok = test(out[i].T)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, pr := range out {
-		br.end(pr.T, pr.ok)
-	}
-	return out
-}
-
-// adopt narrows the bracket to the tightest accept/reject pair of a batch:
-// the largest rejected guess becomes lo, the smallest accepted guess
-// becomes hi.  The dual tests are monotone (accepting T accepts every
-// T' >= T), so outcomes past the first acceptance carry no information;
-// stopping there also keeps lo < hi even if an implementation bug ever
-// produced a non-monotone outcome pattern.
-func (br *bracket) adopt(probes []specProbe) {
-	for _, pr := range probes {
-		if pr.ok {
-			if br.lo.Less(pr.T) && pr.T.Less(br.hi) {
-				br.hi = pr.T
-			}
-			return
-		}
-		if br.lo.Less(pr.T) && pr.T.Less(br.hi) {
-			br.lo = pr.T
-		}
-	}
-}
-
-// pickSpread selects up to k evenly spaced elements of the sorted window.
-// For k = 1 it returns the midpoint the serial binary search would probe.
-func pickSpread(window []sched.Rat, k int) []sched.Rat {
-	if len(window) <= k {
-		return window
-	}
-	out := make([]sched.Rat, 0, k)
-	last := -1
-	for j := 1; j <= k; j++ {
-		idx := j * len(window) / (k + 1)
-		if idx == last {
-			continue
-		}
-		out = append(out, window[idx])
-		last = idx
-	}
-	return out
-}
-
-// narrowOnCandidates searches the sorted ascending candidate list,
+// narrowOnCandidates binary-searches the sorted ascending candidate list,
 // restricted to the open interval (lo, hi), until no candidate remains
 // strictly inside the bracket.
-//
-// Serially this is a binary search.  With speculation (Ctl.Parallelism
-// k > 1) each round probes up to k evenly spaced interior candidates
-// concurrently and keeps the tightest accept/reject pair.  Both converge
-// to the same final bracket — the unique threshold pair of the candidate
-// set under the monotone dual test — so every downstream decision is
-// bit-identical; only wall-clock time and the probe count differ.
 func (br *bracket) narrowOnCandidates(test func(sched.Rat) bool, cands []sched.Rat) {
-	if br.ctl.width() > 1 {
-		br.narrowOnCandidatesSpec(test, cands)
-		return
-	}
 	lo := sort.Search(len(cands), func(i int) bool { return br.lo.Less(cands[i]) })
 	hi := sort.Search(len(cands), func(i int) bool { return !cands[i].Less(br.hi) })
 	for lo < hi && br.err == nil {
@@ -332,29 +210,10 @@ func (br *bracket) narrowOnCandidates(test func(sched.Rat) bool, cands []sched.R
 	}
 }
 
-// narrowOnCandidatesSpec is the speculative form of narrowOnCandidates.
-func (br *bracket) narrowOnCandidatesSpec(test func(sched.Rat) bool, cands []sched.Rat) {
-	k := br.ctl.width()
-	for br.err == nil {
-		lo := sort.Search(len(cands), func(i int) bool { return br.lo.Less(cands[i]) })
-		hi := sort.Search(len(cands), func(i int) bool { return !cands[i].Less(br.hi) })
-		if lo >= hi {
-			return
-		}
-		br.adopt(br.probeBatch(test, pickSpread(cands[lo:hi], k)))
-	}
-}
-
-// narrowOnJumps searches the decreasing jump family jumpAt(g) for g in
-// [gLo, gHi], narrowing the bracket until no family member remains
-// strictly inside.  Like narrowOnCandidates it binary-searches serially
-// and probes up to Ctl.Parallelism evenly spaced members per round under
-// speculation, converging to the identical final bracket either way.
+// narrowOnJumps binary-searches the decreasing jump family jumpAt(g) for
+// g in [gLo, gHi], narrowing the bracket until no family member remains
+// strictly inside.
 func (br *bracket) narrowOnJumps(test func(sched.Rat) bool, jumpAt func(int64) sched.Rat, gLo, gHi int64) {
-	if br.ctl.width() > 1 {
-		br.narrowOnJumpsSpec(test, jumpAt, gLo, gHi)
-		return
-	}
 	for gLo <= gHi && br.err == nil {
 		g := gLo + (gHi-gLo)/2
 		T := jumpAt(g) // decreasing in g
@@ -369,105 +228,6 @@ func (br *bracket) narrowOnJumps(test func(sched.Rat) bool, jumpAt func(int64) s
 			gHi = g - 1
 		}
 	}
-}
-
-// narrowOnJumpsSpec is the speculative form of narrowOnJumps.  The batch
-// is assembled in ascending-T order (descending g); a rejection at g
-// eliminates every g' >= g (their jumps are even smaller), an acceptance
-// at g eliminates every g' <= g.
-func (br *bracket) narrowOnJumpsSpec(test func(sched.Rat) bool, jumpAt func(int64) sched.Rat, gLo, gHi int64) {
-	k := int64(br.ctl.width())
-	for gLo <= gHi && br.err == nil {
-		// Up to k evenly spaced g values of the window, ascending.
-		w := gHi - gLo + 1
-		gs := make([]int64, 0, k)
-		if w <= k {
-			for g := gLo; g <= gHi; g++ {
-				gs = append(gs, g)
-			}
-		} else {
-			last := int64(-1)
-			for j := int64(1); j <= k; j++ {
-				g := gLo + j*w/(k+1)
-				if g != last && g >= gLo && g <= gHi {
-					gs = append(gs, g)
-					last = g
-				}
-			}
-		}
-		// Reverse into ascending T; drop members outside the open bracket.
-		Ts := make([]sched.Rat, 0, len(gs))
-		gOfT := make([]int64, 0, len(gs))
-		for i := len(gs) - 1; i >= 0; i-- {
-			T := jumpAt(gs[i])
-			switch {
-			case !br.lo.Less(T): // T <= lo: this and all larger g are out
-				if gs[i]-1 < gHi {
-					gHi = gs[i] - 1
-				}
-			case !T.Less(br.hi): // T >= hi: this and all smaller g are out
-				if gs[i]+1 > gLo {
-					gLo = gs[i] + 1
-				}
-			default:
-				Ts = append(Ts, T)
-				gOfT = append(gOfT, gs[i])
-			}
-		}
-		if len(Ts) == 0 {
-			if gLo > gHi {
-				return
-			}
-			continue
-		}
-		out := br.probeBatch(test, Ts)
-		br.adopt(out)
-		for i, pr := range out { // ascending T = descending g
-			if pr.ok {
-				// Smallest accepted T: every smaller or equal g is done.
-				if gOfT[i]+1 > gLo {
-					gLo = gOfT[i] + 1
-				}
-				break
-			}
-			// Largest rejected T so far: every larger or equal g is done.
-			if gOfT[i]-1 < gHi {
-				gHi = gOfT[i] - 1
-			}
-		}
-		if int64(len(out)) < int64(len(Ts)) {
-			return // budget or cancellation cut the batch short
-		}
-	}
-}
-
-// dyadicMidpoints returns the midpoints of the full binary subdivision of
-// (lo, hi) down to depth d — the 2^d - 1 guesses a serial bisection could
-// visit in its next d rounds — sorted ascending.
-func dyadicMidpoints(lo, hi sched.Rat, d int) []sched.Rat {
-	out := make([]sched.Rat, 0, (1<<d)-1)
-	var rec func(a, b sched.Rat, depth int)
-	rec = func(a, b sched.Rat, depth int) {
-		if depth == 0 {
-			return
-		}
-		m := sched.Mid(a, b)
-		out = append(out, m)
-		rec(a, m, depth-1)
-		rec(m, b, depth-1)
-	}
-	rec(lo, hi, d)
-	return sortRats(out)
-}
-
-// lookupProbe finds the outcome recorded for guess T in a batch.
-func lookupProbe(probes []specProbe, T sched.Rat) (ok, found bool) {
-	for _, pr := range probes {
-		if pr.T.Equal(T) {
-			return pr.ok, true
-		}
-	}
-	return false, false
 }
 
 // sortRats sorts a slice of rationals ascending and removes duplicates.
@@ -550,16 +310,12 @@ func (p *Prep) SolveEps(ctl Ctl, v sched.Variant, eps float64) (*Result, error) 
 	tmin := p.TMin(v)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
 	if v != sched.Splittable && v != sched.Preemptive {
-		// Non-preemptive probes route through the reusable eval scratch;
-		// speculative batches go through the shared class sweep, which
-		// keeps the scratch-using serial test single-threaded.
+		// Non-preemptive probes route through the reusable eval scratch.
 		sc := p.evalScratchFor(ctl)
 		test = func(T sched.Rat) bool { return p.EvalNonpScratch(T, sc).OK }
 		build = func(T sched.Rat) (*sched.Schedule, error) {
 			return p.buildNonpWith(ctl, p.EvalNonpScratch(T, sc))
 		}
-		var bsc NonpBatchScratch
-		br.batch = func(Ts []sched.Rat) []bool { return p.EvalNonpBatch(Ts, &bsc) }
 	}
 	if br.probe(test, tmin) {
 		if err := br.checkpoint(); err != nil {
@@ -579,57 +335,11 @@ func (p *Prep) SolveEps(ctl Ctl, v sched.Variant, eps float64) (*Result, error) 
 	}
 	er := epsToRat(eps)
 	converged := func() bool { return br.hi.Sub(br.lo).Cmp(br.lo.Mul(er)) <= 0 }
-	if k := br.ctl.width(); k <= 1 {
-		for iter := 0; iter < 128 && br.err == nil; iter++ {
-			if converged() {
-				break
-			}
-			br.probe(test, sched.Mid(br.lo, br.hi))
+	for iter := 0; iter < 128 && br.err == nil; iter++ {
+		if converged() {
+			break
 		}
-	} else {
-		// Speculative bisection: probe the full midpoint tree of the
-		// current bracket d levels deep (2^d - 1 <= k guesses) in one
-		// concurrent batch, then REPLAY the serial bisection decisions
-		// against the precomputed outcomes, including the serial
-		// termination checks.  The replayed bracket — and so the built
-		// schedule and certified bound — is bit-identical to the serial
-		// search's; the speculative extra probes only buy wall-clock time
-		// (d serial rounds collapse into one).
-		iter := 0
-		for iter < 128 && br.err == nil && !converged() {
-			d := 1
-			for (1<<(d+1))-1 <= k && d < 6 {
-				d++
-			}
-			if rem := 128 - iter; d > rem {
-				d = rem
-			}
-			points := dyadicMidpoints(br.lo, br.hi, d)
-			out := br.probeBatch(test, points)
-			if br.err != nil {
-				break
-			}
-			for step := 0; step < d && iter < 128 && !converged(); step++ {
-				T := sched.Mid(br.lo, br.hi)
-				ok, found := lookupProbe(out, T)
-				if !found {
-					// Unreachable by construction (every replay midpoint
-					// is a tree node); probe serially as a safety net.
-					ok = br.probe(test, T)
-					if br.err != nil {
-						break
-					}
-					iter++
-					continue
-				}
-				if ok {
-					br.hi = T
-				} else {
-					br.lo = T
-				}
-				iter++
-			}
-		}
+		br.probe(test, sched.Mid(br.lo, br.hi))
 	}
 	if err := br.checkpoint(); err != nil {
 		return nil, err
@@ -651,9 +361,8 @@ func (p *Prep) buildNonpWith(ctl Ctl, ev *NonpEval) (*sched.Schedule, error) {
 
 // evalScratchFor returns the Ctl's lent eval scratch, or a fresh
 // per-solve one.  Either way the scratch is only ever used from the
-// solve's coordinating goroutine (speculative batches run through
-// bracket.batch, not the serial test), so a lent scratch needs the same
-// caller-side serialization as the build scratch it rides in.
+// solve's own goroutine, so a lent scratch needs the same caller-side
+// serialization as the build scratch it rides in.
 func (p *Prep) evalScratchFor(ctl Ctl) *NonpEvalScratch {
 	if ctl.Scratch != nil {
 		return &ctl.Scratch.Eval
@@ -839,8 +548,9 @@ func (p *Prep) closeJump(br *bracket, data intervalData, test func(sched.Rat) bo
 		return nil, br.err
 	}
 	// The interval-constancy assumption failed (possible only for the
-	// preemptive knapsack term, see DESIGN.md); fall back to a sound
-	// conservative answer: build at hi, certify only lo.
+	// preemptive knapsack term, see ALGORITHMS.md, "Knapsack
+	// constancy"); fall back to a sound conservative answer: build at
+	// hi, certify only lo.
 	s, err := build(br.hi)
 	if err != nil {
 		return nil, err
@@ -860,23 +570,16 @@ func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
 		s := p.oneJobPerMachine(sched.NonPreemptive, ctl.runs())
 		return &Result{Schedule: s, T: s.T, LowerBound: s.T, Algorithm: "nonp/binsearch"}, nil
 	}
-	// Every serial probe runs through the reusable eval scratch, so a
-	// warm re-solve's probes allocate nothing.  This is race-free even
-	// under speculation (Ctl.Parallelism > 1): batches route through
-	// bracket.batch — one shared sweep over the classes with its own
-	// accumulators — so the scratch-using test only ever runs from the
-	// solve's coordinating goroutine.  lastEv aliases the scratch's
+	// Every probe runs through the reusable eval scratch, so a warm
+	// re-solve's probes allocate nothing.  lastEv aliases the scratch's
 	// current eval; it is consumed (built from, or reported on) before
 	// the next probe overwrites it.
 	sc := p.evalScratchFor(ctl)
 	var lastEv *NonpEval
-	serialTest := func(T sched.Rat) bool { lastEv = p.EvalNonpScratch(T, sc); return lastEv.OK }
-	test := func(T sched.Rat) bool { return p.EvalNonpScratch(T, sc).OK }
+	test := func(T sched.Rat) bool { lastEv = p.EvalNonpScratch(T, sc); return lastEv.OK }
 	tmin := p.TMin(sched.NonPreemptive).Num()
 	br := &bracket{lo: sched.R(tmin), hi: sched.R(2 * tmin), ctl: ctl}
-	var bsc NonpBatchScratch
-	br.batch = func(Ts []sched.Rat) []bool { return p.EvalNonpBatch(Ts, &bsc) }
-	if br.probe(serialTest, sched.R(tmin)) {
+	if br.probe(test, sched.R(tmin)) {
 		if err := br.checkpoint(); err != nil {
 			return nil, err
 		}
@@ -928,59 +631,18 @@ func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
 			return nil, br.err
 		}
 	}
-	if !warm && !br.probe(serialTest, sched.R(2*tmin)) {
+	if !warm && !br.probe(test, sched.R(2*tmin)) {
 		if br.err != nil {
 			return nil, br.err
 		}
 		return nil, errInternal("non-preemptive dual rejected 2*T_min >= OPT (%s)", lastEv.Reason)
 	}
-	if k := int64(br.ctl.width()); k <= 1 {
-		for hi-lo > 1 && br.err == nil {
-			mid := lo + (hi-lo)/2
-			if br.probe(test, sched.R(mid)) {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-	} else {
-		// Speculative k-ary search: probe up to k evenly spaced interior
-		// integers per round.  OPT is integral, so the search converges to
-		// the unique minimal accepted integer — the same hi the serial
-		// bisection finds — regardless of the probing pattern.
-		for hi-lo > 1 && br.err == nil {
-			w := hi - lo
-			vals := make([]int64, 0, k)
-			if w-1 <= k {
-				for v := lo + 1; v < hi; v++ {
-					vals = append(vals, v)
-				}
-			} else {
-				last := int64(-1)
-				for j := int64(1); j <= k; j++ {
-					v := lo + j*w/(k+1)
-					if v != last && v > lo && v < hi {
-						vals = append(vals, v)
-						last = v
-					}
-				}
-			}
-			Ts := make([]sched.Rat, len(vals))
-			for i, v := range vals {
-				Ts[i] = sched.R(v)
-			}
-			out := br.probeBatch(test, Ts)
-			br.adopt(out)
-			for i, pr := range out { // ascending
-				if pr.ok {
-					hi = vals[i]
-					break
-				}
-				lo = vals[i]
-			}
-			if len(out) < len(Ts) {
-				break // budget or cancellation cut the batch short
-			}
+	for hi-lo > 1 && br.err == nil {
+		mid := lo + (hi-lo)/2
+		if br.probe(test, sched.R(mid)) {
+			hi = mid
+		} else {
+			lo = mid
 		}
 	}
 	if err := br.checkpoint(); err != nil {

@@ -531,11 +531,6 @@ type Config struct {
 	// multiplies with Workers, so the effective goroutine bound is
 	// Workers * Parallelism.
 	Parallelism int
-	// CrossCheckParallel > 1 additionally verifies, per instance, that the
-	// parallel engine (SolveAll fan-out and speculative probing at this
-	// width) returns bit-identical makespans, bounds and guesses to the
-	// serial path; mismatches become Violations.
-	CrossCheckParallel int
 	// MaxViolations stops early once this many violations are collected
 	// (0 = unlimited).
 	MaxViolations int
@@ -609,11 +604,6 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 				in := it.fam.Make(p)
 				t0 := time.Now()
 				rep, err := CheckInstanceBudget(ctx, in, cfg.Epsilon, cfg.Parallelism, cfg.ExactNodeBudget)
-				if err == nil && cfg.CrossCheckParallel > 1 {
-					var msgs []string
-					msgs, err = CheckEngineParallel(ctx, in, cfg.Epsilon, cfg.CrossCheckParallel)
-					rep.Violations = append(rep.Violations, msgs...)
-				}
 				if cfg.Observe != nil {
 					cfg.Observe(time.Since(t0))
 				}

@@ -32,9 +32,9 @@ func evalLayoutLadder(p *core.Prep, seed int64) []sched.Rat {
 }
 
 // CheckEvalLayout cross-checks the SoA fast paths of the non-preemptive
-// dual test — the binary-search eval over sorted jobs and prefix sums,
-// its zero-allocation scratch variant and the batched speculative
-// sweep — against the reference per-job walk, field for field, over an
+// dual test — the binary-search eval over sorted jobs and prefix sums
+// and its zero-allocation scratch variant — against the reference
+// per-job walk, field for field, over an
 // evalLayoutLadder of guesses.  The contract is bit-identity: the SoA
 // rewrite is a data-layout change, so every accept/reject decision,
 // machine count, load bound and expensive-class set must match the walk
@@ -44,19 +44,13 @@ func CheckEvalLayout(in *sched.Instance, seed int64) []string {
 	ladder := evalLayoutLadder(p, seed)
 	var out []string
 	var sc core.NonpEvalScratch
-	var bsc core.NonpBatchScratch
-	oks := p.EvalNonpBatch(ladder, &bsc)
-	for li, T := range ladder {
+	for _, T := range ladder {
 		want := p.EvalNonpRef(T)
 		if msg := diffNonpEval("EvalNonp", T, p.EvalNonp(T), want); msg != "" {
 			out = append(out, msg)
 		}
 		if msg := diffNonpEval("EvalNonpScratch", T, p.EvalNonpScratch(T, &sc), want); msg != "" {
 			out = append(out, msg)
-		}
-		if oks[li] != want.OK {
-			out = append(out, fmt.Sprintf(
-				"EvalNonpBatch at T=%s: ok=%v, reference walk says %v", T, oks[li], want.OK))
 		}
 	}
 	return out

@@ -2,15 +2,17 @@ package diff
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
+	"setupsched"
 	"setupsched/schedgen"
 )
 
 // TestEngineParallelBitIdentical is the acceptance cross-check of the
-// parallel solve engine: over the full schedgen catalog, SolveAll fan-out
-// and speculative probing must return bit-identical makespans, certified
-// bounds and accepted guesses to the serial path, for every spec.
+// SolveAll fan-out: over the full schedgen catalog, every spec solved
+// through SolveAll at width 4 must return a bit-identical makespan,
+// certified bound, accepted guess and algorithm to one serial Solve.
 func TestEngineParallelBitIdentical(t *testing.T) {
 	profiles := []Profile{
 		{"tiny", schedgen.Params{M: 3, Classes: 3, JobsPer: 2, MaxSetup: 12, MaxJob: 16}},
@@ -18,6 +20,9 @@ func TestEngineParallelBitIdentical(t *testing.T) {
 		// profile mostly accepts the trivial bound on the first guess).
 		{"searchy", schedgen.Params{M: 32, Classes: 40, JobsPer: 3, MaxSetup: 500, MaxJob: 60}},
 	}
+	ctx := context.Background()
+	specs := Specs(0)
+	runs, specEps := specRuns(specs)
 	for _, fam := range schedgen.Families {
 		fam := fam
 		t.Run(fam.Name, func(t *testing.T) {
@@ -26,13 +31,35 @@ func TestEngineParallelBitIdentical(t *testing.T) {
 				for seed := int64(0); seed < 3; seed++ {
 					p := prof.Params
 					p.Seed = seed
-					in := fam.Make(p)
-					msgs, err := CheckEngineParallel(context.Background(), in, 0, 4)
+					solver, err := setupsched.NewSolver(fam.Make(p))
 					if err != nil {
-						t.Fatalf("%s seed %d: %v", prof.Name, seed, err)
+						t.Fatal(err)
 					}
-					for _, msg := range msgs {
-						t.Errorf("%s seed %d: %s", prof.Name, seed, msg)
+					fanned, err := solver.SolveAll(ctx, setupsched.WithRuns(runs...),
+						setupsched.WithEpsilon(specEps), setupsched.WithParallelism(4))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, spec := range specs {
+						tag := fmt.Sprintf("%s seed %d: %s", prof.Name, seed, spec.Name)
+						opts := []setupsched.Option{setupsched.WithAlgorithm(spec.Algorithm)}
+						if spec.Algorithm == setupsched.EpsilonSearch {
+							opts = append(opts, setupsched.WithEpsilon(spec.Epsilon))
+						}
+						serial, err := solver.Solve(ctx, spec.Variant, opts...)
+						if err != nil {
+							t.Fatalf("%s: serial: %v", tag, err)
+						}
+						if fanned[i].Err != nil {
+							t.Fatalf("%s: fan-out: %v", tag, fanned[i].Err)
+						}
+						got := fanned[i].Result
+						if !got.Makespan.Equal(serial.Makespan) || !got.LowerBound.Equal(serial.LowerBound) ||
+							!got.Guess.Equal(serial.Guess) || got.Algorithm != serial.Algorithm {
+							t.Errorf("%s: fan-out (%s, %s, %s, %q) != serial (%s, %s, %s, %q)", tag,
+								got.Makespan, got.LowerBound, got.Guess, got.Algorithm,
+								serial.Makespan, serial.LowerBound, serial.Guess, serial.Algorithm)
+						}
 					}
 				}
 			}

@@ -129,7 +129,7 @@ func (t *lbTrace) item(hopCtx obs.TraceContext, shardID string, index int) obs.T
 func (t *lbTrace) finish(status int) {
 	t.mu.Lock()
 	t.root.DurUS = time.Since(t.start).Microseconds()
-	// Item spans adopt their hop's duration (see item).
+	// Item spans take their hop's duration (see item).
 	for _, hop := range t.root.Children {
 		if hop.Name != "upstream" {
 			continue

@@ -89,11 +89,9 @@ type SpanRecorder struct {
 	root *Span
 	// search is created lazily at the first probe.
 	search *Span
-	// open holds started-but-unfinished probe spans in start order; the
-	// solver reports speculative batches as k starts then k finishes in
-	// the same ascending-T order, so FIFO matching is exact (a guess-
-	// comparison scan backs it up).
-	open         []*Span
+	// probe is the started-but-unfinished probe span: the solver finishes
+	// each probe before it starts the next (the Observer contract).
+	probe        *Span
 	lastProbeEnd int64 // µs; end of the most recent probe
 	closed       bool
 	// traced is set by Trace; child span ids are then derived
@@ -196,31 +194,20 @@ func (r *SpanRecorder) ProbeStarted(T sched.Rat) {
 	sp := &Span{Name: "probe", StartUS: now, T: T.String()}
 	r.bind(sp, r.search)
 	r.search.Children = append(r.search.Children, sp)
-	r.open = append(r.open, sp)
+	r.probe = sp
 }
 
-// ProbeFinished closes the matching open probe span.
-func (r *SpanRecorder) ProbeFinished(T sched.Rat, accepted bool) {
+// ProbeFinished closes the open probe span.
+func (r *SpanRecorder) ProbeFinished(_ sched.Rat, accepted bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	now := r.now()
 	r.lastProbeEnd = now
-	key := T.String()
-	idx := -1
-	for i, sp := range r.open {
-		if sp.T == key {
-			idx = i
-			break
-		}
+	sp := r.probe
+	if sp == nil {
+		return // unmatched finish; drop rather than corrupt the tree
 	}
-	if idx < 0 {
-		if len(r.open) == 0 {
-			return // unmatched finish; drop rather than corrupt the tree
-		}
-		idx = 0
-	}
-	sp := r.open[idx]
-	r.open = append(r.open[:idx], r.open[idx+1:]...)
+	r.probe = nil
 	sp.DurUS = now - sp.StartUS
 	if accepted {
 		sp.Outcome = "accept"
@@ -262,10 +249,10 @@ func (r *SpanRecorder) Root() *Span {
 	defer r.mu.Unlock()
 	if !r.closed {
 		now := r.now()
-		for _, sp := range r.open {
-			sp.DurUS = now - sp.StartUS
+		if r.probe != nil {
+			r.probe.DurUS = now - r.probe.StartUS
+			r.probe = nil
 		}
-		r.open = r.open[:0]
 		if r.search != nil && r.search.DurUS == 0 {
 			r.search.DurUS = now - r.search.StartUS
 		}

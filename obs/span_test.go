@@ -57,55 +57,6 @@ func TestSpanRecorderSerialSolve(t *testing.T) {
 	}
 }
 
-func TestSpanRecorderSpeculativeBatch(t *testing.T) {
-	// Speculative probing reports k starts then k finishes in the same
-	// ascending-T order; matching must pair them correctly.
-	r := NewSpanRecorder()
-	guesses := []sched.Rat{sched.R(2), sched.R(4), sched.R(8)}
-	for _, g := range guesses {
-		r.ProbeStarted(g)
-	}
-	for i, g := range guesses {
-		r.ProbeFinished(g, i == 2)
-	}
-	r.SearchFinished("split-jump", 3)
-	root := r.Root()
-	search := root.Child("search")
-	if len(search.Children) != 3 {
-		t.Fatalf("children = %d", len(search.Children))
-	}
-	for i, want := range []string{"2", "4", "8"} {
-		if search.Children[i].T != want {
-			t.Fatalf("probe %d: T = %q, want %q", i, search.Children[i].T, want)
-		}
-	}
-	if search.Children[2].Outcome != "accept" {
-		t.Fatalf("probe 2 outcome = %q", search.Children[2].Outcome)
-	}
-}
-
-func TestSpanRecorderDuplicateGuess(t *testing.T) {
-	// Under speculation the same T can be probed twice; FIFO matching by
-	// guess must close the earliest open span first.
-	r := NewSpanRecorder()
-	T := sched.R(5)
-	r.ProbeStarted(T)
-	r.ProbeStarted(T)
-	r.ProbeFinished(T, false)
-	r.ProbeFinished(T, false)
-	r.SearchFinished("nonp-search", 2)
-	root := r.Root()
-	search := root.Child("search")
-	if len(search.Children) != 2 {
-		t.Fatalf("children = %d", len(search.Children))
-	}
-	for i, sp := range search.Children {
-		if sp.Outcome == "" {
-			t.Fatalf("probe %d left open", i)
-		}
-	}
-}
-
 func TestSpanRecorderAbandonedSolve(t *testing.T) {
 	// A canceled solve never reports SearchFinished; Root must still
 	// close everything.

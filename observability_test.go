@@ -2,6 +2,7 @@ package setupsched_test
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"setupsched"
@@ -42,6 +43,12 @@ func TestObservedSolveAllocsNoMoreThanBare(t *testing.T) {
 			}
 		}
 	}
+	// AllocsPerRun counts process-wide mallocs, and the runtime allocates
+	// in background work it starts after each GC cycle (the unique-map
+	// cleanup linked in by net/netip), which -race makes frequent enough
+	// to land inside a run.  Pausing GC keeps the count to the solve's own
+	// allocations, so the comparison below can stay exact.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	bare := testing.AllocsPerRun(10, solve(nil))
 	withObs := testing.AllocsPerRun(10, solve(metered))
 	if withObs > bare {

@@ -20,7 +20,6 @@ import (
 //	sched_batch_rejected_total        429s from the saturated batch gate
 //	sched_probes_total                dual-test evaluations run
 //	sched_solve_timeouts_total        solves aborted by timeout/cancel
-//	sched_parallel_solves_total       solves with speculative probing
 //	sched_solve_duration_seconds      latency histogram (success only)
 //	sched_cache_*_total{cache}        hit/miss/eviction, results | solvers
 //	sched_cache_size{cache}           current LRU occupancy
@@ -55,9 +54,8 @@ type serverMetrics struct {
 	errors          *obs.Counter
 	rejected        *obs.Counter
 
-	probes         *obs.Counter
-	timeouts       *obs.Counter
-	parallelSolves *obs.Counter
+	probes   *obs.Counter
+	timeouts *obs.Counter
 
 	latency *obs.Histogram
 
@@ -96,9 +94,8 @@ func newServerMetrics() *serverMetrics {
 		errors:          reg.Counter("sched_request_errors_total", "Responses that carried an error."),
 		rejected:        reg.Counter("sched_batch_rejected_total", "Batch requests rejected with 429 (pool saturated)."),
 
-		probes:         reg.Counter("sched_probes_total", "Dual-test probe evaluations run by the searches."),
-		timeouts:       reg.Counter("sched_solve_timeouts_total", "Solves aborted by timeout or client cancellation."),
-		parallelSolves: reg.Counter("sched_parallel_solves_total", "Solves that ran with speculative probing (parallelism > 1)."),
+		probes:   reg.Counter("sched_probes_total", "Dual-test probe evaluations run by the searches."),
+		timeouts: reg.Counter("sched_solve_timeouts_total", "Solves aborted by timeout or client cancellation."),
 
 		latency: reg.Histogram("sched_solve_duration_seconds",
 			"Wall-clock latency of successful solves (stateless and session).",

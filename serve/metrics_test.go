@@ -139,6 +139,9 @@ func TestStatsGoldenSchema(t *testing.T) {
 	if _, resp := postJSON(t, ts, "/v1/solve", &SolveRequest{Instance: testInstance(3)}); resp.Error != "" {
 		t.Fatalf("solve error: %s", resp.Error)
 	}
+	if st := getStats(t, ts); st.Runtime.MaxProcs < 1 || st.Runtime.Goroutines < 1 {
+		t.Fatalf("runtime stats not populated: %+v", st.Runtime)
+	}
 
 	raw, err := ts.Client().Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -153,12 +156,12 @@ func TestStatsGoldenSchema(t *testing.T) {
 	golden := map[string][]string{
 		"":           {"uptime_seconds", "draining", "requests", "search", "cache", "solvers", "sessions", "latency_ms", "runtime"},
 		"requests":   {"solve", "batch", "batch_items", "session", "errors", "rejected"},
-		"search":     {"probes", "timeouts", "parallel_solves"},
+		"search":     {"probes", "timeouts"},
 		"cache":      {"enabled", "size", "capacity", "hits", "misses", "evictions", "hit_rate"},
 		"solvers":    {"enabled", "size", "capacity", "hits", "misses", "evictions", "hit_rate"},
 		"sessions":   {"enabled", "active", "capacity", "ttl_seconds", "created", "deleted", "evicted_lru", "evicted_ttl", "deltas", "solves", "cache_hits", "warm_hits", "exported", "imported"},
 		"latency_ms": {"count", "p50", "p99", "max"},
-		"runtime":    {"goroutines", "gomaxprocs", "max_parallelism"},
+		"runtime":    {"goroutines", "gomaxprocs"},
 	}
 	for _, key := range golden[""] {
 		if _, ok := doc[key]; !ok {

@@ -1,80 +1,67 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
-	"setupsched/sched"
 	"setupsched/schedgen"
 )
 
-// parallelTestInstance is setup-heavy enough that the searches genuinely
-// probe, so the parallelism knob exercises speculative batches.
-func parallelTestInstance() *sched.Instance {
-	return schedgen.ExpensiveSetups(schedgen.Params{
+// TestSolveIgnoresParallelismField: solves always probe serially, and a
+// body that still carries the retired "parallelism" field decodes as
+// before (unknown fields are ignored) and gets exactly the answer of the
+// same body without it: same result, same probe count, same trace.
+func TestSolveIgnoresParallelismField(t *testing.T) {
+	// Setup-heavy enough that the searches genuinely probe; the cache is
+	// off so every request runs its own search.
+	ts := httptest.NewServer(New(Config{CacheSize: -1}))
+	defer ts.Close()
+	in, err := json.Marshal(schedgen.ExpensiveSetups(schedgen.Params{
 		M: 32, Classes: 40, JobsPer: 3, MaxSetup: 500, MaxJob: 60, Seed: 11,
-	})
-}
-
-// TestSolveParallelismKnob: a parallel request succeeds, returns the same
-// makespan/bounds as the serial one, and is counted in /v1/stats.
-func TestSolveParallelismKnob(t *testing.T) {
-	// The cap defaults to GOMAXPROCS, which may be 1 on a small box; pin
-	// it so the knob demonstrably engages.
-	ts := httptest.NewServer(New(Config{CacheSize: -1, MaxParallelism: 8}))
-	defer ts.Close()
-	in := parallelTestInstance()
-
-	_, serial := postJSON(t, ts, "/v1/solve", &SolveRequest{Instance: in, Variant: "nonp"})
-	if serial.Error != "" {
-		t.Fatalf("serial solve: %s", serial.Error)
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, par := postJSON(t, ts, "/v1/solve", &SolveRequest{Instance: in, Variant: "nonp", Parallelism: 4})
-	if par.Error != "" {
-		t.Fatalf("parallel solve: %s", par.Error)
+	post := func(body string) (int, *SolveResponse) {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/v1/solve", "application/json", bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out SolveResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("decoding response: %v", err)
+		}
+		return resp.StatusCode, &out
 	}
-	if par.Makespan != serial.Makespan || par.LowerBound != serial.LowerBound {
-		t.Fatalf("parallel result (%s, %s) differs from serial (%s, %s)",
-			par.Makespan, par.LowerBound, serial.Makespan, serial.LowerBound)
-	}
-
-	st := getStats(t, ts)
-	if st.Search.ParallelSolves != 1 {
-		t.Fatalf("parallel_solves = %d, want 1", st.Search.ParallelSolves)
-	}
-	if st.Runtime.MaxProcs < 1 || st.Runtime.Goroutines < 1 {
-		t.Fatalf("runtime stats not populated: %+v", st.Runtime)
-	}
-	if st.Runtime.MaxParallelism != 8 {
-		t.Fatalf("max_parallelism = %d, want 8", st.Runtime.MaxParallelism)
-	}
-}
-
-// TestSolveParallelismClamp: the knob is clamped to the server cap, and a
-// negative cap forces serial solves (parallel_solves stays zero).
-func TestSolveParallelismClamp(t *testing.T) {
-	ts := httptest.NewServer(New(Config{CacheSize: -1, MaxParallelism: -1}))
-	defer ts.Close()
-	in := parallelTestInstance()
-	resp, out := postJSON(t, ts, "/v1/solve", &SolveRequest{Instance: in, Variant: "split", Parallelism: 64})
-	if resp.StatusCode != http.StatusOK || out.Error != "" {
-		t.Fatalf("clamped solve failed: %d %s", resp.StatusCode, out.Error)
-	}
-	if st := getStats(t, ts); st.Search.ParallelSolves != 0 {
-		t.Fatalf("parallel_solves = %d with a negative cap, want 0", st.Search.ParallelSolves)
-	}
-	if st := getStats(t, ts); st.Runtime.MaxParallelism != -1 {
-		t.Fatalf("max_parallelism = %d, want -1", st.Runtime.MaxParallelism)
-	}
-}
-
-// TestSolveParallelismInvalid: negative request parallelism is a 400.
-func TestSolveParallelismInvalid(t *testing.T) {
-	ts := httptest.NewServer(New(Config{}))
-	defer ts.Close()
-	resp, out := postJSON(t, ts, "/v1/solve", &SolveRequest{Instance: parallelTestInstance(), Parallelism: -2})
-	if resp.StatusCode != http.StatusBadRequest || out.Error == "" {
-		t.Fatalf("negative parallelism: status %d, error %q", resp.StatusCode, out.Error)
+	for _, variant := range []string{"split", "pmtn", "nonp"} {
+		body := func(extra string) string {
+			return fmt.Sprintf(`{"variant":%q,"include_trace":true,%s"instance":%s}`, variant, extra, in)
+		}
+		status, want := post(body(""))
+		if status != http.StatusOK || want.Error != "" {
+			t.Fatalf("%s without the field: status %d, error %q", variant, status, want.Error)
+		}
+		if want.Probes < 2 {
+			t.Fatalf("%s: instance converged in %d probes; the search must genuinely probe", variant, want.Probes)
+		}
+		for _, par := range []string{"4", "-2"} {
+			status, got := post(body(`"parallelism":` + par + `,`))
+			if status != http.StatusOK || got.Error != "" {
+				t.Fatalf("%s with parallelism %s: status %d, error %q", variant, par, status, got.Error)
+			}
+			if got.Makespan != want.Makespan || got.LowerBound != want.LowerBound ||
+				got.Algorithm != want.Algorithm || got.Probes != want.Probes || !reflect.DeepEqual(got.Trace, want.Trace) {
+				t.Errorf("%s with parallelism %s: (%s, %s, %s, %d probes) != without the field (%s, %s, %s, %d probes)",
+					variant, par, got.Makespan, got.LowerBound, got.Algorithm, got.Probes,
+					want.Makespan, want.LowerBound, want.Algorithm, want.Probes)
+			}
+		}
 	}
 }

@@ -56,12 +56,6 @@
 // request's timeout_ms: client disconnects and deadline hits abort the
 // search mid-probe (HTTP 408) and are counted in /v1/stats along with
 // every dual-test probe the searches run.
-//
-// A request may set "parallelism" to let its solve probe speculatively on
-// that many goroutines (clamped to the server's MaxParallelism).  The
-// engine guarantees bit-identical results to the serial solve, so the
-// caches ignore the knob; /v1/stats counts parallel solves and reports
-// the process's goroutine posture.
 package serve
 
 import (
@@ -98,10 +92,6 @@ type Config struct {
 	// Solvers (instance preparation reuse).  Default 1024; negative
 	// disables reuse and prepares per request.
 	SolverCacheSize int
-	// MaxParallelism caps the per-request "parallelism" knob (speculative
-	// probe goroutines per solve).  Default runtime.GOMAXPROCS(0);
-	// negative forces every solve serial regardless of the request.
-	MaxParallelism int
 	// SolveTimeout bounds each solve (per batch item on the NDJSON
 	// path).  Zero means no server-side limit; requests may still set a
 	// tighter timeout_ms of their own.
@@ -165,9 +155,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SolverCacheSize == 0 {
 		c.SolverCacheSize = 1024
-	}
-	if c.MaxParallelism == 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
@@ -304,12 +291,6 @@ type SolveRequest struct {
 	// the server's configured SolveTimeout, never extend it.  Zero means
 	// no per-request limit.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallelism is the number of goroutines this solve may use for
-	// speculative probe search, clamped to the server's MaxParallelism.
-	// Results are bit-identical to a serial solve (only latency and the
-	// probe count change), which is why cache entries are shared across
-	// parallelism values.  Zero or one means serial.
-	Parallelism int `json:"parallelism,omitempty"`
 	// IncludeSchedule adds the full schedule to the response.
 	IncludeSchedule bool `json:"include_schedule,omitempty"`
 	// IncludeTrace adds the search's probe trace to the response.
@@ -609,10 +590,6 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanReco
 		return errResponse(http.StatusBadRequest,
 			(&setupsched.EpsilonRangeError{Epsilon: req.Epsilon}).Error())
 	}
-	if req.Parallelism < 0 {
-		return errResponse(http.StatusBadRequest,
-			fmt.Sprintf("negative parallelism %d", req.Parallelism))
-	}
 	if err := req.Instance.Validate(); err != nil {
 		return errResponse(http.StatusBadRequest, err.Error())
 	}
@@ -674,13 +651,6 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanReco
 	if algo == setupsched.EpsilonSearch && req.Epsilon != 0 {
 		opts = append(opts, setupsched.WithEpsilon(req.Epsilon))
 	}
-	// Speculative probe search, clamped to the server-wide cap.  The
-	// result is bit-identical to the serial solve, so the cache stays
-	// oblivious to the knob.
-	if par := s.clampParallelism(req.Parallelism); par > 1 {
-		opts = append(opts, setupsched.WithParallelism(par))
-		s.metrics.parallelSolves.Inc()
-	}
 	sctx, cancel := s.solveContext(ctx, req)
 	defer cancel()
 	canonRes, err := solver.Solve(sctx, v, opts...)
@@ -703,19 +673,6 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanReco
 		s.cache.put(&cacheEntry{key: key, canon: canonIn, result: &cached})
 	}
 	return s.respond(req, v, fp, &res, false)
-}
-
-// clampParallelism bounds a requested speculative width by the server's
-// MaxParallelism (negative cap forces serial).
-func (s *Server) clampParallelism(n int) int {
-	cap := s.cfg.MaxParallelism
-	if cap < 1 || n < 1 {
-		return 1
-	}
-	if n > cap {
-		return cap
-	}
-	return n
 }
 
 // solverFor returns the shared Solver for the canonical instance, or a

@@ -32,15 +32,13 @@ type StatsResponse struct {
 }
 
 // RuntimeStats reports the server process's goroutine posture, for sizing
-// the parallelism knobs against the actual hardware.
+// the worker pools against the actual hardware.
 type RuntimeStats struct {
 	// Goroutines is the live goroutine count at stats time (includes all
-	// in-flight solves and their speculative probe workers).
+	// in-flight solves).
 	Goroutines int `json:"goroutines"`
 	// MaxProcs is runtime.GOMAXPROCS(0), the scheduler's CPU budget.
 	MaxProcs int `json:"gomaxprocs"`
-	// MaxParallelism is the server's cap on the per-request knob.
-	MaxParallelism int `json:"max_parallelism"`
 }
 
 // RequestStats counts requests by kind.
@@ -80,13 +78,11 @@ type SessionStats struct {
 }
 
 // SearchStats reports probe-level search activity: every dual-test
-// evaluation run by the searches (cache hits run none), the number of
-// solves aborted by timeout or client cancellation, and how many solves
-// ran with speculative probing (request parallelism > 1 after clamping).
+// evaluation run by the searches (cache hits run none) and the number of
+// solves aborted by timeout or client cancellation.
 type SearchStats struct {
-	Probes         uint64 `json:"probes"`
-	Timeouts       uint64 `json:"timeouts"`
-	ParallelSolves uint64 `json:"parallel_solves"`
+	Probes   uint64 `json:"probes"`
+	Timeouts uint64 `json:"timeouts"`
 }
 
 // CacheStats reports result-cache occupancy and effectiveness.
@@ -127,14 +123,12 @@ func (s *Server) buildStats() *StatsResponse {
 			Rejected:   m.rejected.Load(),
 		},
 		Search: SearchStats{
-			Probes:         m.probes.Load(),
-			Timeouts:       m.timeouts.Load(),
-			ParallelSolves: m.parallelSolves.Load(),
+			Probes:   m.probes.Load(),
+			Timeouts: m.timeouts.Load(),
 		},
 		Runtime: RuntimeStats{
-			Goroutines:     runtime.NumGoroutine(),
-			MaxProcs:       runtime.GOMAXPROCS(0),
-			MaxParallelism: s.cfg.MaxParallelism,
+			Goroutines: runtime.NumGoroutine(),
+			MaxProcs:   runtime.GOMAXPROCS(0),
 		},
 	}
 	if s.cache != nil {

@@ -109,11 +109,8 @@ type Result struct {
 	// so Ratio may exceed the algorithm's usual guarantee.
 	Fallback bool
 	// Trace records the dual-test evaluations of the search in execution
-	// order, deduplicated by guess: under speculative probing
-	// (WithParallelism) a guess can be evaluated redundantly and is
-	// recorded once, at its first evaluation, so len(Trace) <= Probes
-	// with equality for serial solves.  Nil for results that predate the
-	// Solver API (e.g. deserialized ones).
+	// order, one entry per probe, so len(Trace) == Probes.  Nil for
+	// results that predate the Solver API (e.g. deserialized ones).
 	Trace []Probe
 }
 

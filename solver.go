@@ -124,18 +124,10 @@ func WithNodeBudget(n int64) Option {
 	}
 }
 
-// WithParallelism sets the number of goroutines a call may use.  n must
-// be at least 1 (the default: fully serial).
-//
-// For Solver.Solve, n is the speculative probing width: the dual search
-// evaluates up to n candidate makespan guesses concurrently per round and
-// keeps the tightest accept/reject bracket.  The accepted guess, the
-// certified lower bound and the schedule are bit-identical to the serial
-// search; only wall-clock time, Probes and the Trace length change
-// (speculation evaluates guesses a serial search can skip).
-//
-// For Solver.SolveAll, n bounds how many (variant, algorithm) runs solve
-// concurrently; each individual run probes serially.
+// WithParallelism bounds how many (variant, algorithm) runs of a
+// Solver.SolveAll call solve concurrently.  n must be at least 1 (the
+// default: fully serial).  Each run probes serially, so results do not
+// depend on n.  Solve and DualTest reject any n other than 1.
 func WithParallelism(n int) Option {
 	return func(c *solveConfig) error {
 		if n < 1 {
@@ -228,27 +220,14 @@ func resolveOptions(opts []Option) (*solveConfig, error) {
 	return cfg, nil
 }
 
-// traceObserver collects the probe sequence for Result.Trace, in the
-// order the search admitted the probes and deduplicated by guess: a
-// makespan guess evaluated more than once (possible only under
-// speculative probing) is recorded at its first evaluation.
-//
-// The seen-set is keyed by the guess itself: guesses are positive and
-// normalized, so two of them are the same struct exactly when Equal.
+// traceObserver collects the probe sequence for Result.Trace, one entry
+// per probe in execution order.
 type traceObserver struct {
 	trace []Probe
-	seen  map[Rat]bool
 }
 
 func (t *traceObserver) ProbeStarted(Rat) {}
 func (t *traceObserver) ProbeFinished(T Rat, accepted bool) {
-	if t.seen == nil {
-		t.seen = make(map[Rat]bool)
-	}
-	if t.seen[T] {
-		return
-	}
-	t.seen[T] = true
 	t.trace = append(t.trace, Probe{T: T, Accepted: accepted})
 }
 func (t *traceObserver) SearchFinished(string, int) {}
@@ -278,27 +257,24 @@ func (m multiObserver) SearchFinished(algorithm string, probes int) {
 // the given variant.  The context cancels the search between probes: a
 // canceled or expired ctx aborts promptly with an error matching both
 // ErrCanceled and the context's own error, and no partial schedule is
-// returned.  With no options it runs the exact 3/2-approximation
-// serially; WithParallelism(n) turns on speculative probing (see the
-// option's documentation — results stay bit-identical to the serial
-// search).
+// returned.  With no options it runs the exact 3/2-approximation.
 func (s *Solver) Solve(ctx context.Context, v Variant, opts ...Option) (*Result, error) {
 	cfg, err := resolveOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.runs != nil {
-		return nil, errors.New("setupsched: WithRuns only applies to SolveAll")
+	if cfg.runs != nil || cfg.parallelism != 1 {
+		return nil, errors.New("setupsched: WithRuns and WithParallelism only apply to SolveAll")
 	}
-	return s.solveRun(ctx, v, cfg.algorithm, cfg, cfg.parallelism, cfg.fanBuf[:0])
+	return s.solveRun(ctx, v, cfg.algorithm, cfg, cfg.fanBuf[:0])
 }
 
 // solveRun executes one (variant, algorithm) solve under the resolved
-// configuration; parallelism is the speculative probing width.  fan is
-// the backing storage for the observer fan-out: Solve passes the
-// config's inline buffer (zero extra allocations); SolveAll passes nil
-// because its concurrent runs must not share one buffer.
-func (s *Solver) solveRun(ctx context.Context, v Variant, algorithm Algorithm, cfg *solveConfig, parallelism int, fan []Observer) (*Result, error) {
+// configuration.  fan is the backing storage for the observer fan-out:
+// Solve passes the config's inline buffer (zero extra allocations);
+// SolveAll passes nil because its concurrent runs must not share one
+// buffer.
+func (s *Solver) solveRun(ctx context.Context, v Variant, algorithm Algorithm, cfg *solveConfig, fan []Observer) (*Result, error) {
 	tr := &traceObserver{}
 	fan = append(fan, tr)
 	fan = append(fan, cfg.observers...)
@@ -311,7 +287,7 @@ func (s *Solver) solveRun(ctx context.Context, v Variant, algorithm Algorithm, c
 		obs.SearchFinished(res.Algorithm, res.Probes)
 		return res, nil
 	}
-	ctl := core.Ctl{Ctx: ctx, Obs: obs, ProbeLimit: cfg.probeLimit, Parallelism: parallelism}
+	ctl := core.Ctl{Ctx: ctx, Obs: obs, ProbeLimit: cfg.probeLimit}
 
 	var r *core.Result
 	var err error
@@ -447,7 +423,7 @@ func (s *Solver) SolveAll(ctx context.Context, opts ...Option) ([]RunResult, err
 			defer wg.Done()
 			for i := range next {
 				r := runs[i]
-				res, err := s.solveRun(ctx, r.Variant, r.Algorithm, cfg, 1, nil)
+				res, err := s.solveRun(ctx, r.Variant, r.Algorithm, cfg, nil)
 				out[i] = RunResult{Run: r, Result: res, Err: err}
 			}
 		}()
