@@ -12,15 +12,14 @@ import (
 	"setupsched/schedgen"
 )
 
-// TestSolveIgnoresParallelismField: solves always probe serially, and a
-// body that still carries the retired "parallelism" field decodes as
-// before (unknown fields are ignored) and gets exactly the answer of the
-// same body without it: same result, same probe count, same trace.
-func TestSolveIgnoresParallelismField(t *testing.T) {
-	// Setup-heavy enough that the searches genuinely probe; the cache is
-	// off so every request runs its own search.
-	ts := httptest.NewServer(New(Config{CacheSize: -1}))
-	defer ts.Close()
+// checkParallelismIgnored posts, for every variant, the same body with and
+// without a "parallelism" field set to par, and requires both to succeed
+// with the same result, probe count and trace. Solves always probe
+// serially; the retired field decodes as before (encoding/json ignores
+// unknown fields) and changes nothing.
+func checkParallelismIgnored(t *testing.T, ts *httptest.Server, par string) {
+	t.Helper()
+	// Setup-heavy enough that the searches genuinely probe.
 	in, err := json.Marshal(schedgen.ExpensiveSetups(schedgen.Params{
 		M: 32, Classes: 40, JobsPer: 3, MaxSetup: 500, MaxJob: 60, Seed: 11,
 	}))
@@ -51,17 +50,40 @@ func TestSolveIgnoresParallelismField(t *testing.T) {
 		if want.Probes < 2 {
 			t.Fatalf("%s: instance converged in %d probes; the search must genuinely probe", variant, want.Probes)
 		}
-		for _, par := range []string{"4", "-2"} {
-			status, got := post(body(`"parallelism":` + par + `,`))
-			if status != http.StatusOK || got.Error != "" {
-				t.Fatalf("%s with parallelism %s: status %d, error %q", variant, par, status, got.Error)
-			}
-			if got.Makespan != want.Makespan || got.LowerBound != want.LowerBound ||
-				got.Algorithm != want.Algorithm || got.Probes != want.Probes || !reflect.DeepEqual(got.Trace, want.Trace) {
-				t.Errorf("%s with parallelism %s: (%s, %s, %s, %d probes) != without the field (%s, %s, %s, %d probes)",
-					variant, par, got.Makespan, got.LowerBound, got.Algorithm, got.Probes,
-					want.Makespan, want.LowerBound, want.Algorithm, want.Probes)
-			}
+		status, got := post(body(`"parallelism":` + par + `,`))
+		if status != http.StatusOK || got.Error != "" {
+			t.Fatalf("%s with parallelism %s: status %d, error %q", variant, par, status, got.Error)
+		}
+		if got.Makespan != want.Makespan || got.LowerBound != want.LowerBound ||
+			got.Algorithm != want.Algorithm || got.Probes != want.Probes || !reflect.DeepEqual(got.Trace, want.Trace) {
+			t.Errorf("%s with parallelism %s: (%s, %s, %s, %d probes) != without the field (%s, %s, %s, %d probes)",
+				variant, par, got.Makespan, got.LowerBound, got.Algorithm, got.Probes,
+				want.Makespan, want.LowerBound, want.Algorithm, want.Probes)
 		}
 	}
+}
+
+// TestSolveParallelismKnob: a request asking for parallelism 4 gets the
+// serial answer.
+func TestSolveParallelismKnob(t *testing.T) {
+	// The cache is off so every request runs its own search.
+	ts := httptest.NewServer(New(Config{CacheSize: -1}))
+	defer ts.Close()
+	checkParallelismIgnored(t, ts, "4")
+}
+
+// TestSolveParallelismClamp: there is no server cap left to clamp to; a
+// request asking for parallelism 64 gets the serial answer.
+func TestSolveParallelismClamp(t *testing.T) {
+	ts := httptest.NewServer(New(Config{CacheSize: -1}))
+	defer ts.Close()
+	checkParallelismIgnored(t, ts, "64")
+}
+
+// TestSolveParallelismInvalid: a negative parallelism is not a 400; the
+// field is ignored and the request gets the serial answer.
+func TestSolveParallelismInvalid(t *testing.T) {
+	ts := httptest.NewServer(New(Config{CacheSize: -1}))
+	defer ts.Close()
+	checkParallelismIgnored(t, ts, "-2")
 }

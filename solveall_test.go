@@ -127,6 +127,41 @@ func TestSolveAllOptionValidation(t *testing.T) {
 	}
 }
 
+// TestSolveSpeculativeMatchesSerial: Solve has no speculative path. The
+// one width it accepts, WithParallelism(1), returns bit-identical results
+// to plain Solve, and each trace holds one entry per probe with no guess
+// repeated.
+func TestSolveSpeculativeMatchesSerial(t *testing.T) {
+	s := solveAllInstance(t)
+	ctx := context.Background()
+	for _, r := range PaperRuns() {
+		serial, err := s.Solve(ctx, r.Variant, WithAlgorithm(r.Algorithm))
+		if err != nil {
+			t.Fatalf("%s: %v", r, err)
+		}
+		one, err := s.Solve(ctx, r.Variant, WithAlgorithm(r.Algorithm), WithParallelism(1))
+		if err != nil {
+			t.Fatalf("%s with parallelism 1: %v", r, err)
+		}
+		if !one.Makespan.Equal(serial.Makespan) || !one.LowerBound.Equal(serial.LowerBound) ||
+			!one.Guess.Equal(serial.Guess) || one.Probes != serial.Probes {
+			t.Errorf("%s: parallelism 1 (%s, %s, %s, %d probes) != serial (%s, %s, %s, %d probes)",
+				r, one.Makespan, one.LowerBound, one.Guess, one.Probes,
+				serial.Makespan, serial.LowerBound, serial.Guess, serial.Probes)
+		}
+		if len(serial.Trace) != serial.Probes {
+			t.Errorf("%s: %d trace entries for %d probes", r, len(serial.Trace), serial.Probes)
+		}
+		seen := map[string]bool{}
+		for _, p := range serial.Trace {
+			if seen[p.T.String()] {
+				t.Errorf("%s: duplicate trace entry for guess %s", r, p.T)
+			}
+			seen[p.T.String()] = true
+		}
+	}
+}
+
 // TestSolveAllCancellation: a canceled context yields one ErrCanceled per
 // run and no partial results.
 func TestSolveAllCancellation(t *testing.T) {
