@@ -46,10 +46,12 @@ bench-json:
 # One short untraced run of the end-to-end benchmark (BENCHMARK.json,
 # see README "Performance tracking") per workload.  Each run checks every
 # output itself — Verify, makespan within 3/2 of the certified bound,
-# session answers bit-identical to a fresh solver — and the target fails
-# unless its result line reports "correct":true.
+# session answers bit-identical to a fresh solver, each serve-hits HTTP
+# answer against the library's makespan and the ring owner, sampled
+# schedules validated against the request's own instance — and the
+# target fails unless its result line reports "correct":true.
 perfbench-smoke:
-	@set -e; for w in core-cold session-churn; do \
+	@set -e; for w in core-cold serve-hits session-churn; do \
 		line=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0 | tail -n 1); \
 		echo "$$w: $$line"; \
 		case "$$line" in *'"correct":true'*) ;; *) echo "perfbench-smoke: $$w failed" >&2; exit 1;; esac; \
@@ -57,7 +59,8 @@ perfbench-smoke:
 	@echo "perfbench-smoke: ok"
 
 # Short fuzz sessions on the canonicalization/verification trust
-# boundaries and the incremental session engine.  The native fuzzer
+# boundaries, the incremental session engine and the solve-request
+# decoders of both serving tiers.  The native fuzzer
 # allows one -fuzz target per invocation.
 FUZZTIME ?= 20s
 fuzz-smoke:
@@ -65,6 +68,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzVerifySchedule -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzSessionDeltas -fuzztime=$(FUZZTIME) ./stream
 	$(GO) test -run='^$$' -fuzz=FuzzExactSandwich -fuzztime=$(FUZZTIME) ./internal/exact
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./serve
+	$(GO) test -run='^$$' -fuzz=FuzzRouteInstance -fuzztime=$(FUZZTIME) ./internal/lb
 
 # A short differential soak: every schedgen family through all nine
 # algorithms with guarantee checking (see cmd/schedstress).

@@ -40,9 +40,11 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
+	"setupsched/internal/wire"
 	"setupsched/obs"
 	"setupsched/sched"
 	"setupsched/shard"
@@ -223,18 +225,61 @@ func (p *Proxy) Registry() *obs.Registry { return p.metrics.reg }
 // load-test harness predicts placements with the proxy's own ring.
 func (p *Proxy) Owner(key string) Shard { return p.shards[p.ring.Owner(key)] }
 
-// routeInstance extracts the routing fingerprint from a solve body.
+// routeInstance's pooled state: a body reader and the canonical view
+// that fingerprints the instance it reads.
+var (
+	readerPool = sync.Pool{New: func() any { return new(wire.Reader) }}
+	viewPool   = sync.Pool{New: func() any { return new(sched.CanonicalView) }}
+)
+
+// routeInstance extracts the routing fingerprint from a solve body.  A
+// body in the plain form (see package wire) is read without reflection;
+// any other body goes to json.Unmarshal, which decides what it means or
+// why it is invalid.  Either way the instance is fingerprinted through a
+// pooled view.
 func routeInstance(body []byte) (string, error) {
-	var req struct {
-		Instance *sched.Instance `json:"instance"`
+	rd := readerPool.Get().(*wire.Reader)
+	in, ok := plainInstance(rd, body)
+	rd.Reset(nil) // the pooled reader must not pin the body
+	readerPool.Put(rd)
+	if !ok {
+		var req struct {
+			Instance *sched.Instance `json:"instance"`
+		}
+		if err := json.Unmarshal(body, &req); err != nil {
+			return "", fmt.Errorf("parsing request body: %w", err)
+		}
+		in = req.Instance
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return "", fmt.Errorf("parsing request body: %w", err)
-	}
-	if req.Instance == nil {
+	if in == nil {
 		return "", fmt.Errorf("missing instance")
 	}
-	return req.Instance.Fingerprint(), nil
+	view := viewPool.Get().(*sched.CanonicalView)
+	defer func() { view.Unbind(); viewPool.Put(view) }()
+	view.Bind(in)
+	return view.Fingerprint(), nil
+}
+
+// plainInstance reads the instance of a plain-form solve body.  Keys
+// other than "instance" are skipped when their values are strings,
+// numbers or booleans; it reports false on anything else, and on a case
+// variant of "instance", which json.Unmarshal would bind.
+func plainInstance(rd *wire.Reader, body []byte) (*sched.Instance, bool) {
+	rd.Reset(body)
+	rd.Begin('{')
+	var in *sched.Instance
+	for i := 0; rd.More('}', i); i++ {
+		key := rd.Key()
+		switch {
+		case string(key) == "instance" && in == nil:
+			in = rd.Instance()
+		case strings.EqualFold(string(key), "instance"):
+			return nil, false // repeated, or a case variant
+		default:
+			rd.SkipScalar()
+		}
+	}
+	return in, rd.End()
 }
 
 // forward proxies one buffered request to the key's owning shard and

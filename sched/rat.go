@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"setupsched/internal/num128"
 )
@@ -247,10 +248,18 @@ func (r Rat) Float64() float64 { return float64(r.n) / float64(r.Den()) }
 
 // String formats r as "p" or "p/q".
 func (r Rat) String() string {
-	if r.Den() == 1 {
-		return fmt.Sprintf("%d", r.n)
+	var buf [40]byte
+	return string(r.Append(buf[:0]))
+}
+
+// Append appends the String form of r to b: the serving layer writes
+// schedules of thousands of rationals without a string per value.
+func (r Rat) Append(b []byte) []byte {
+	b = strconv.AppendInt(b, r.n, 10)
+	if d := r.Den(); d != 1 {
+		b = strconv.AppendInt(append(b, '/'), d, 10)
 	}
-	return fmt.Sprintf("%d/%d", r.n, r.Den())
+	return b
 }
 
 // MaxRat returns the larger of a and b.

@@ -3,6 +3,9 @@ package sched
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
+	"strings"
 )
 
 // Stats summarizes a schedule's resource usage.
@@ -74,34 +77,61 @@ func (s *Schedule) ComputeStats(numClasses int) Stats {
 
 // MarshalJSON encodes a Rat as the string "p/q" (or "p" for integers).
 func (r Rat) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.String())
+	b := make([]byte, 0, 42)
+	return append(r.Append(append(b, '"')), '"'), nil
 }
 
-// UnmarshalJSON decodes "p/q" strings, "p" strings and plain JSON numbers.
+// UnmarshalJSON decodes what MarshalJSON writes — a "p" or "p/q" string
+// with q >= 1 — and bare JSON integers.  Anything else is an error:
+// spaces, signs other than a leading '-' on p, leading zeros, hex, extra
+// slashes or trailing bytes.
 func (r *Rat) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		// Accept bare integers for convenience.
-		var n int64
-		if err2 := json.Unmarshal(data, &n); err2 == nil {
-			*r = R(n)
-			return nil
+	if len(data) > 0 && data[0] != '"' {
+		p, ok := parseDecimal(string(data), true)
+		if !ok {
+			return fmt.Errorf("sched: cannot parse rational %s", data)
 		}
-		return err
-	}
-	var p, q int64
-	if _, err := fmt.Sscanf(s, "%d/%d", &p, &q); err == nil {
-		if q == 0 {
-			return fmt.Errorf("sched: zero denominator in %q", s)
-		}
-		*r = RatOf(p, q)
-		return nil
-	}
-	if _, err := fmt.Sscanf(s, "%d", &p); err == nil {
 		*r = R(p)
 		return nil
 	}
-	return fmt.Errorf("sched: cannot parse rational %q", s)
+	var s string
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	num, den, frac := strings.Cut(s, "/")
+	p, ok := parseDecimal(num, true)
+	q := int64(1)
+	if ok && frac {
+		q, ok = parseDecimal(den, false)
+	}
+	if !ok {
+		return fmt.Errorf("sched: cannot parse rational %q", s)
+	}
+	if q == 0 {
+		return fmt.Errorf("sched: zero denominator in %q", s)
+	}
+	*r = RatOf(p, q)
+	return nil
+}
+
+// parseDecimal parses a JSON integer, -?(0|[1-9][0-9]*), that fits an
+// int64 and is not math.MinInt64 (whose negation overflows); signed
+// allows the '-'.
+func parseDecimal(s string, signed bool) (int64, bool) {
+	digits := s
+	if signed {
+		digits = strings.TrimPrefix(s, "-")
+	}
+	if digits == "" || digits[0] == '0' && len(digits) > 1 {
+		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
+	}
+	v, err := strconv.ParseInt(s, 10, 64)
+	return v, err == nil && v != math.MinInt64
 }
 
 // slotJSON is the serialized slot form.

@@ -2,6 +2,8 @@ package sched
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 	"testing"
 )
 
@@ -96,5 +98,46 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	var bad Schedule
 	if err := json.Unmarshal([]byte(`{"variant":"weird"}`), &bad); err == nil {
 		t.Error("unknown variant accepted")
+	}
+}
+
+func TestRatUnmarshalStrict(t *testing.T) {
+	accept := map[string]Rat{
+		`"3/4"`: RatOf(3, 4), `"-3/4"`: RatOf(-3, 4), `"6/4"`: RatOf(3, 2), `"3/1"`: R(3),
+		`"0"`: {}, `"-7"`: R(-7), `7`: R(7), `-7`: R(-7), `0`: {},
+		`"9223372036854775807"`: R(math.MaxInt64),
+	}
+	for in, want := range accept {
+		var r Rat
+		if err := json.Unmarshal([]byte(in), &r); err != nil || !r.Equal(want) {
+			t.Errorf("%s: got %s, %v; want %s", in, r, err, want)
+		}
+	}
+	for _, in := range []string{
+		`"3 / 4"`, `"1/2garbage"`, `"1/2/3"`, `"0x10"`, `"1/-2"`, `"1/0"`,
+		`" 3"`, `"3 "`, `"+3"`, `"1/+2"`, `"03"`, `"1/02"`, `"1/"`, `"/2"`, `""`, `"-"`,
+		`"1.5"`, `"1e3"`, `"9223372036854775808"`, `"-9223372036854775808"`, `"-9223372036854775808/3"`,
+		`1.5`, `1e3`, `null`, `true`, `[1]`,
+	} {
+		r := RatOf(5, 7)
+		if err := json.Unmarshal([]byte(in), &r); err == nil {
+			t.Errorf("%s: accepted as %s", in, r)
+		}
+	}
+}
+
+func TestRatAppendMatchesString(t *testing.T) {
+	for _, r := range []Rat{{}, R(1), R(-1), RatOf(7, 3), RatOf(-9, 4), R(math.MaxInt64), RatOf(math.MaxInt64, math.MaxInt64-1), RatOf(math.MinInt64+1, 3)} {
+		want := fmt.Sprintf("%d", r.Num())
+		if r.Den() != 1 {
+			want += fmt.Sprintf("/%d", r.Den())
+		}
+		if got := string(r.Append([]byte("x"))); got != "x"+want || r.String() != want {
+			t.Errorf("Append %q, String %q, want %q", got, r.String(), want)
+		}
+		data, err := json.Marshal(r)
+		if err != nil || string(data) != `"`+want+`"` {
+			t.Errorf("MarshalJSON = %s, %v; want %q", data, err, want)
+		}
 	}
 }

@@ -360,6 +360,11 @@ type SolveResponse struct {
 	// spanRoot retains the recorded tree even when the client did not ask
 	// for spans, so the slow-solve log can attribute phases.
 	spanRoot *obs.Span
+	// schedule and probes are what Schedule and Trace are built from:
+	// the routes append them to the response body directly (see
+	// appendResponse), and only Server.Solve fills the exported forms.
+	schedule *sched.Schedule
+	probes   []setupsched.Probe
 }
 
 // ProbeJSON is one dual-test evaluation of the search (wire form of
@@ -493,13 +498,32 @@ func (s *Server) solveContext(ctx context.Context, req *SolveRequest) (context.C
 	return context.WithTimeout(ctx, d)
 }
 
-// Solve handles one request against the caches and the solvers.  It is
-// the shared core of /v1/solve and /v1/solve/batch and is exported for
-// direct embedding and benchmarks.  The context cancels the solve (client
-// disconnect, per-request or server-wide timeout).  The returned response
-// never aliases cache memory.  Errors are reported inside the response
-// (Error field) so batch streams can carry per-item failures.
+// Solve handles one request against the caches and the solvers, as
+// /v1/solve and /v1/solve/batch do, and is exported for direct embedding
+// and benchmarks.  The context cancels the solve (client disconnect,
+// per-request or server-wide timeout).  The returned response never
+// aliases cache memory.  Errors are reported inside the response (Error
+// field) so batch streams can carry per-item failures.
 func (s *Server) Solve(ctx context.Context, req *SolveRequest) *SolveResponse {
+	resp := s.handle(ctx, req)
+	resp.export()
+	return resp
+}
+
+// export builds the exported Schedule and Trace from the schedule and
+// probes the response keeps.
+func (resp *SolveResponse) export() {
+	if resp.schedule != nil {
+		resp.Schedule = scheduleJSON(resp.schedule)
+	}
+	resp.Trace = traceJSON(resp.probes)
+	resp.schedule, resp.probes = nil, nil
+}
+
+// handle is Solve without the exported Schedule and Trace, which the
+// routes never build: they append the response body from the schedule
+// and probes the response keeps.
+func (s *Server) handle(ctx context.Context, req *SolveRequest) *SolveResponse {
 	started := time.Now()
 	wt, traced := s.startWire(req)
 	rec := s.spanRecorder(req, traced)
@@ -724,10 +748,10 @@ func (s *Server) respond(req *SolveRequest, v sched.Variant, fp string, res *set
 		Cached:          cached,
 	}
 	if req.IncludeSchedule {
-		resp.Schedule = scheduleJSON(res.Schedule)
+		resp.schedule = res.Schedule
 	}
 	if req.IncludeTrace {
-		resp.Trace = traceJSON(res.Trace)
+		resp.probes = res.Trace
 	}
 	return resp
 }
@@ -758,22 +782,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	arrival := time.Now()
 	s.metrics.solveRequests.Inc()
 	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := s.readRequest(w, r, &req); err != nil {
 		s.metrics.errors.Inc()
-		writeJSON(w, http.StatusBadRequest, &SolveResponse{Error: "decoding request: " + err.Error()})
+		writeResponse(w, http.StatusBadRequest, &SolveResponse{Error: "decoding request: " + err.Error()})
 		return
 	}
 	if req.TraceParent == "" {
 		req.TraceParent = r.Header.Get(obs.TraceParentHeader)
 	}
 	req.arrival = arrival
-	resp := s.Solve(r.Context(), &req)
+	resp := s.handle(r.Context(), &req)
 	status := resp.status
 	if status == 0 {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, resp)
+	writeResponse(w, status, resp)
 }
 
 // batchItem carries one NDJSON line through the worker pool together with
@@ -811,7 +834,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		default:
 			s.metrics.rejected.Inc()
 			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests,
+			writeResponse(w, http.StatusTooManyRequests,
 				&SolveResponse{Error: "batch worker pool saturated; retry later"})
 			return
 		}
@@ -832,7 +855,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		go func() {
 			for it := range jobs {
 				var req SolveRequest
-				err := json.Unmarshal(*it.line, &req)
+				err := decodeRequest(*it.line, &req)
 				lineBufPool.Put(it.line)
 				if err != nil {
 					s.metrics.errors.Inc()
@@ -846,7 +869,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				req.route = "batch-item"
 				// The request context cancels in-flight solves when the
 				// client disconnects mid-stream.
-				it.out <- s.Solve(r.Context(), &req)
+				it.out <- s.handle(r.Context(), &req)
 			}
 		}()
 	}
@@ -876,13 +899,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	enc := json.NewEncoder(w)
+	bp := respPool.Get().(*[]byte)
+	defer putBuf(&respPool, bp)
 	flusher, _ := w.(http.Flusher)
 	for ch := range order {
 		resp := <-ch
-		// Encoding errors (client gone) are deliberately ignored: the
-		// loop must keep draining so the reader and workers can exit.
-		_ = enc.Encode(resp)
+		// Encoding and write errors (client gone) are deliberately
+		// ignored: the loop must keep draining so the reader and workers
+		// can exit.
+		line, _ := appendResponse((*bp)[:0], resp)
+		w.Write(line)
+		*bp = line
 		if flusher != nil {
 			flusher.Flush()
 		}

@@ -417,10 +417,9 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SolveRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := s.readRequest(w, r, &req); err != nil {
 		s.metrics.errors.Inc()
-		writeJSON(w, http.StatusBadRequest, &SolveResponse{Error: "decoding request: " + err.Error()})
+		writeResponse(w, http.StatusBadRequest, &SolveResponse{Error: "decoding request: " + err.Error()})
 		return
 	}
 	if req.TraceParent == "" {
@@ -432,7 +431,7 @@ func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	if status == 0 {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, resp)
+	writeResponse(w, status, resp)
 }
 
 // sessionSolve runs one solve against a session, mirroring Server.Solve's
