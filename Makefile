@@ -59,9 +59,9 @@ perfbench-smoke:
 	@echo "perfbench-smoke: ok"
 
 # Short fuzz sessions on the canonicalization/verification trust
-# boundaries, the incremental session engine and the solve-request
-# decoders of both serving tiers.  The native fuzzer
-# allows one -fuzz target per invocation.
+# boundaries, the incremental session engine, the solve-request
+# decoders of both serving tiers and Batch Wrapping against its Rat
+# oracle.  The native fuzzer allows one -fuzz target per invocation.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprintCanonicalRoundTrip -fuzztime=$(FUZZTIME) ./sched
@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzExactSandwich -fuzztime=$(FUZZTIME) ./internal/exact
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./serve
 	$(GO) test -run='^$$' -fuzz=FuzzRouteInstance -fuzztime=$(FUZZTIME) ./internal/lb
+	$(GO) test -run='^$$' -fuzz=FuzzWrap -fuzztime=$(FUZZTIME) ./internal/wrap
 
 # A short differential soak: every schedgen family through all nine
 # algorithms with guarantee checking (see cmd/schedstress).

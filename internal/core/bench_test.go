@@ -179,27 +179,42 @@ func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(*RunScratch) 
 	return nil
 }
 
-// benchBuild times one construction on the core-cold shape: fresh
-// allocates its working memory per build (Solver, serve), scratch reuses
-// one warm RunScratch (stream.Session re-solves).
+// churnPrep builds the base instance of the end-to-end benchmark's
+// session-churn shape: a schedgen.Churn base on m = 1000 with 1250
+// classes of about 8 jobs, setups <= 500 and jobs <= 60.  Its accepted
+// guesses, 663817/1000 splittable and 311181/500 preemptive, put the
+// builds on fine grids, unlike core-cold's denominators 1 and 3.
+func churnPrep() *Prep {
+	trace := schedgen.Churn(schedgen.Params{M: 1000, Classes: 1250, JobsPer: 8, MaxSetup: 500, MaxJob: 60, Seed: 3}, 0)
+	return Prepare(trace[0].Base)
+}
+
+// benchBuild times one construction on the core-cold and the churn
+// shape: fresh allocates its working memory per build (Solver, serve),
+// scratch reuses one warm RunScratch (stream.Session re-solves).
 func benchBuild(b *testing.B, v sched.Variant) {
-	build := buildAtAccepted(b, coreColdPrep(20_000), v)
-	var warm RunScratch
-	if _, err := build(&warm); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
+	for _, shape := range []struct {
 		name string
-		sc   *RunScratch
-	}{{"fresh", nil}, {"scratch", &warm}} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for b.Loop() {
-				if _, err := build(bc.sc); err != nil {
-					b.Fatal(err)
+		p    *Prep
+	}{{"corecold", coreColdPrep(20_000)}, {"churn", churnPrep()}} {
+		build := buildAtAccepted(b, shape.p, v)
+		var warm RunScratch
+		if _, err := build(&warm); err != nil {
+			b.Fatal(err)
+		}
+		for _, bc := range []struct {
+			name string
+			sc   *RunScratch
+		}{{"fresh", nil}, {"scratch", &warm}} {
+			b.Run(shape.name+"/"+bc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for b.Loop() {
+					if _, err := build(bc.sc); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -9,11 +9,12 @@ import (
 	"setupsched/sched"
 )
 
-// kItem is one job piece destined for the bottom of the large machines.
+// kItem is one job piece destined for the bottom of the large machines;
+// its length is in grid offsets.
 type kItem struct {
 	class  int
 	job    int
-	length sched.Rat
+	length int64
 }
 
 // BuildPmtn constructs a feasible preemptive schedule with makespan at most
@@ -39,20 +40,20 @@ func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, 
 	if ev.RefNum != T.Num() || ev.RefDen != T.Den() {
 		return nil, errInternal("BuildPmtn on interval-mode evaluation")
 	}
+	// The grid 1/(4 td) puts T/4 at tn, T/2 at 2 tn, T at 4 tn and 3/2 T
+	// at 6 tn; buildNice checks that 6 tn fits.
 	tn, td := T.Num(), T.Den()
-	uDen := 2 * td
-	uRat := func(u int64) sched.Rat { return sched.RatOf(u, uDen) }
-	halfT := T.Half()
-	quarterT := T.Quarter()
-	b := runsFor(p, sc)
+	b := runsFor(p, sc, wrap.Mul(4, td))
+	half := wrap.Mul(2, tn)
 
 	// Step 1: large machines, one I0exp class each, starting at T/2.
+	halfT := T.Half()
 	for _, i := range ev.ExpZero {
 		cls := &p.In.Classes[i] // expensive, so cls.Setup > T/2 > 0
-		b.begin()
-		b.placeAt(sched.SlotSetup, i, -1, halfT, sched.R(cls.Setup))
+		b.beginAt(half, halfT)
+		b.place(sched.SlotSetup, i, -1, b.units(cls.Setup))
 		for j, t := range cls.Jobs {
-			b.place(sched.SlotJob, i, j, sched.R(t))
+			b.place(sched.SlotJob, i, j, b.units(t))
 		}
 		b.large = append(b.large, b.end(1))
 	}
@@ -88,10 +89,10 @@ func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, 
 				// j(1) pieces and small jobs to K.
 				for j, t := range cls.Jobs {
 					if isBigFor(cls.Setup, t, tn, td) {
-						b.nicePiece(p, i, j, uRat(2*(cls.Setup+t)*td-tn))
-						b.kItems = append(b.kItems, kItem{i, j, uRat(tn - 2*cls.Setup*td)})
+						b.nicePiece(p, i, j, b.units(cls.Setup+t)-half)
+						b.kItems = append(b.kItems, kItem{i, j, half - b.units(cls.Setup)})
 					} else {
-						b.kItems = append(b.kItems, kItem{i, j, sched.R(t)})
+						b.kItems = append(b.kItems, kItem{i, j, b.units(t)})
 					}
 				}
 			}
@@ -112,13 +113,13 @@ func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, 
 	}
 
 	// Step 3: the nice instance on the residual m-l machines.
-	if err := p.buildNice(b, T, p.M-l, ev.ExpPlus, ev.Gamma, ev.ExpMinus); err != nil {
+	if err := p.buildNice(b, tn, p.M-l, ev.ExpPlus, ev.Gamma, ev.ExpMinus); err != nil {
 		return nil, err
 	}
 
 	// Step 4: place K at the bottoms of the large machines.
 	if len(b.kItems) > 0 {
-		if err := p.placeK(b, splitClass, halfT, quarterT); err != nil {
+		if err := p.placeK(b, splitClass, tn); err != nil {
 			return nil, err
 		}
 	}
@@ -165,23 +166,23 @@ func (b *RunScratch) caseBGreedy(p *Prep, ev *PmtnEval, l int64) (int, error) {
 	if k < len(b.rest) {
 		e := b.rest[k]
 		cls := &p.In.Classes[e]
-		// Nice-side job time of e in units of 1/(2 td):
-		// 2((m-l)tn - (cum+s_e)td).  It is below 2 P_e td because e does
+		// Nice-side job time of e in grid offsets:
+		// 4((m-l)tn - (cum+s_e)td).  It is below 4 P_e td because e does
 		// not fit whole; when it is not positive, e goes to K whole.
 		var lhs, rhs num128.Acc
-		lhs.AddProd(2*(p.M-l), tn)
-		rhs.AddProd(2*(cum+cls.Setup), td)
+		lhs.AddProd(4*(p.M-l), tn)
+		rhs.AddProd(4*(cum+cls.Setup), td)
 		if budget, fits := lhs.Minus(&rhs); fits && budget > 0 {
 			split = e
 			for j, t := range cls.Jobs {
-				maxU := 2 * t * td
+				maxU := b.units(t)
 				take := min(maxU, budget)
 				budget -= take
 				if take > 0 {
-					b.nicePiece(p, e, j, sched.RatOf(take, 2*td))
+					b.nicePiece(p, e, j, take)
 				}
 				if take < maxU {
-					b.kItems = append(b.kItems, kItem{e, j, sched.RatOf(maxU-take, 2*td)})
+					b.kItems = append(b.kItems, kItem{e, j, maxU - take})
 				}
 			}
 			if budget != 0 {
@@ -212,14 +213,14 @@ func isBigFor(s, t, tn, td int64) bool {
 	return cmpProd(2*(s+t), td, tn, 1) > 0
 }
 
-// nicePiece appends a piece of a job to the nice instance's cheap wrap
-// sequence.  Each class's pieces arrive together, and the class setup
-// opens its batch at the first one, so a class without nice pieces adds
-// no setup.
-func (b *RunScratch) nicePiece(p *Prep, class, job int, length sched.Rat) {
+// nicePiece appends a piece of a job, length offsets long, to the nice
+// instance's cheap wrap sequence.  Each class's pieces arrive together,
+// and the class setup opens its batch at the first one, so a class
+// without nice pieces adds no setup.
+func (b *RunScratch) nicePiece(p *Prep, class, job int, length int64) {
 	if class != b.niceClass {
 		b.niceClass = class
-		b.seq.AddSetup(class, p.In.Classes[class].Setup)
+		b.seq.AddSetup(class, b.units(p.In.Classes[class].Setup))
 	}
 	b.seq.AddJob(class, job, length)
 }
@@ -227,14 +228,14 @@ func (b *RunScratch) nicePiece(p *Prep, class, job int, length sched.Rat) {
 // fullBatch adds the whole class as a cheap batch.
 func (b *RunScratch) fullBatch(p *Prep, class int) {
 	for j, t := range p.In.Classes[class].Jobs {
-		b.nicePiece(p, class, j, sched.R(t))
+		b.nicePiece(p, class, j, b.units(t))
 	}
 }
 
 // wholeK adds every job of the class as a K item.
 func (b *RunScratch) wholeK(p *Prep, class int) {
 	for j, t := range p.In.Classes[class].Jobs {
-		b.kItems = append(b.kItems, kItem{class, j, sched.R(t)})
+		b.kItems = append(b.kItems, kItem{class, j, b.units(t)})
 	}
 }
 
@@ -246,14 +247,14 @@ func (b *RunScratch) wholeK(p *Prep, class int) {
 func (b *RunScratch) splitStarClass(p *Prep, ev *PmtnEval, class int) error {
 	cls := &p.In.Classes[class]
 	tn, td := ev.RefNum, ev.RefDen
-	uDen := 2 * td
-	surplus := ev.SplitU
+	half := 2 * tn                    // T/2 in grid offsets; BuildPmtn checked it
+	surplus := wrap.Mul(2, ev.SplitU) // units of 1/(2 td) to grid offsets
 	for j, t := range cls.Jobs {
 		var minU int64
 		if isBigFor(cls.Setup, t, tn, td) {
-			minU = 2*(cls.Setup+t)*td - tn // t(2)_j units
+			minU = b.units(cls.Setup+t) - half // t(2)_j
 		}
-		maxU := 2 * t * td
+		maxU := b.units(t)
 		raise := maxU - minU
 		if raise > surplus {
 			raise = surplus
@@ -261,10 +262,10 @@ func (b *RunScratch) splitStarClass(p *Prep, ev *PmtnEval, class int) error {
 		surplus -= raise
 		t2 := minU + raise
 		if t2 > 0 {
-			b.nicePiece(p, class, j, sched.RatOf(t2, uDen))
+			b.nicePiece(p, class, j, t2)
 		}
 		if t2 < maxU {
-			b.kItems = append(b.kItems, kItem{class, j, sched.RatOf(maxU-t2, uDen)})
+			b.kItems = append(b.kItems, kItem{class, j, maxU - t2})
 		}
 	}
 	if surplus != 0 {
@@ -277,11 +278,12 @@ func (b *RunScratch) splitStarClass(p *Prep, ev *PmtnEval, class int) error {
 // machines: pieces longer than T/4 (K+) each get a dedicated bottom with
 // their own setup; the rest (K-) is wrapped into a first full gap
 // [0, T/2) and gaps [T/4, T/2) on the remaining large machines, ordered by
-// class with the split class first.
-func (p *Prep) placeK(b *RunScratch, splitClass int, halfT, quarterT sched.Rat) error {
+// class with the split class first.  T/4 is tn on the grid 1/(4 td).
+func (p *Prep) placeK(b *RunScratch, splitClass int, tn int64) error {
+	quarter, half := tn, 2*tn
 	b.kPlus, b.kMinus = b.kPlus[:0], b.kMinus[:0]
 	for _, it := range b.kItems {
-		if it.length.Cmp(quarterT) > 0 {
+		if it.length > quarter {
 			b.kPlus = append(b.kPlus, it)
 		} else {
 			b.kMinus = append(b.kMinus, it)
@@ -291,14 +293,12 @@ func (p *Prep) placeK(b *RunScratch, splitClass int, halfT, quarterT sched.Rat) 
 		return errInternal("K+ needs %d large machines, have %d", len(b.kPlus), len(b.large))
 	}
 	for k, it := range b.kPlus {
-		s := p.In.Classes[it.class].Setup
-		if sched.R(s).Add(it.length).Cmp(halfT) > 0 {
+		s := b.units(p.In.Classes[it.class].Setup)
+		if wrap.Add(s, it.length) > half {
 			return errInternal("K+ piece of class %d exceeds T/2", it.class)
 		}
 		b.begin()
-		if s > 0 {
-			b.place(sched.SlotSetup, it.class, -1, sched.R(s))
-		}
+		b.place(sched.SlotSetup, it.class, -1, s)
 		b.place(sched.SlotJob, it.class, it.job, it.length)
 		b.runs[b.large[k]].pre = b.span()
 	}
@@ -323,14 +323,14 @@ func (p *Prep) placeK(b *RunScratch, splitClass int, halfT, quarterT sched.Rat) 
 	last := -1
 	for _, it := range b.kMinus {
 		if it.class != last {
-			b.seq.AddSetup(it.class, p.In.Classes[it.class].Setup)
+			b.seq.AddSetup(it.class, b.units(p.In.Classes[it.class].Setup))
 			last = it.class
 		}
 		b.seq.AddJob(it.class, it.job, it.length)
 	}
-	b.gaps = append(b.gaps[:0], wrap.Gap{Machine: int64(lPrime), A: sched.Rat{}, B: halfT})
+	b.gaps = append(b.gaps[:0], wrap.Gap{A: 0, B: half})
 	for g := lPrime + 1; g < len(b.large); g++ {
-		b.gaps = append(b.gaps, wrap.Gap{Machine: int64(g), A: quarterT, B: halfT})
+		b.gaps = append(b.gaps, wrap.Gap{A: quarter, B: half})
 	}
 	if err := b.wrapSeq(p, wrap.TailRun{}); err != nil {
 		return errInternal("K- wrap failed: %v", err)
@@ -354,38 +354,37 @@ func (p *Prep) placeK(b *RunScratch, splitClass int, halfT, quarterT sched.Rat) 
 //	        an odd last class sits alone on machine mu;
 //	step 3: the cheap load is wrapped into the gap [T, 3/2T) of mu and
 //	        gaps [T/2, 3/2T) on the remaining machines.
-func (p *Prep) buildNice(b *RunScratch, T sched.Rat, budget int64, expPlus []int, gamma []int64, expMinus []int) error {
-	halfT := T.Half()
-	top := T.MulInt(3).DivInt(2)
+func (p *Prep) buildNice(b *RunScratch, tn int64, budget int64, expPlus []int, gamma []int64, expMinus []int) error {
+	// T/2, T and 3/2 T on the grid 1/(4 td).
+	top := wrap.Mul(6, tn)
+	half, whole := 2*tn, 4*tn
 	used := int64(0)
 
 	// Step 1.
 	for k, i := range expPlus {
 		cls := &p.In.Classes[i]
 		g := gamma[k]
-		jobIdx, jobLeft := 0, sched.R(cls.Jobs[0])
+		jobIdx, jobLeft := 0, b.units(cls.Jobs[0])
 		for u := int64(0); u < g; u++ {
 			b.begin()
-			if cls.Setup > 0 {
-				b.place(sched.SlotSetup, i, -1, sched.R(cls.Setup))
-			}
-			cap := halfT
+			b.place(sched.SlotSetup, i, -1, b.units(cls.Setup))
+			cap := half
 			if u == g-1 {
-				cap = sched.R(p.P[i]).Sub(halfT.MulInt(g - 1))
+				cap = b.units(p.P[i]) - wrap.Mul(half, g-1)
 			}
-			for cap.Sign() > 0 && jobIdx < len(cls.Jobs) {
-				take := sched.MinRat(cap, jobLeft)
+			for cap > 0 && jobIdx < len(cls.Jobs) {
+				take := min(cap, jobLeft)
 				b.place(sched.SlotJob, i, jobIdx, take)
-				cap = cap.Sub(take)
-				jobLeft = jobLeft.Sub(take)
-				if jobLeft.IsZero() {
+				cap -= take
+				jobLeft -= take
+				if jobLeft == 0 {
 					jobIdx++
 					if jobIdx < len(cls.Jobs) {
-						jobLeft = sched.R(cls.Jobs[jobIdx])
+						jobLeft = b.units(cls.Jobs[jobIdx])
 					}
 				}
 			}
-			if b.top.Cmp(top) > 0 {
+			if b.top > top {
 				return errInternal("nice step 1 machine exceeds 3/2T (class %d)", i)
 			}
 			b.end(1)
@@ -405,11 +404,9 @@ func (p *Prep) buildNice(b *RunScratch, T sched.Rat, budget int64, expPlus []int
 				continue
 			}
 			cls := &p.In.Classes[i]
-			if cls.Setup > 0 {
-				b.place(sched.SlotSetup, i, -1, sched.R(cls.Setup))
-			}
+			b.place(sched.SlotSetup, i, -1, b.units(cls.Setup))
 			for j, t := range cls.Jobs {
-				b.place(sched.SlotJob, i, j, sched.R(t))
+				b.place(sched.SlotJob, i, j, b.units(t))
 			}
 		}
 		ri := b.end(1)
@@ -423,9 +420,9 @@ func (p *Prep) buildNice(b *RunScratch, T sched.Rat, budget int64, expPlus []int
 	if b.seq.Len() > 0 {
 		b.gaps = b.gaps[:0]
 		if muIdx >= 0 {
-			b.gaps = append(b.gaps, wrap.Gap{Machine: int64(muIdx), A: T, B: top})
+			b.gaps = append(b.gaps, wrap.Gap{A: whole, B: top})
 		}
-		tail := wrap.TailRun{Count: budget - used, A: halfT, B: top}
+		tail := wrap.TailRun{Count: budget - used, A: half, B: top}
 		if tail.Count < 0 {
 			return errInternal("nice instance machine budget exceeded (%d used of %d)", used, budget)
 		}

@@ -17,7 +17,9 @@ type RunScratch struct {
 	arena []sched.Slot
 	runs  []slotRun
 	lo    int       // arena index of the open machine's first slot
-	top   sched.Rat // end of the open machine's last slot
+	den   int64     // the build's grid denominator D: offset u is time u/D
+	top   int64     // end of the open machine's last slot, in offsets
+	topAt sched.Rat // top as a Rat: the last End, or Rat{} on a new machine
 
 	seq       wrap.Sequence
 	niceClass int // BuildPmtn: class of the nice batch seq ends with, or -1
@@ -42,9 +44,9 @@ type slotRun struct {
 	pre, body, post wrap.Span
 }
 
-// runsFor returns sc emptied for one build, or a fresh scratch when sc
-// is nil.
-func runsFor(p *Prep, sc *RunScratch) *RunScratch {
+// runsFor returns sc emptied for one build on the grid of denominator
+// den, or a fresh scratch when sc is nil.
+func runsFor(p *Prep, sc *RunScratch, den int64) *RunScratch {
 	if sc == nil {
 		sc = &RunScratch{}
 	}
@@ -56,6 +58,7 @@ func runsFor(p *Prep, sc *RunScratch) *RunScratch {
 	}
 	sc.arena = sc.arena[:0]
 	sc.runs = sc.runs[:0]
+	sc.den = den
 	sc.seq.Reset()
 	sc.niceClass = -1
 	sc.gaps = sc.gaps[:0]
@@ -65,36 +68,36 @@ func runsFor(p *Prep, sc *RunScratch) *RunScratch {
 	return sc
 }
 
+// units returns the integer time x in grid offsets.
+func (b *RunScratch) units(x int64) int64 { return wrap.Mul(x, b.den) }
+
 // begin opens a new machine at time 0.
 func (b *RunScratch) begin() {
 	b.lo = len(b.arena)
-	b.top = sched.Rat{}
+	b.top, b.topAt = 0, sched.Rat{}
 }
 
-// placeAt appends a slot of the given length starting at start, which
-// must not lie below the open machine's top.  Zero-length slots are
-// dropped.
-func (b *RunScratch) placeAt(kind sched.SlotKind, class, job int, start, length sched.Rat) {
-	if length.Sign() <= 0 {
-		if length.Sign() < 0 {
+// beginAt opens a new machine whose first slot starts at offset u, the
+// time at.
+func (b *RunScratch) beginAt(u int64, at sched.Rat) {
+	b.lo = len(b.arena)
+	b.top, b.topAt = u, at
+}
+
+// place appends a slot of the given length in offsets on top of the open
+// machine: its End is the one boundary it normalizes, and the next slot
+// starts there.  Zero-length slots are dropped.
+func (b *RunScratch) place(kind sched.SlotKind, class, job int, length int64) {
+	if length <= 0 {
+		if length < 0 {
 			panic("core: negative slot length")
-		}
-		if start.Cmp(b.top) > 0 {
-			b.top = start
 		}
 		return
 	}
-	if start.Cmp(b.top) < 0 {
-		panic("core: slot placed below machine top")
-	}
-	end := start.Add(length)
-	b.arena = append(b.arena, sched.Slot{Kind: kind, Class: class, Job: job, Start: start, End: end})
-	b.top = end
-}
-
-// place appends a slot directly on top of the open machine.
-func (b *RunScratch) place(kind sched.SlotKind, class, job int, length sched.Rat) {
-	b.placeAt(kind, class, job, b.top, length)
+	top := wrap.Add(b.top, length)
+	at := sched.RatOf(top, b.den)
+	b.arena = append(b.arena, sched.Slot{Kind: kind, Class: class, Job: job, Start: b.topAt, End: at})
+	b.top, b.topAt = top, at
 }
 
 // span returns the open machine's slots so far.
@@ -111,7 +114,7 @@ func (b *RunScratch) end(count int64) int {
 // the placed slots to the arena; b.placed then holds their spans.
 func (b *RunScratch) wrapSeq(p *Prep, tail wrap.TailRun) error {
 	var err error
-	b.arena, err = wrap.Wrap(b.arena, &b.placed, b.gaps, tail, &b.seq, p.setups())
+	b.arena, err = wrap.Wrap(b.arena, &b.placed, b.gaps, tail, &b.seq, p.setups(), b.den)
 	return err
 }
 

@@ -122,35 +122,32 @@ func (p *Prep) BuildSplitScratch(ev *SplitEval, sc *RunScratch) (*sched.Schedule
 		return nil, errInternal("BuildSplit on rejected evaluation (%s)", ev.Reason)
 	}
 	T := ev.T
-	halfT := T.Half()
-	top := T.MulInt(3).DivInt(2)
-	b := runsFor(p, sc)
+	// The grid 1/(2 td) puts T/2 at tn, T at 2 tn and 3/2 T at 3 tn.
+	tn, td := T.Num(), T.Den()
+	b := runsFor(p, sc, wrap.Mul(2, td))
+	half, top := tn, wrap.Mul(3, tn)
 
 	// Step 1: expensive classes.  The last machine of a class that stays
 	// below T gets a cheap gap; b.owners records its run.
 	for k, i := range ev.Exp {
 		cls := &p.In.Classes[i]
 		beta := ev.Beta[k]
-		setup := sched.R(cls.Setup)
-		jobIdx, jobLeft := 0, sched.R(cls.Jobs[0])
+		setup := b.units(cls.Setup)
+		jobIdx, jobLeft := 0, b.units(cls.Jobs[0])
 		for u := int64(0); u < beta; u++ {
 			// Machine-configuration compression (proof of Theorem 7): a
 			// job spanning many full machines emits one run of identical
 			// [setup, T/2-piece] machines instead of one row per machine.
-			if u < beta-1 && jobLeft.Cmp(halfT) >= 0 {
-				full := jobLeft.DivInt(halfT.Num()).MulInt(halfT.Den()).Floor()
-				if full > beta-1-u {
-					full = beta - 1 - u
-				}
-				if full >= 2 {
+			if u < beta-1 && jobLeft >= half {
+				if full := min(jobLeft/half, beta-1-u); full >= 2 {
 					b.begin()
 					b.place(sched.SlotSetup, i, -1, setup)
-					b.place(sched.SlotJob, i, jobIdx, halfT)
+					b.place(sched.SlotJob, i, jobIdx, half)
 					b.end(full)
-					jobLeft = jobLeft.Sub(halfT.MulInt(full))
-					if jobLeft.IsZero() && jobIdx+1 < len(cls.Jobs) {
+					jobLeft -= half * full
+					if jobLeft == 0 && jobIdx+1 < len(cls.Jobs) {
 						jobIdx++
-						jobLeft = sched.R(cls.Jobs[jobIdx])
+						jobLeft = b.units(cls.Jobs[jobIdx])
 					}
 					u += full - 1
 					continue
@@ -158,33 +155,31 @@ func (p *Prep) BuildSplitScratch(ev *SplitEval, sc *RunScratch) (*sched.Schedule
 			}
 			b.begin()
 			b.place(sched.SlotSetup, i, -1, setup)
-			cap := halfT
+			cap := half
 			if u == beta-1 {
 				// Last machine takes the remainder r in (0, T/2].
-				cap = sched.R(p.P[i]).Sub(halfT.MulInt(beta - 1))
+				cap = b.units(p.P[i]) - wrap.Mul(half, beta-1)
 			}
-			for cap.Sign() > 0 && jobIdx < len(cls.Jobs) {
-				take := sched.MinRat(cap, jobLeft)
+			for cap > 0 && jobIdx < len(cls.Jobs) {
+				take := min(cap, jobLeft)
 				b.place(sched.SlotJob, i, jobIdx, take)
-				cap = cap.Sub(take)
-				jobLeft = jobLeft.Sub(take)
-				if jobLeft.IsZero() {
+				cap -= take
+				jobLeft -= take
+				if jobLeft == 0 {
 					jobIdx++
 					if jobIdx < len(cls.Jobs) {
-						jobLeft = sched.R(cls.Jobs[jobIdx])
+						jobLeft = b.units(cls.Jobs[jobIdx])
 					}
 				}
 			}
 			ri := b.end(1)
-			if u == beta-1 && b.top.Cmp(T) < 0 {
+			if u == beta-1 && b.top < 2*tn {
 				// Reserve [L, L+T/2) for one cheap setup, fill above.
-				b.gaps = append(b.gaps, wrap.Gap{
-					Machine: int64(ri), A: b.top.Add(halfT), B: top,
-				})
+				b.gaps = append(b.gaps, wrap.Gap{A: b.top + half, B: top})
 				b.owners = append(b.owners, ri)
 			}
 		}
-		if jobLeft.Sign() > 0 || jobIdx < len(cls.Jobs)-1 {
+		if jobLeft > 0 || jobIdx < len(cls.Jobs)-1 {
 			return nil, errInternal("splittable step 1 left work of class %d unplaced", i)
 		}
 	}
@@ -192,9 +187,9 @@ func (p *Prep) BuildSplitScratch(ev *SplitEval, sc *RunScratch) (*sched.Schedule
 	// Step 2: cheap classes into the gaps plus unused machines.
 	if len(ev.Chp) > 0 {
 		for _, i := range ev.Chp {
-			b.seq.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs)
+			b.seq.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs, b.den)
 		}
-		tail := wrap.TailRun{Count: p.M - ev.MExp, A: halfT, B: top}
+		tail := wrap.TailRun{Count: p.M - ev.MExp, A: half, B: top}
 		if err := b.wrapSeq(p, tail); err != nil {
 			return nil, errInternal("splittable cheap wrap failed: %v", err)
 		}

@@ -8,15 +8,16 @@ import (
 // TwoApproxSplit is the O(n) 2-approximation for the splittable case
 // (Lemma 8): wrap the whole instance as one sequence into m identical gaps
 // [s_max, s_max + N/m), leaving room for any setup below each gap.  It
-// draws its working memory from sc; nil allocates fresh memory.
+// builds on the grid of N/m's denominator and draws its working memory
+// from sc; nil allocates fresh memory.
 func (p *Prep) TwoApproxSplit(sc *RunScratch) (*sched.Schedule, error) {
-	b := runsFor(p, sc)
+	avg := sched.RatOf(p.N, p.M)
+	b := runsFor(p, sc, avg.Den())
 	for i := range p.In.Classes {
-		b.seq.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs)
+		b.seq.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs, b.den)
 	}
-	lo := sched.R(p.SMax)
-	hi := lo.Add(sched.RatOf(p.N, p.M))
-	if err := b.wrapSeq(p, wrap.TailRun{Count: p.M, A: lo, B: hi}); err != nil {
+	lo := b.units(p.SMax)
+	if err := b.wrapSeq(p, wrap.TailRun{Count: p.M, A: lo, B: wrap.Add(lo, avg.Num())}); err != nil {
 		return nil, errInternal("splittable 2-approx wrap failed: %v", err)
 	}
 	b.addTail()
@@ -102,16 +103,16 @@ func (p *Prep) TwoApproxNonPreemptive(v sched.Variant, sc *RunScratch) (*sched.S
 		in[u+1].items = append(in[u+1].items, last)
 	}
 
-	b := runsFor(p, sc)
+	b := runsFor(p, sc, 1) // integer times: the grid is 1
 	for u := range machines {
 		items := append(in[u].items, machines[u]...)
 		items = dropUselessSetups(items)
 		b.begin()
 		for _, it := range items {
 			if it.isSetup {
-				b.place(sched.SlotSetup, it.class, -1, sched.R(it.length))
+				b.place(sched.SlotSetup, it.class, -1, it.length)
 			} else {
-				b.place(sched.SlotJob, it.class, it.job, sched.R(it.length))
+				b.place(sched.SlotJob, it.class, it.job, it.length)
 			}
 		}
 		b.end(1)
@@ -137,15 +138,13 @@ func dropUselessSetups(items []nfItem) []nfItem {
 // job gets its own machine with one setup.  Its makespan is
 // max_i (s_i + t_max^(i)) = OPT.
 func (p *Prep) oneJobPerMachine(v sched.Variant, sc *RunScratch) *sched.Schedule {
-	b := runsFor(p, sc)
+	b := runsFor(p, sc, 1) // integer times: the grid is 1
 	for i := range p.In.Classes {
 		c := &p.In.Classes[i]
 		for j := range c.Jobs {
 			b.begin()
-			if c.Setup > 0 {
-				b.place(sched.SlotSetup, i, -1, sched.R(c.Setup))
-			}
-			b.place(sched.SlotJob, i, j, sched.R(c.Jobs[j]))
+			b.place(sched.SlotSetup, i, -1, c.Setup)
+			b.place(sched.SlotJob, i, j, c.Jobs[j])
 			b.end(1)
 		}
 	}

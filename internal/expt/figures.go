@@ -143,16 +143,11 @@ func Figures() ([]Figure, error) {
 		{Setup: 2, Jobs: []int64{3, 3, 2}},
 	}}
 	var q wrap.Sequence
-	q.AddBatch(0, 1, wrapIn.Classes[0].Jobs)
-	q.AddBatch(1, 2, wrapIn.Classes[1].Jobs)
-	gaps := []wrap.Gap{
-		{Machine: 0, A: sched.R(2), B: sched.R(9)},
-		{Machine: 1, A: sched.R(3), B: sched.R(8)},
-		{Machine: 2, A: sched.R(2), B: sched.R(7)},
-		{Machine: 3, A: sched.R(4), B: sched.R(9)},
-	}
+	q.AddBatch(0, 1, wrapIn.Classes[0].Jobs, 1)
+	q.AddBatch(1, 2, wrapIn.Classes[1].Jobs, 1)
+	gaps := []wrap.Gap{{A: 2, B: 9}, {A: 3, B: 8}, {A: 2, B: 7}, {A: 4, B: 9}}
 	var placed wrap.Placement
-	arena, err := wrap.Wrap(nil, &placed, gaps, wrap.TailRun{}, &q, []int64{1, 2})
+	arena, err := wrap.Wrap(nil, &placed, gaps, wrap.TailRun{}, &q, []int64{1, 2}, 1)
 	if err != nil {
 		return nil, fmt.Errorf("fig6: %w", err)
 	}

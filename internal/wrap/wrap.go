@@ -15,6 +15,17 @@
 // uses (proof of Theorem 7) to make the splittable algorithm run in
 // O(n + c) even when m is much larger than n.
 //
+// Every time is an int64 offset on the grid of one build: with the grid
+// denominator D that Wrap takes, the offset u is the time u/D.  Gap and
+// tail bounds, item lengths and the sequence load are offsets, so the
+// per-item loop is integer arithmetic, and each emitted slot boundary is
+// normalized to a sched.Rat once: End = sched.RatOf(u, D), which the next
+// slot reuses as its Start.  An explicit gap at 0 opens its machine at
+// the zero value sched.Rat{}; every other boundary, a tail at 0 and a
+// setup that lands at 0 below a gap included, is RatOf's form.  Offset
+// arithmetic is checked (Mul, Add) and panics with sched.ErrRatOverflow
+// rather than wrap around.
+//
 // Wrap emits into a caller-owned slot arena: it appends every slot it
 // places to one slice and reports each machine's slots as an index range
 // into it, so a whole schedule construction (the wrapped part and the
@@ -26,73 +37,93 @@ package wrap
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 
+	"setupsched/internal/num128"
 	"setupsched/sched"
 )
 
-// Gap is one free interval [A, B) on a specific machine.
-type Gap struct {
-	Machine int64 // informational machine index
-	A, B    sched.Rat
+// Mul returns a*b for non-negative a and b, such as an integer time
+// scaled to grid offsets.  It panics with sched.ErrRatOverflow when the
+// product does not fit an int64.
+func Mul(a, b int64) int64 {
+	hi, lo := bits.Mul64(uint64(a), uint64(b))
+	if hi != 0 || lo > math.MaxInt64 {
+		panic(sched.ErrRatOverflow)
+	}
+	return int64(lo)
 }
 
-// Span returns B - A.
-func (g Gap) Span() sched.Rat { return g.B.Sub(g.A) }
+// Add returns a+b for b >= 0, panicking with sched.ErrRatOverflow when
+// the sum does not fit an int64.
+func Add(a, b int64) int64 {
+	s := a + b
+	if s < a {
+		panic(sched.ErrRatOverflow)
+	}
+	return s
+}
+
+// Gap is one free interval [A, B) on a machine, in grid offsets.
+type Gap struct{ A, B int64 }
 
 // TailRun describes Count additional identical gaps [A, B), one per unused
 // machine, following the explicit gaps.
 type TailRun struct {
 	Count int64
-	A, B  sched.Rat
+	A, B  int64
 }
 
-// Item is one element of a wrap sequence.
+// Item is one element of a wrap sequence; Len is in grid offsets.
 type Item struct {
 	Kind  sched.SlotKind
 	Class int
 	Job   int // -1 for setups
-	Len   sched.Rat
+	Len   int64
 }
 
 // Sequence builds a wrap sequence [s_i, C_i]... batch by batch.
 type Sequence struct {
 	Items []Item
-	total sched.Rat
+	total int64
 }
 
-// AddSetup appends a setup item for the class (skipped when s == 0).
+// AddSetup appends a setup item of s offsets for the class (skipped when
+// s == 0).
 func (q *Sequence) AddSetup(class int, s int64) {
 	if s == 0 {
 		return
 	}
-	q.Items = append(q.Items, Item{Kind: sched.SlotSetup, Class: class, Job: -1, Len: sched.R(s)})
-	q.total = q.total.AddInt(s)
+	q.Items = append(q.Items, Item{Kind: sched.SlotSetup, Class: class, Job: -1, Len: s})
+	q.total = Add(q.total, s)
 }
 
-// AddJob appends a job piece of the given rational length (skipped when
-// the length is zero).
-func (q *Sequence) AddJob(class, job int, length sched.Rat) {
-	if length.Sign() < 0 {
+// AddJob appends a job piece of the given length in offsets (skipped
+// when the length is zero).
+func (q *Sequence) AddJob(class, job int, length int64) {
+	if length < 0 {
 		panic("wrap: negative job length")
 	}
-	if length.IsZero() {
+	if length == 0 {
 		return
 	}
 	q.Items = append(q.Items, Item{Kind: sched.SlotJob, Class: class, Job: job, Len: length})
-	q.total = q.total.Add(length)
+	q.total = Add(q.total, length)
 }
 
-// AddBatch appends a setup followed by all jobs of the class.
-func (q *Sequence) AddBatch(class int, setup int64, jobs []int64) {
-	q.AddSetup(class, setup)
+// AddBatch appends a setup followed by all jobs of the class, scaling the
+// integer times by the grid denominator d.
+func (q *Sequence) AddBatch(class int, setup int64, jobs []int64, d int64) {
+	q.AddSetup(class, Mul(setup, d))
 	for j, t := range jobs {
-		q.AddJob(class, j, sched.R(t))
+		q.AddJob(class, j, Mul(t, d))
 	}
 }
 
-// Load returns L(Q), the total length of all items.
-func (q *Sequence) Load() sched.Rat { return q.total }
+// Load returns L(Q), the total length of all items, in offsets.
+func (q *Sequence) Load() int64 { return q.total }
 
 // Len returns the number of items.
 func (q *Sequence) Len() int { return len(q.Items) }
@@ -100,7 +131,7 @@ func (q *Sequence) Len() int { return len(q.Items) }
 // Reset empties the sequence, keeping its item storage for reuse.
 func (q *Sequence) Reset() {
 	q.Items = q.Items[:0]
-	q.total = sched.Rat{}
+	q.total = 0
 }
 
 // Span is the half-open index range [Lo, Hi) of one machine's slots in
@@ -128,10 +159,9 @@ type Placement struct {
 	// Entries may be empty when the sequence ended early.
 	Machines []Span
 	// Tail holds machine runs placed on tail-run machines, in machine
-	// order.  The sum of their counts is at most the tail count.
+	// order.  The sum of their counts is the number of tail machines
+	// that received load, at most the tail count.
 	Tail []Run
-	// TailUsed is the number of tail machines that received load.
-	TailUsed int64
 }
 
 // reset sizes the placement for g explicit gaps, reusing its storage.
@@ -139,7 +169,6 @@ func (pl *Placement) reset(g int) {
 	pl.Machines = slices.Grow(pl.Machines[:0], g)[:g]
 	clear(pl.Machines)
 	pl.Tail = pl.Tail[:0]
-	pl.TailUsed = 0
 }
 
 var (
@@ -154,45 +183,52 @@ var (
 type wrapState struct {
 	gaps   []Gap
 	tail   TailRun
+	d      int64     // grid denominator
+	tailA  sched.Rat // tail.A and tail.B as Rats, converted once per Wrap
+	tailB  sched.Rat
 	place  *Placement
 	arena  []sched.Slot
 	gapIdx int // next explicit gap to open; len(gaps)+k for tail machine k
 	lo     int // arena index of the open gap's first slot
-	curGap Gap
 	open   bool
-	t      sched.Rat // cursor within the open gap
-	setups []int64   // per-class setup times
+	t, end int64     // cursor and border of the open gap
+	at     sched.Rat // the cursor as a Rat: the gap start or the last End
+	setups []int64   // per-class setup times (integers, not offsets)
 }
 
 // Wrap places the sequence q into the template formed by the explicit gaps
-// followed by the optional tail run.  It appends the placed slots to
-// arena, returns the extended arena, and fills pl (reusing its storage)
-// with each machine's index range in it.  It returns ErrTemplateTooSmall
-// if the template's total span is insufficient.
+// followed by the optional tail run, on the grid of denominator d >= 1.
+// It appends the placed slots to arena, returns the extended arena, and
+// fills pl (reusing its storage) with each machine's index range in it.
+// It returns ErrTemplateTooSmall if the template's total span is
+// insufficient.
 //
-// setups must hold the per-class setup times; they are consulted when a
-// split job needs a fresh setup below the next gap.
-func Wrap(arena []sched.Slot, pl *Placement, gaps []Gap, tail TailRun, q *Sequence, setups []int64) ([]sched.Slot, error) {
-	// Capacity pre-check: S(omega) >= L(Q).
-	var span sched.Rat
+// setups must hold the per-class setup times as integers; they are
+// consulted when a split job needs a fresh setup below the next gap.
+func Wrap(arena []sched.Slot, pl *Placement, gaps []Gap, tail TailRun, q *Sequence, setups []int64, d int64) ([]sched.Slot, error) {
+	// Capacity pre-check: S(omega) >= L(Q), in 128 bits so that a long
+	// tail cannot overflow it.
+	var span num128.Acc
 	for _, g := range gaps {
-		if g.A.Sign() < 0 || g.B.Cmp(g.A) <= 0 {
-			return arena, fmt.Errorf("wrap: malformed gap [%s,%s)", g.A, g.B)
+		if g.A < 0 || g.B <= g.A {
+			return arena, fmt.Errorf("wrap: malformed gap [%s,%s)", sched.RatOf(g.A, d), sched.RatOf(g.B, d))
 		}
-		span = span.Add(g.Span())
+		span.AddInt(g.B - g.A)
 	}
+	st := wrapState{gaps: gaps, tail: tail, d: d, place: pl, arena: arena, setups: setups}
 	if tail.Count > 0 {
-		if tail.A.Sign() < 0 || tail.B.Cmp(tail.A) <= 0 {
-			return arena, fmt.Errorf("wrap: malformed tail gap [%s,%s)", tail.A, tail.B)
+		if tail.A < 0 || tail.B <= tail.A {
+			return arena, fmt.Errorf("wrap: malformed tail gap [%s,%s)", sched.RatOf(tail.A, d), sched.RatOf(tail.B, d))
 		}
-		span = span.Add(tail.B.Sub(tail.A).MulInt(tail.Count))
+		span.AddProd(tail.Count, tail.B-tail.A)
+		st.tailA, st.tailB = sched.RatOf(tail.A, d), sched.RatOf(tail.B, d)
 	}
-	if span.Cmp(q.Load()) < 0 {
-		return arena, fmt.Errorf("%w: S=%s < L=%s", ErrTemplateTooSmall, span, q.Load())
+	if span.CmpProd(q.total, 1) < 0 {
+		s, _ := span.Int64() // below the load, so it fits
+		return arena, fmt.Errorf("%w: S=%s < L=%s", ErrTemplateTooSmall, sched.RatOf(s, d), sched.RatOf(q.total, d))
 	}
 
 	pl.reset(len(gaps))
-	st := wrapState{gaps: gaps, tail: tail, place: pl, arena: arena, setups: setups}
 	for i := range q.Items {
 		if err := st.placeItem(&q.Items[i]); err != nil {
 			return st.arena, err
@@ -206,28 +242,30 @@ func Wrap(arena []sched.Slot, pl *Placement, gaps []Gap, tail TailRun, q *Sequen
 // directly below its start (class < 0 places nothing).
 func (st *wrapState) advance(class int) error {
 	st.closeGap()
-	var g Gap
 	switch {
 	case st.gapIdx < len(st.gaps):
-		g = st.gaps[st.gapIdx]
+		// An explicit gap at 0 starts its machine at the zero value, as a
+		// machine a builder opens does; the schedule digests tell it apart.
+		g := st.gaps[st.gapIdx]
+		st.t, st.end, st.at = g.A, g.B, sched.Rat{}
+		if g.A != 0 {
+			st.at = sched.RatOf(g.A, st.d)
+		}
 	case int64(st.gapIdx-len(st.gaps)) < st.tail.Count:
-		g = Gap{Machine: -1, A: st.tail.A, B: st.tail.B}
+		st.t, st.end, st.at = st.tail.A, st.tail.B, st.tailA
 	default:
 		return ErrTemplateTooSmall
 	}
 	st.gapIdx++
-	st.curGap = g
 	st.open = true
-	st.t = g.A
 	st.lo = len(st.arena)
 	if class >= 0 {
-		s := st.setups[class]
-		if s > 0 {
-			start := g.A.SubInt(s)
-			if start.Sign() < 0 {
-				return fmt.Errorf("%w: class %d setup %d below gap start %s", ErrSetupBelowGap, class, s, g.A)
+		if s := st.setups[class]; s > 0 {
+			start := st.t - Mul(s, st.d)
+			if start < 0 {
+				return fmt.Errorf("%w: class %d setup %d below gap start %s", ErrSetupBelowGap, class, s, st.at)
 			}
-			st.arena = append(st.arena, sched.Slot{Kind: sched.SlotSetup, Class: class, Job: -1, Start: start, End: g.A})
+			st.arena = append(st.arena, sched.Slot{Kind: sched.SlotSetup, Class: class, Job: -1, Start: sched.RatOf(start, st.d), End: st.at})
 		}
 	}
 	return nil
@@ -243,7 +281,6 @@ func (st *wrapState) closeGap() {
 		st.place.Machines[idx] = sp
 	} else if sp.Len() > 0 {
 		st.place.Tail = append(st.place.Tail, Run{Count: 1, Span: sp})
-		st.place.TailUsed++
 	}
 	st.open = false
 }
@@ -257,13 +294,16 @@ func (st *wrapState) tailLeft() int64 {
 	return st.tail.Count - used
 }
 
-func (st *wrapState) emit(kind sched.SlotKind, class, job int, length sched.Rat) {
-	if length.Sign() <= 0 {
+// emit appends a slot of length offsets, at most end - t, at the cursor:
+// its End is the one boundary it normalizes.  Empty slots are dropped.
+func (st *wrapState) emit(kind sched.SlotKind, class, job int, length int64) {
+	if length <= 0 {
 		return
 	}
-	end := st.t.Add(length)
-	st.arena = append(st.arena, sched.Slot{Kind: kind, Class: class, Job: job, Start: st.t, End: end})
-	st.t = end
+	t := st.t + length
+	at := sched.RatOf(t, st.d)
+	st.arena = append(st.arena, sched.Slot{Kind: kind, Class: class, Job: job, Start: st.at, End: at})
+	st.t, st.at = t, at
 }
 
 func (st *wrapState) placeItem(it *Item) error {
@@ -281,35 +321,27 @@ func (st *wrapState) placeItem(it *Item) error {
 	}
 	if it.Kind == sched.SlotSetup {
 		// Fits entirely, or moves whole below the next gap.
-		if st.t.Add(it.Len).Cmp(st.curGap.B) <= 0 {
+		if it.Len <= st.end-st.t {
 			st.emit(sched.SlotSetup, it.Class, -1, it.Len)
 			return nil
 		}
 		return st.advance(it.Class)
 	}
 	remaining := it.Len
-	for remaining.Sign() > 0 {
-		room := st.curGap.B.Sub(st.t)
-		if room.Sign() <= 0 {
+	for remaining > 0 {
+		room := st.end - st.t
+		if room <= 0 {
 			// Border reached: continue in the next gap with a fresh setup.
 			// Bulk-emit full tail gaps when the piece spans many of them.
 			if st.tailLeft() > 0 && st.gapIdx >= len(st.gaps) {
-				gapLen := st.tail.B.Sub(st.tail.A)
-				full := fullGapCount(remaining, gapLen)
-				if full > st.tailLeft() {
-					full = st.tailLeft()
-				}
-				if full >= 2 {
+				gapLen := st.tail.B - st.tail.A
+				if full := min(remaining/gapLen, st.tailLeft()); full >= 2 {
 					st.closeGap()
 					lo := len(st.arena)
-					st.arena = appendFullGap(st.arena, it, st.tail, st.setups)
+					st.appendFullGap(it)
 					st.place.Tail = append(st.place.Tail, Run{Count: full, Span: Span{lo, len(st.arena)}})
-					st.place.TailUsed += full
 					st.gapIdx += int(full)
-					remaining = remaining.Sub(gapLen.MulInt(full))
-					if remaining.Sign() == 0 {
-						return nil
-					}
+					remaining -= gapLen * full
 					continue
 				}
 			}
@@ -318,30 +350,24 @@ func (st *wrapState) placeItem(it *Item) error {
 			}
 			continue
 		}
-		take := sched.MinRat(remaining, room)
+		take := min(remaining, room)
 		st.emit(sched.SlotJob, it.Class, it.Job, take)
-		remaining = remaining.Sub(take)
+		remaining -= take
 	}
 	return nil
 }
 
-// fullGapCount returns floor(remaining / gapLen).
-func fullGapCount(remaining, gapLen sched.Rat) int64 {
-	ratio := remaining.DivInt(gapLen.Num()).MulInt(gapLen.Den())
-	return ratio.Floor()
-}
-
 // appendFullGap appends the slot layout of one fully consumed tail gap:
 // an optional setup below the gap plus a job piece spanning the gap.
-func appendFullGap(arena []sched.Slot, it *Item, tail TailRun, setups []int64) []sched.Slot {
-	if s := setups[it.Class]; s > 0 {
-		arena = append(arena, sched.Slot{
+func (st *wrapState) appendFullGap(it *Item) {
+	if s := st.setups[it.Class]; s > 0 {
+		st.arena = append(st.arena, sched.Slot{
 			Kind: sched.SlotSetup, Class: it.Class, Job: -1,
-			Start: tail.A.SubInt(s), End: tail.A,
+			Start: sched.RatOf(st.tail.A-Mul(s, st.d), st.d), End: st.tailA,
 		})
 	}
-	return append(arena, sched.Slot{
+	st.arena = append(st.arena, sched.Slot{
 		Kind: sched.SlotJob, Class: it.Class, Job: it.Job,
-		Start: tail.A, End: tail.B,
+		Start: st.tailA, End: st.tailB,
 	})
 }

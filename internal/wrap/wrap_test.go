@@ -2,6 +2,7 @@ package wrap
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -14,28 +15,143 @@ type placed struct {
 	*Placement
 }
 
-// wrapFresh wraps q into a fresh arena.
-func wrapFresh(gaps []Gap, tail TailRun, q *Sequence, setups []int64) (placed, error) {
+// wrapCase is one test input: every class wrapped as a batch, in order,
+// on the grid of denominator d (1 when zero) into the explicit gaps
+// followed by the tail run.  Gap bounds are grid offsets; class times are
+// integers.
+type wrapCase struct {
+	d       int64
+	classes []sched.Class
+	gaps    []Gap
+	tail    TailRun
+}
+
+// wrapCases are the inputs of the TestWrap* cases below, named after
+// them; FuzzWrap starts from them too.
+var wrapCases = map[string]wrapCase{
+	"SingleGapFits": {
+		classes: []sched.Class{{Setup: 2, Jobs: []int64{3, 4}}},
+		gaps:    []Gap{{0, 9}},
+	},
+	// One class, setup 1, one job of length 10; two gaps of span 6 each
+	// with room for a setup below the second gap.
+	"SplitsJobAcrossGaps": {
+		classes: []sched.Class{{Setup: 1, Jobs: []int64{10}}},
+		gaps:    []Gap{{0, 6}, {1, 7}},
+	},
+	// The second setup would cross the first gap's border (room for 2+3,
+	// then 4 would cross), so it must move whole below the second gap.
+	"MovesSetupBelowNextGap": {
+		classes: []sched.Class{{Setup: 2, Jobs: []int64{3}}, {Setup: 4, Jobs: []int64{2}}},
+		gaps:    []Gap{{0, 7}, {5, 11}},
+	},
+	// The setup ends exactly at the border; the job must open the next
+	// gap with a fresh setup below it.
+	"BorderExactSetupThenJob": {
+		classes: []sched.Class{{Setup: 3, Jobs: []int64{4}}},
+		gaps:    []Gap{{0, 3}, {3, 8}},
+	},
+	"TemplateTooSmall": {
+		classes: []sched.Class{{Setup: 1, Jobs: []int64{100}}},
+		gaps:    []Gap{{0, 5}},
+	},
+	// Only 2 below the second gap, and the setup is 3.
+	"SetupDoesNotFitBelowGap": {
+		classes: []sched.Class{{Setup: 3, Jobs: []int64{4, 4}}},
+		gaps:    []Gap{{0, 8}, {2, 8}},
+	},
+	// Load 5002 against 1000 tail gaps of span 5 (capacity 5000).
+	"TailRunCapacityCheck": {
+		classes: []sched.Class{{Setup: 2, Jobs: []int64{5000}}},
+		tail:    TailRun{Count: 1000, A: 2, B: 7},
+	},
+	// 10 units setup+job per machine; a big job covering exactly 200
+	// tail gaps plus change.
+	"TailRunBulkCompression": {
+		classes: []sched.Class{{Setup: 1, Jobs: []int64{2000}}},
+		tail:    TailRun{Count: 300, A: 1, B: 11},
+	},
+	// Job 0 consumes exactly 4 full tail gaps (a bulk run); job 1 then
+	// opens a fresh gap and must get a setup below it.
+	"BulkThenNewJobGetsSetup": {
+		classes: []sched.Class{{Setup: 3, Jobs: []int64{40, 12}}},
+		tail:    TailRun{Count: 10, A: 3, B: 13},
+	},
+	// A zero-setup class may legally start a gap without any setup.
+	"ZeroSetupClassFirstItem": {
+		classes: []sched.Class{{Setup: 0, Jobs: []int64{9, 9}}},
+		tail:    TailRun{Count: 3, A: 0, B: 7},
+	},
+	"ArenaSpans": {
+		classes: []sched.Class{
+			{Setup: 1, Jobs: []int64{5, 4, 30}},
+			{Setup: 2, Jobs: []int64{3, 3, 2, 60}},
+		},
+		gaps: []Gap{{2, 9}, {3, 8}},
+		tail: TailRun{Count: 38, A: 2, B: 7},
+	},
+}
+
+func (c wrapCase) den() int64 { return max(c.d, 1) }
+
+// scaled returns the case on the grid of denominator d: every bound
+// times d, so every time is the same.
+func (c wrapCase) scaled(d int64) wrapCase {
+	f := wrapCase{d: c.den() * d, classes: c.classes, tail: c.tail}
+	for _, g := range c.gaps {
+		f.gaps = append(f.gaps, Gap{g.A * d, g.B * d})
+	}
+	f.tail.A, f.tail.B = c.tail.A*d, c.tail.B*d
+	return f
+}
+
+// instance is the instance the case schedules: one machine per gap.
+func (c wrapCase) instance() *sched.Instance {
+	return &sched.Instance{M: int64(len(c.gaps)) + c.tail.Count, Classes: c.classes}
+}
+
+func (c wrapCase) setups() []int64 {
+	s := make([]int64, len(c.classes))
+	for i := range c.classes {
+		s[i] = c.classes[i].Setup
+	}
+	return s
+}
+
+func (c wrapCase) sequence() *Sequence {
+	var q Sequence
+	for i, cl := range c.classes {
+		q.AddBatch(i, cl.Setup, cl.Jobs, c.den())
+	}
+	return &q
+}
+
+// wrapInto wraps the case into arena, reusing pl.
+func (c wrapCase) wrapInto(arena []sched.Slot, pl *Placement) ([]sched.Slot, error) {
+	return Wrap(arena, pl, c.gaps, c.tail, c.sequence(), c.setups(), c.den())
+}
+
+// wrapFresh wraps the named case into a fresh arena.
+func wrapFresh(t *testing.T, name string) (placed, error) {
+	t.Helper()
+	c, ok := wrapCases[name]
+	if !ok {
+		t.Fatalf("no wrap case %q", name)
+	}
 	p := placed{Placement: &Placement{}}
 	var err error
-	p.arena, err = Wrap(nil, p.Placement, gaps, tail, q, setups)
+	p.arena, err = c.wrapInto(nil, p.Placement)
 	return p, err
 }
 
 // machine returns the slots of explicit gap g's machine.
 func (p placed) machine(g int) []sched.Slot { return p.Machines[g].Slots(p.arena) }
 
-// collect assembles a full Schedule from a placement plus pre-existing
-// machine content (nil for fresh machines).
-func collect(p placed, pre [][]sched.Slot, v sched.Variant) *sched.Schedule {
+// collect assembles a full Schedule from a placement.
+func collect(p placed, v sched.Variant) *sched.Schedule {
 	s := &sched.Schedule{Variant: v}
 	for g := range p.Machines {
-		var all []sched.Slot
-		if pre != nil {
-			all = append(all, pre[g]...)
-		}
-		all = append(all, p.machine(g)...)
-		s.AddMachine(all)
+		s.AddMachine(p.machine(g))
 	}
 	for _, r := range p.Tail {
 		s.AddRun(r.Count, r.Slots(p.arena))
@@ -43,55 +159,43 @@ func collect(p placed, pre [][]sched.Slot, v sched.Variant) *sched.Schedule {
 	return s
 }
 
-func seqLoad(t *testing.T, q *Sequence) sched.Rat {
+// wrapValid wraps the named case and validates the result against its
+// instance.
+func wrapValid(t *testing.T, name string, v sched.Variant) (placed, *sched.Schedule) {
 	t.Helper()
-	var sum sched.Rat
-	for _, it := range q.Items {
-		sum = sum.Add(it.Len)
+	p, err := wrapFresh(t, name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !sum.Equal(q.Load()) {
-		t.Fatalf("sequence load mismatch: %s vs %s", sum, q.Load())
+	s := collect(p, v)
+	if err := s.Validate(wrapCases[name].instance()); err != nil {
+		t.Fatalf("%v\n%v", err, s)
+	}
+	return p, s
+}
+
+func seqLoad(t *testing.T, q *Sequence) int64 {
+	t.Helper()
+	var sum int64
+	for _, it := range q.Items {
+		sum += it.Len
+	}
+	if sum != q.Load() {
+		t.Fatalf("sequence load mismatch: %d vs %d", sum, q.Load())
 	}
 	return sum
 }
 
 func TestWrapSingleGapFits(t *testing.T) {
-	in := &sched.Instance{M: 1, Classes: []sched.Class{{Setup: 2, Jobs: []int64{3, 4}}}}
-	var q Sequence
-	q.AddBatch(0, 2, in.Classes[0].Jobs)
-	seqLoad(t, &q)
-	gaps := []Gap{{Machine: 0, A: sched.R(0), B: sched.R(9)}}
-	p, err := wrapFresh(gaps, TailRun{}, &q, []int64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := collect(p, nil, sched.NonPreemptive)
-	if err := s.Validate(in); err != nil {
-		t.Fatal(err)
-	}
+	seqLoad(t, wrapCases["SingleGapFits"].sequence())
+	_, s := wrapValid(t, "SingleGapFits", sched.NonPreemptive)
 	if !s.Makespan().Equal(sched.R(9)) {
 		t.Errorf("makespan = %s", s.Makespan())
 	}
 }
 
 func TestWrapSplitsJobAcrossGaps(t *testing.T) {
-	// One class, setup 1, one job of length 10; two gaps of span 6 each
-	// with room for a setup below the second gap.
-	in := &sched.Instance{M: 2, Classes: []sched.Class{{Setup: 1, Jobs: []int64{10}}}}
-	var q Sequence
-	q.AddBatch(0, 1, in.Classes[0].Jobs)
-	gaps := []Gap{
-		{Machine: 0, A: sched.R(0), B: sched.R(6)},
-		{Machine: 1, A: sched.R(1), B: sched.R(7)},
-	}
-	p, err := wrapFresh(gaps, TailRun{}, &q, []int64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := collect(p, nil, sched.Splittable)
-	if err := s.Validate(in); err != nil {
-		t.Fatal(err)
-	}
+	p, _ := wrapValid(t, "SplitsJobAcrossGaps", sched.Splittable)
 	// First machine: setup [0,1), piece [1,6).  Second: setup [0,1) below
 	// gap, piece [1,6).
 	if len(p.machine(0)) != 2 || len(p.machine(1)) != 2 {
@@ -103,27 +207,7 @@ func TestWrapSplitsJobAcrossGaps(t *testing.T) {
 }
 
 func TestWrapMovesSetupBelowNextGap(t *testing.T) {
-	// Two classes; the second setup would cross the first gap's border, so
-	// it must move whole below the second gap.
-	in := &sched.Instance{M: 2, Classes: []sched.Class{
-		{Setup: 2, Jobs: []int64{3}},
-		{Setup: 4, Jobs: []int64{2}},
-	}}
-	var q Sequence
-	q.AddBatch(0, 2, in.Classes[0].Jobs)
-	q.AddBatch(1, 4, in.Classes[1].Jobs)
-	gaps := []Gap{
-		{Machine: 0, A: sched.R(0), B: sched.R(7)}, // room for 2+3, then 4 would cross
-		{Machine: 1, A: sched.R(5), B: sched.R(11)},
-	}
-	p, err := wrapFresh(gaps, TailRun{}, &q, []int64{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := collect(p, nil, sched.NonPreemptive)
-	if err := s.Validate(in); err != nil {
-		t.Fatal(err)
-	}
+	p, _ := wrapValid(t, "MovesSetupBelowNextGap", sched.NonPreemptive)
 	// The class-1 setup occupies [1,5) below gap 2 and its job [5,7).
 	m1 := p.machine(1)
 	if len(m1) != 2 || m1[0].Kind != sched.SlotSetup || !m1[0].Start.Equal(sched.R(1)) {
@@ -132,78 +216,34 @@ func TestWrapMovesSetupBelowNextGap(t *testing.T) {
 }
 
 func TestWrapBorderExactSetupThenJob(t *testing.T) {
-	// The setup ends exactly at the border; the job must open the next gap
-	// with a fresh setup below it.
-	in := &sched.Instance{M: 2, Classes: []sched.Class{{Setup: 3, Jobs: []int64{4}}}}
-	var q Sequence
-	q.AddBatch(0, 3, in.Classes[0].Jobs)
-	gaps := []Gap{
-		{Machine: 0, A: sched.R(0), B: sched.R(3)},
-		{Machine: 1, A: sched.R(3), B: sched.R(8)},
-	}
-	p, err := wrapFresh(gaps, TailRun{}, &q, []int64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := collect(p, nil, sched.Splittable)
-	if err := s.Validate(in); err != nil {
-		t.Fatal(err)
-	}
+	_, s := wrapValid(t, "BorderExactSetupThenJob", sched.Splittable)
 	if got := s.SetupCount(); got != 2 {
 		t.Errorf("setups = %d, want 2 (one wasted at border)", got)
 	}
 }
 
 func TestWrapTemplateTooSmall(t *testing.T) {
-	var q Sequence
-	q.AddBatch(0, 1, []int64{100})
-	gaps := []Gap{{Machine: 0, A: sched.R(0), B: sched.R(5)}}
-	_, err := wrapFresh(gaps, TailRun{}, &q, []int64{1})
-	if !errors.Is(err, ErrTemplateTooSmall) {
+	if _, err := wrapFresh(t, "TemplateTooSmall"); !errors.Is(err, ErrTemplateTooSmall) {
 		t.Errorf("err = %v, want ErrTemplateTooSmall", err)
 	}
 }
 
 func TestWrapSetupDoesNotFitBelowGap(t *testing.T) {
-	var q Sequence
-	q.AddBatch(0, 3, []int64{4, 4})
-	gaps := []Gap{
-		{Machine: 0, A: sched.R(0), B: sched.R(8)},
-		{Machine: 1, A: sched.R(2), B: sched.R(8)}, // only 2 below gap, setup is 3
-	}
-	_, err := wrapFresh(gaps, TailRun{}, &q, []int64{3})
-	if !errors.Is(err, ErrSetupBelowGap) {
+	if _, err := wrapFresh(t, "SetupDoesNotFitBelowGap"); !errors.Is(err, ErrSetupBelowGap) {
 		t.Errorf("err = %v, want ErrSetupBelowGap", err)
 	}
 }
 
 func TestWrapTailRunCapacityCheck(t *testing.T) {
-	// Load 5002 against 1000 tail gaps of span 5 (capacity 5000): the
-	// wrap must refuse up front.
-	var q Sequence
-	q.AddBatch(0, 2, []int64{5000})
-	tail := TailRun{Count: 1000, A: sched.R(2), B: sched.R(7)}
-	_, err := wrapFresh(nil, tail, &q, []int64{2})
-	if !errors.Is(err, ErrTemplateTooSmall) {
+	// The wrap must refuse up front.
+	if _, err := wrapFresh(t, "TailRunCapacityCheck"); !errors.Is(err, ErrTemplateTooSmall) {
 		t.Errorf("err = %v, want ErrTemplateTooSmall", err)
 	}
 }
 
 func TestWrapTailRunBulkCompression(t *testing.T) {
-	// 10 units setup+job per machine; big job covering exactly 200 tail
-	// gaps plus change, distinct slot structures must stay tiny.
-	in := &sched.Instance{M: 300, Classes: []sched.Class{{Setup: 1, Jobs: []int64{2000}}}}
-	var q Sequence
-	q.AddBatch(0, 1, in.Classes[0].Jobs)
-	tail := TailRun{Count: 300, A: sched.R(1), B: sched.R(11)} // span 10
-	p, err := wrapFresh(nil, tail, &q, []int64{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := collect(p, nil, sched.Splittable)
-	if err := s.Validate(in); err != nil {
-		t.Fatal(err)
-	}
+	// Distinct slot structures must stay tiny.
+	_, s := wrapValid(t, "TailRunBulkCompression", sched.Splittable)
 	if s.NumSlots() > 8 {
 		t.Errorf("run compression failed: %d distinct slots", s.NumSlots())
 	}
@@ -217,7 +257,6 @@ func TestWrapRandomizedFeasibility(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		c := rng.Intn(5) + 1
 		classes := make([]sched.Class, c)
-		var q Sequence
 		var load int64
 		smax := int64(0)
 		for i := 0; i < c; i++ {
@@ -233,25 +272,22 @@ func TestWrapRandomizedFeasibility(t *testing.T) {
 				smax = s
 			}
 			classes[i] = sched.Class{Setup: s, Jobs: jobs}
-			q.AddBatch(i, s, jobs)
 		}
 		// Template: identical gaps [smax, smax+h) with h chosen so the
-		// total span just covers the load.
+		// total span just covers the load, on a grid of random
+		// denominator.
 		h := rng.Int63n(30) + 21 // gap span > max job? not required for splittable
 		gapCount := (load + h - 1) / h
 		m := gapCount + int64(rng.Intn(3))
-		in := &sched.Instance{M: m, Classes: classes}
-		setups := make([]int64, c)
-		for i := range classes {
-			setups[i] = classes[i].Setup
-		}
-		tail := TailRun{Count: m, A: sched.R(smax), B: sched.R(smax + h)}
-		p, err := wrapFresh(nil, tail, &q, setups)
-		if err != nil {
+		d := 1 + rng.Int63n(12)
+		wc := wrapCase{d: d, classes: classes, tail: TailRun{Count: m, A: smax * d, B: (smax + h) * d}}
+		p := placed{Placement: &Placement{}}
+		var err error
+		if p.arena, err = wc.wrapInto(nil, p.Placement); err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		s := collect(p, nil, sched.Splittable)
-		if err := s.Validate(in); err != nil {
+		s := collect(p, sched.Splittable)
+		if err := s.Validate(wc.instance()); err != nil {
 			t.Fatalf("iter %d: %v\n%v", iter, err, s)
 		}
 		if s.Makespan().CmpInt(smax+h) > 0 {
@@ -263,51 +299,22 @@ func TestWrapRandomizedFeasibility(t *testing.T) {
 func TestSequenceHelpers(t *testing.T) {
 	var q Sequence
 	q.AddSetup(0, 0) // skipped
-	q.AddJob(0, 0, sched.Rat{})
+	q.AddJob(0, 0, 0)
 	if q.Len() != 0 {
 		t.Error("zero items must be skipped")
 	}
-	q.AddBatch(1, 3, []int64{1, 2})
-	if q.Len() != 3 || !q.Load().Equal(sched.R(6)) {
-		t.Errorf("batch: len=%d load=%s", q.Len(), q.Load())
+	q.AddBatch(1, 3, []int64{1, 2}, 4)
+	if q.Len() != 3 || q.Load() != 24 || seqLoad(t, &q) != 24 {
+		t.Errorf("batch: len=%d load=%d", q.Len(), q.Load())
 	}
 }
 
 func TestWrapBulkThenNewJobGetsSetup(t *testing.T) {
-	// Regression: job 0 consumes exactly k full tail gaps (bulk run);
-	// job 1 then opens a fresh gap and must get a setup below it.
-	in := &sched.Instance{M: 10, Classes: []sched.Class{
-		{Setup: 3, Jobs: []int64{40, 12}},
-	}}
-	var q Sequence
-	q.AddBatch(0, 3, in.Classes[0].Jobs)
-	tail := TailRun{Count: 10, A: sched.R(3), B: sched.R(13)} // span 10
-	p, err := wrapFresh(nil, tail, &q, []int64{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := collect(p, nil, sched.Splittable)
-	if err := s.Validate(in); err != nil {
-		t.Fatalf("bulk-boundary setup missing: %v\n%v", err, s)
-	}
+	wrapValid(t, "BulkThenNewJobGetsSetup", sched.Splittable)
 }
 
 func TestWrapZeroSetupClassFirstItem(t *testing.T) {
-	// A zero-setup class may legally start a gap without any setup.
-	in := &sched.Instance{M: 3, Classes: []sched.Class{
-		{Setup: 0, Jobs: []int64{9, 9}},
-	}}
-	var q Sequence
-	q.AddBatch(0, 0, in.Classes[0].Jobs)
-	tail := TailRun{Count: 3, A: sched.R(0), B: sched.R(7)}
-	p, err := wrapFresh(nil, tail, &q, []int64{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := collect(p, nil, sched.Splittable)
-	if err := s.Validate(in); err != nil {
-		t.Fatal(err)
-	}
+	wrapValid(t, "ZeroSetupClassFirstItem", sched.Splittable)
 }
 
 // TestWrapArenaSpans checks the arena contract: Wrap appends after the
@@ -316,23 +323,11 @@ func TestWrapZeroSetupClassFirstItem(t *testing.T) {
 // spans follow each other in machine order, and a reused Placement is
 // reset to the new template.
 func TestWrapArenaSpans(t *testing.T) {
-	in := &sched.Instance{M: 40, Classes: []sched.Class{
-		{Setup: 1, Jobs: []int64{5, 4, 30}},
-		{Setup: 2, Jobs: []int64{3, 3, 2, 60}},
-	}}
-	var q Sequence
-	for i, c := range in.Classes {
-		q.AddBatch(i, c.Setup, c.Jobs)
-	}
-	gaps := []Gap{
-		{Machine: 0, A: sched.R(2), B: sched.R(9)},
-		{Machine: 1, A: sched.R(3), B: sched.R(8)},
-	}
-	tail := TailRun{Count: 38, A: sched.R(2), B: sched.R(7)}
+	c := wrapCases["ArenaSpans"]
 	sentinel := sched.Slot{Kind: sched.SlotJob, Class: 7, Job: 7, Start: sched.R(70), End: sched.R(77)}
 	arena := []sched.Slot{sentinel, sentinel, sentinel}
 	pl := &Placement{Machines: make([]Span, 5), Tail: make([]Run, 3)} // stale content
-	arena, err := Wrap(arena, pl, gaps, tail, &q, []int64{1, 2})
+	arena, err := c.wrapInto(arena, pl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,13 +336,15 @@ func TestWrapArenaSpans(t *testing.T) {
 			t.Fatalf("Wrap overwrote existing arena slot %d: %+v", k, arena[k])
 		}
 	}
-	if len(pl.Machines) != len(gaps) {
-		t.Fatalf("placement has %d machines for %d gaps", len(pl.Machines), len(gaps))
+	if len(pl.Machines) != len(c.gaps) {
+		t.Fatalf("placement has %d machines for %d gaps", len(pl.Machines), len(c.gaps))
 	}
 	next := 3
 	spans := append([]Span(nil), pl.Machines...)
+	var tailUsed int64
 	for _, r := range pl.Tail {
 		spans = append(spans, r.Span)
+		tailUsed += r.Count
 	}
 	for k, sp := range spans {
 		if sp.Lo != next || sp.Hi < sp.Lo {
@@ -361,11 +358,35 @@ func TestWrapArenaSpans(t *testing.T) {
 	if next != len(arena) {
 		t.Fatalf("spans end at %d, arena has %d slots", next, len(arena))
 	}
-	s := collect(placed{arena, pl}, nil, sched.Splittable)
-	if err := s.Validate(in); err != nil {
+	s := collect(placed{arena, pl}, sched.Splittable)
+	if err := s.Validate(c.instance()); err != nil {
 		t.Fatal(err)
 	}
-	if s.MachineCount() != int64(len(gaps))+pl.TailUsed {
-		t.Fatalf("placement uses %d machines, TailUsed says %d", s.MachineCount(), pl.TailUsed)
+	if tailUsed > c.tail.Count || s.MachineCount() != int64(len(c.gaps))+tailUsed {
+		t.Fatalf("placement uses %d machines, its tail runs %d of %d", s.MachineCount(), tailUsed, c.tail.Count)
+	}
+}
+
+// TestGridOverflowPanics checks that grid arithmetic never wraps around:
+// a product or sum beyond int64, in the helpers or in a sequence's
+// scaling and load, panics with sched.ErrRatOverflow.
+func TestGridOverflowPanics(t *testing.T) {
+	for name, f := range map[string]func(){
+		"Mul":      func() { Mul(1<<62, 2) },
+		"Add":      func() { Add(math.MaxInt64, 1) },
+		"AddBatch": func() { new(Sequence).AddBatch(0, 1, []int64{1 << 40}, 1<<23) },
+		"Load":     func() { new(Sequence).AddBatch(0, 1<<62, []int64{1 << 62}, 1) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != sched.ErrRatOverflow {
+					t.Errorf("%s: recovered %v, want sched.ErrRatOverflow", name, r)
+				}
+			}()
+			f()
+		}()
+	}
+	if got := Mul(1<<31, 1<<31); got != 1<<62 {
+		t.Errorf("Mul(2^31, 2^31) = %d", got)
 	}
 }
