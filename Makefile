@@ -29,7 +29,7 @@ bench:
 # without paying for full measurement runs.
 bench-smoke:
 	$(GO) test -bench='SolveCold|SolveHit|Fingerprint|HTTPSolve' -benchtime=1x -run=^$$ ./serve
-	$(GO) test -bench='SolverReuse|SolverOneShotPerCall|DualTest|SolveFacade|Parallel_' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='SolverReuse|SolverOneShotPerCall|DualTest|Parallel_' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Session_' -benchtime=1x -run=^$$ ./stream
 	$(GO) test -bench='EvalNonp|Jump|Build|Probe' -benchtime=1x -run=^$$ ./internal/core
 

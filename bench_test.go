@@ -2,10 +2,10 @@ package setupsched
 
 // Benchmark harness regenerating the paper's evaluation artifacts:
 //
-//   - BenchmarkTable1_* has one benchmark per row of Table 1 (the paper's
-//     algorithm overview), measuring the running time of each algorithm
-//     across instance sizes; near-constant ns/job across sizes confirms
-//     the near-linear bounds.
+//   - BenchmarkTable1 has one sub-benchmark per row of Table 1 (the
+//     paper's algorithm overview, PaperRuns, named by Run.String),
+//     measuring the running time of each algorithm across instance sizes;
+//     near-constant ns/job across sizes confirms the near-linear bounds.
 //   - BenchmarkFigure*_ benchmarks the constructions behind each figure.
 //   - BenchmarkDual_* measures a single O(n) dual test per variant.
 //   - BenchmarkAblation_* quantifies two design choices: run compression
@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"setupsched/internal/core"
-	"setupsched/internal/expt"
 	"setupsched/sched"
 	"setupsched/schedgen"
 )
@@ -44,47 +43,29 @@ var benchSizes = []struct {
 	{"n=1e5", 100000},
 }
 
-func benchAlgo(b *testing.B, name string) {
-	var algo expt.Algo
-	for _, a := range expt.Algorithms() {
-		if a.Name == name {
-			algo = a
+// BenchmarkTable1 solves every row of Table 1 on one reused Solver per
+// size, so the timing covers search and build but not the one-time
+// preparation.  The eps-search runs at eps = 1e-3, the accuracy the
+// differential harness and schedbench measure.
+func BenchmarkTable1(b *testing.B) {
+	for _, run := range PaperRuns() {
+		for _, sz := range benchSizes {
+			s, err := NewSolver(benchInstance(sz.n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run(run.String()+"/"+sz.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := s.Solve(context.Background(), run.Variant,
+						WithAlgorithm(run.Algorithm), WithEpsilon(1e-3)); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
-	if algo.Run == nil {
-		b.Fatalf("unknown algorithm %q", name)
-	}
-	for _, sz := range benchSizes {
-		in := benchInstance(sz.n)
-		p := core.Prepare(in)
-		b.Run(sz.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := algo.Run(p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
-
-// --- Table 1, splittable row ---
-
-func BenchmarkTable1_Splittable_2Approx(b *testing.B) { benchAlgo(b, "split/2approx") }
-func BenchmarkTable1_Splittable_Eps(b *testing.B)     { benchAlgo(b, "split/eps") }
-func BenchmarkTable1_Splittable_Jump(b *testing.B)    { benchAlgo(b, "split/jump") }
-
-// --- Table 1, non-preemptive row ---
-
-func BenchmarkTable1_NonPreemptive_2Approx(b *testing.B)   { benchAlgo(b, "nonp/2approx") }
-func BenchmarkTable1_NonPreemptive_Eps(b *testing.B)       { benchAlgo(b, "nonp/eps") }
-func BenchmarkTable1_NonPreemptive_BinSearch(b *testing.B) { benchAlgo(b, "nonp/binsearch") }
-
-// --- Table 1, preemptive row ---
-
-func BenchmarkTable1_Preemptive_2Approx(b *testing.B) { benchAlgo(b, "pmtn/2approx") }
-func BenchmarkTable1_Preemptive_Eps(b *testing.B)     { benchAlgo(b, "pmtn/eps") }
-func BenchmarkTable1_Preemptive_Jump(b *testing.B)    { benchAlgo(b, "pmtn/jump") }
 
 // --- The O(n) dual tests underlying Theorems 4, 7 and 9 ---
 
@@ -344,19 +325,8 @@ func BenchmarkParallel_SolveAll_Serial(b *testing.B)  { benchSolveAll(b, 1) }
 func BenchmarkParallel_SolveAll_Fanout4(b *testing.B) { benchSolveAll(b, 4) }
 func BenchmarkParallel_SolveAll_Fanout9(b *testing.B) { benchSolveAll(b, 9) }
 
-// End-to-end Solve through the public API (includes validation-free path).
-func BenchmarkSolveFacade(b *testing.B) {
-	in := benchInstance(10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(in, NonPreemptive, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Solver reuse vs one-shot: the one-shot facade re-validates and
-// re-prepares the instance on every call; a reused Solver pays both once.
+// Solver reuse vs one-shot: a fresh Solver per call re-validates and
+// re-prepares the instance every time; a reused Solver pays both once.
 // This pair quantifies the gap the Solver API exists to close (the
 // serving layer's repeated-traffic hot path).
 func BenchmarkSolverOneShotPerCall(b *testing.B) {
@@ -389,8 +359,8 @@ func BenchmarkSolverReuse(b *testing.B) {
 }
 
 // Repeated dual tests are where preparation reuse pays most: a rejected
-// probe is one O(n) evaluation with no schedule construction, so the
-// legacy free function spends about half its time re-validating and
+// probe is one O(n) evaluation with no schedule construction, so a fresh
+// Solver per probe spends about half its time re-validating and
 // re-preparing the instance.  The guess below is under the trivial bound
 // and always rejected.
 func BenchmarkDualTestOneShot(b *testing.B) {
@@ -398,7 +368,11 @@ func BenchmarkDualTestOneShot(b *testing.B) {
 	T := sched.R(in.N() / in.M / 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DualTest(in, NonPreemptive, T); err != nil {
+		s, err := NewSolver(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := s.DualTest(context.Background(), NonPreemptive, T); err != nil {
 			b.Fatal(err)
 		}
 	}

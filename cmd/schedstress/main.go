@@ -47,6 +47,7 @@ import (
 
 	"setupsched/internal/diff"
 	"setupsched/obs"
+	"setupsched/sched"
 	"setupsched/schedgen"
 )
 
@@ -103,7 +104,7 @@ func run() int {
 		return runDrift(ctx, regs, profs, *seeds, *seedBase, *steps, *eps, *workers, *maxViol, *duration, *verbose)
 	}
 
-	total := &diff.Summary{MaxRatioVsLB: map[string]float64{}}
+	total := &diff.Summary{MaxRatioVsLB: map[string]sched.Rat{}}
 	start := time.Now()
 	rounds := 0
 
@@ -258,7 +259,7 @@ func merge(dst, src *diff.Summary) {
 	dst.BBBrackets += src.BBBrackets
 	dst.Fallbacks += src.Fallbacks
 	for name, r := range src.MaxRatioVsLB {
-		if r > dst.MaxRatioVsLB[name] {
+		if dst.MaxRatioVsLB[name].Less(r) {
 			dst.MaxRatioVsLB[name] = r
 		}
 	}
@@ -278,7 +279,7 @@ func report(sum *diff.Summary, rounds int, elapsed time.Duration) {
 	sort.Strings(names)
 	fmt.Println("  worst measured makespan / certified-bound ratios:")
 	for _, name := range names {
-		fmt.Printf("    %-14s %.6f\n", name, sum.MaxRatioVsLB[name])
+		fmt.Printf("    %-14s %.6f\n", name, sum.MaxRatioVsLB[name].Float64())
 	}
 
 	if len(sum.Violations) == 0 {

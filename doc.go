@@ -74,6 +74,10 @@
 // with WithObserver sees every probe live, and Result.Trace records the
 // full sequence after the fact.
 //
+// Errors are typed: ErrNilInstance, *ValidationError (bad instance),
+// *EpsilonRangeError (epsilon outside (0, 1)), ErrCanceled (context),
+// ErrProbeLimit (budget from WithProbeLimit exhausted).
+//
 // # Concurrency and parallelism
 //
 // A Solver is immutable after NewSolver and safe for concurrent use: any
@@ -134,16 +138,6 @@
 // reason.  internal/diff replays generated drift traces through
 // sessions and fresh solvers side by side to enforce all of this
 // (tier-1, schedstress -drift, FuzzSessionDeltas).
-//
-// Migration from the legacy free functions (kept as deprecated shims):
-//
-//	Solve(in, v, &Options{Algorithm: a, Epsilon: e})  ->  NewSolver(in); s.Solve(ctx, v, WithAlgorithm(a), WithEpsilon(e))
-//	DualTest(in, v, T)                                ->  NewSolver(in); s.DualTest(ctx, v, T)
-//	LowerBound(in, v)                                 ->  NewSolver(in); s.LowerBound(v)
-//
-// Errors are typed: ErrNilInstance, *ValidationError (bad instance),
-// *EpsilonRangeError (epsilon outside (0, 1)), ErrCanceled (context),
-// ErrProbeLimit (budget from WithProbeLimit exhausted).
 //
 // # Serving
 //

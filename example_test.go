@@ -103,7 +103,7 @@ func ExampleSolver_SolveAll() {
 		fmt.Printf("%s: makespan %s (certified >= %s)\n", rr.Run, rr.Result.Makespan, rr.Result.LowerBound)
 	}
 	// Output:
-	// splittable/3/2-approximation: makespan 57/4 (certified >= 19/2)
-	// preemptive/3/2-approximation: makespan 55/4 (certified >= 19/2)
-	// nonpreemptive/3/2-approximation: makespan 10 (certified >= 10)
+	// split/exact32: makespan 57/4 (certified >= 19/2)
+	// pmtn/exact32: makespan 55/4 (certified >= 19/2)
+	// nonp/exact32: makespan 10 (certified >= 10)
 }

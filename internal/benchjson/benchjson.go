@@ -2,9 +2,7 @@
 // through the public APIs and emits/validates the machine-readable
 // BENCH_core.json performance-trajectory report: the parallel engine vs
 // the serial path, and the incremental session engine (warm re-solve
-// after a delta) vs a cold NewSolver+Solve.  It lives outside
-// internal/expt so the root package's benchmarks can keep importing expt
-// without an import cycle.
+// after a delta) vs a cold NewSolver+Solve.
 package benchjson
 
 import (
@@ -126,21 +124,7 @@ func benchSpecs() []benchSpec {
 			continue // no search to measure
 		}
 		r := r
-		var name string
-		switch r.Variant {
-		case setupsched.Splittable:
-			name = "split/"
-		case setupsched.Preemptive:
-			name = "pmtn/"
-		default:
-			name = "nonp/"
-		}
-		if r.Algorithm == setupsched.EpsilonSearch {
-			name += "eps"
-		} else {
-			name += "exact32"
-		}
-		out = append(out, benchSpec{name: name, single: true, run: func(s *setupsched.Solver, extra ...setupsched.Option) (int, error) {
+		out = append(out, benchSpec{name: r.String(), single: true, run: func(s *setupsched.Solver, extra ...setupsched.Option) (int, error) {
 			opts := append([]setupsched.Option{setupsched.WithAlgorithm(r.Algorithm)}, extra...)
 			res, err := s.Solve(context.Background(), r.Variant, opts...)
 			if err != nil {

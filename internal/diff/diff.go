@@ -11,9 +11,10 @@
 //   - setupsched.Verify accepts the result (feasible schedule, stated
 //     makespan matches, certified bound sound against the trivial bound);
 //   - makespan / certified lower bound never exceeds the paper guarantee
-//     (2 for the 2-approximations, 3/2 for the exact searches,
-//     (3/2)(1+eps) for the eps-searches), except for the documented
-//     bounded-round fallbacks, which are counted instead;
+//     setupsched.Run.Guarantee (2 for the 2-approximations, 3/2 for the
+//     exact searches, (3/2)(1 + core.EpsRat(eps)) for the eps-searches),
+//     compared as exact rationals, except for the documented bounded-round
+//     fallbacks, which are counted instead;
 //   - where internal/exact can solve the instance: the certified lower
 //     bound never exceeds OPT, no schedule beats OPT, and the makespan
 //     stays within guarantee*OPT (using the sandwich
@@ -45,7 +46,6 @@ import (
 
 	"setupsched"
 	"setupsched/internal/baseline"
-	"setupsched/internal/core"
 	"setupsched/internal/exact"
 	"setupsched/sched"
 	"setupsched/schedgen"
@@ -54,76 +54,10 @@ import (
 // DefaultEpsilon is the eps-search accuracy used when Config.Epsilon is 0.
 const DefaultEpsilon = 1e-3
 
-// Spec is one algorithm under differential test.
-type Spec struct {
-	// Name labels the spec in reports ("pmtn/eps", ...).
-	Name      string
-	Variant   sched.Variant
-	Algorithm setupsched.Algorithm
-	// Epsilon is the accuracy passed to the eps-search (0 otherwise).
-	Epsilon float64
-	// GuarNum/GuarDen is the paper guarantee as an exact rational (2/1 or
-	// 3/2).  For EpsilonSearch the effective bound is
-	// (GuarNum/GuarDen)*(1+core.EpsRat(Epsilon)); every guarantee check
-	// compares exact rationals, never floats.
-	GuarNum, GuarDen int64
-}
-
-// Guarantee returns the spec's ratio bound as a float (eps included).
-func (s Spec) Guarantee() float64 {
-	g := float64(s.GuarNum) / float64(s.GuarDen)
-	if s.Algorithm == setupsched.EpsilonSearch {
-		g *= 1 + s.Epsilon
-	}
-	return g
-}
-
-// Specs returns the nine paper algorithms (the rows of Table 1) routed
-// through the public Solver API, with eps as the eps-search accuracy.
-func Specs(eps float64) []Spec {
-	if eps <= 0 {
-		eps = DefaultEpsilon
-	}
-	var out []Spec
-	for _, v := range sched.Variants {
-		var short string
-		switch v {
-		case sched.Splittable:
-			short = "split"
-		case sched.Preemptive:
-			short = "pmtn"
-		default:
-			short = "nonp"
-		}
-		out = append(out,
-			Spec{short + "/2approx", v, setupsched.TwoApprox, 0, 2, 1},
-			Spec{short + "/eps", v, setupsched.EpsilonSearch, eps, 3, 2},
-			Spec{short + "/exact32", v, setupsched.Exact32, 0, 3, 2},
-		)
-	}
-	return out
-}
-
-// specRuns converts the spec list into SolveAll runs plus the shared
-// eps-search accuracy, scanned (not index-assumed) from the specs so a
-// catalog reorder cannot silently break the SolveAll option set.
-func specRuns(specs []Spec) (runs []setupsched.Run, eps float64) {
-	runs = make([]setupsched.Run, len(specs))
-	for i, spec := range specs {
-		runs[i] = setupsched.Run{Variant: spec.Variant, Algorithm: spec.Algorithm}
-		if spec.Algorithm == setupsched.EpsilonSearch && eps == 0 {
-			eps = spec.Epsilon
-		}
-	}
-	if eps == 0 {
-		eps = DefaultEpsilon
-	}
-	return runs, eps
-}
-
-// AlgoRun is the outcome of one spec on one instance.
+// AlgoRun is the outcome of one paper run (a row of Table 1, see
+// setupsched.PaperRuns) on one instance.
 type AlgoRun struct {
-	Spec      Spec
+	Run       setupsched.Run
 	Algorithm string // algorithm name reported by the solver
 	Makespan  sched.Rat
 	Lower     sched.Rat
@@ -184,7 +118,8 @@ func wantExactBB(in *sched.Instance) bool {
 	return in.NumJobs() <= 512
 }
 
-// CheckInstance runs every spec on the instance and cross-checks the
+// CheckInstance runs every paper run on the instance, with eps as the
+// eps-search accuracy (0 means DefaultEpsilon), and cross-checks the
 // results.  Violations are reported in the Report, not as an error; the
 // error return is reserved for infrastructure failures (context
 // cancellation, a nil or invalid instance).
@@ -212,6 +147,9 @@ func CheckInstanceBudget(ctx context.Context, in *sched.Instance, eps float64, p
 	solver, err := setupsched.NewSolver(in)
 	if err != nil {
 		return nil, err
+	}
+	if eps <= 0 {
+		eps = DefaultEpsilon
 	}
 	rep := &Report{
 		Fingerprint: in.Fingerprint(),
@@ -262,15 +200,10 @@ func CheckInstanceBudget(ctx context.Context, in *sched.Instance, eps float64, p
 		rep.violate("exact optima inverted: OPT_split %s > OPT_nonp %d", rep.OptSplit, rep.OptNonp)
 	}
 
-	// All nine specs go through Solver.SolveAll off the one shared
+	// All nine paper runs go through Solver.SolveAll off the one shared
 	// preparation; with parallelism > 1 they solve concurrently, in
 	// deterministic report order either way.
-	specs := Specs(eps)
-	runs, specEps := specRuns(specs)
-	opts := []setupsched.Option{
-		setupsched.WithRuns(runs...),
-		setupsched.WithEpsilon(specEps),
-	}
+	opts := []setupsched.Option{setupsched.WithEpsilon(eps)}
 	if parallelism > 1 {
 		opts = append(opts, setupsched.WithParallelism(parallelism))
 	}
@@ -278,18 +211,17 @@ func CheckInstanceBudget(ctx context.Context, in *sched.Instance, eps float64, p
 	if err != nil {
 		return nil, err
 	}
-	for i, rr := range results {
-		spec := specs[i]
+	for _, rr := range results {
 		if rr.Err != nil {
 			if errors.Is(rr.Err, setupsched.ErrCanceled) {
 				return rep, rr.Err
 			}
-			rep.violate("%s: solve failed: %v", spec.Name, rr.Err)
+			rep.violate("%s: solve failed: %v", rr.Run, rr.Err)
 			continue
 		}
 		res := rr.Result
 		run := AlgoRun{
-			Spec:      spec,
+			Run:       rr.Run,
 			Algorithm: res.Algorithm,
 			Makespan:  res.Makespan,
 			Lower:     res.LowerBound,
@@ -301,33 +233,36 @@ func CheckInstanceBudget(ctx context.Context, in *sched.Instance, eps float64, p
 		if run.Fallback {
 			rep.Fallbacks++
 		}
-		checkRun(rep, in, run, res)
+		checkRun(rep, in, eps, run, res)
 	}
 	checkRelaxationChain(rep)
 	checkBaselines(rep, in)
 	return rep, nil
 }
 
-// checkRun asserts the per-algorithm invariants for one result.
-func checkRun(rep *Report, in *sched.Instance, run AlgoRun, res *setupsched.Result) {
-	spec := run.Spec
-	if err := setupsched.Verify(in, spec.Variant, res); err != nil {
-		rep.violate("%s: Verify rejected the solver's own result: %v", spec.Name, err)
+// checkRun asserts the per-algorithm invariants for one result of a
+// solve at eps-search accuracy eps.
+func checkRun(rep *Report, in *sched.Instance, eps float64, run AlgoRun, res *setupsched.Result) {
+	if err := setupsched.Verify(in, run.Run.Variant, res); err != nil {
+		rep.violate("%s: Verify rejected the solver's own result: %v", run.Run, err)
 		return
 	}
 
-	// Guarantee against the certified lower bound (skipped for the
-	// documented conservative fallbacks, which are counted instead).
-	if !run.Fallback && !withinGuarantee(spec, run.Makespan, run.Lower) {
-		rep.violate("%s: makespan %s exceeds guarantee %.6f x certified bound %s (ratio %.6f)",
-			spec.Name, run.Makespan, spec.Guarantee(), run.Lower, run.RatioVsLB)
+	// Guarantee against the certified lower bound, compared as exact
+	// rationals so a ratio a hair above it cannot hide inside float
+	// rounding (skipped for the documented conservative fallbacks, which
+	// are counted instead).
+	g := run.Run.Guarantee(eps)
+	if !run.Fallback && run.Lower.Mul(g).Less(run.Makespan) {
+		rep.violate("%s: makespan %s exceeds guarantee %s x certified bound %s (ratio %.6f)",
+			run.Run, run.Makespan, g, run.Lower, run.RatioVsLB)
 	}
 
 	// Differential checks against the exhaustive optima.  The preemptive
 	// optimum is sandwiched: OPT_split <= OPT_pmtn <= OPT_nonp.
 	var optLo, optHi sched.Rat // OPT in [optLo, optHi] for this variant
 	var haveLo, haveHi bool
-	switch spec.Variant {
+	switch run.Run.Variant {
 	case sched.Splittable:
 		if rep.HasOptSplit {
 			optLo, optHi, haveLo, haveHi = rep.OptSplit, rep.OptSplit, true, true
@@ -354,30 +289,16 @@ func checkRun(rep *Report, in *sched.Instance, run AlgoRun, res *setupsched.Resu
 	}
 	if haveHi && optHi.Less(run.Lower) {
 		rep.violate("%s: certified lower bound %s exceeds exact optimum %s (unsound certificate)",
-			spec.Name, run.Lower, optHi)
+			run.Run, run.Lower, optHi)
 	}
 	if haveLo && run.Makespan.Less(optLo) {
 		rep.violate("%s: schedule makespan %s beats the exact optimum %s (infeasible schedule or broken exact search)",
-			spec.Name, run.Makespan, optLo)
+			run.Run, run.Makespan, optLo)
 	}
-	if haveHi && !run.Fallback && !withinGuarantee(spec, run.Makespan, optHi) {
-		rep.violate("%s: makespan %s exceeds guarantee %.6f x exact optimum %s",
-			spec.Name, run.Makespan, spec.Guarantee(), optHi)
+	if haveHi && !run.Fallback && optHi.Mul(g).Less(run.Makespan) {
+		rep.violate("%s: makespan %s exceeds guarantee %s x exact optimum %s",
+			run.Run, run.Makespan, g, optHi)
 	}
-}
-
-// withinGuarantee reports mk <= guarantee * ref with an exact rational
-// comparison for every algorithm.  The eps-inflated bound multiplies in
-// (1 + core.EpsRat(eps)) — the rational tolerance the eps-search really
-// certifies — instead of comparing floats with slack, so a true ratio
-// regression a hair above the guarantee can no longer hide inside float
-// rounding.
-func withinGuarantee(spec Spec, mk, ref sched.Rat) bool {
-	bound := ref.MulInt(spec.GuarNum).DivInt(spec.GuarDen)
-	if spec.Algorithm == setupsched.EpsilonSearch {
-		bound = bound.Mul(core.EpsRat(spec.Epsilon).AddInt(1))
-	}
-	return mk.Leq(bound)
 }
 
 // checkRelaxationChain asserts OPT_split <= OPT_pmtn <= OPT_nonp through
@@ -396,10 +317,10 @@ func checkRelaxationChain(rep *Report) {
 	}
 	for _, lower := range rep.Runs {
 		for _, upper := range rep.Runs {
-			if rank(lower.Spec.Variant) < rank(upper.Spec.Variant) &&
+			if rank(lower.Run.Variant) < rank(upper.Run.Variant) &&
 				upper.Makespan.Less(lower.Lower) {
 				rep.violate("relaxation chain broken: %s makespan %s below %s certified bound %s",
-					upper.Spec.Name, upper.Makespan, lower.Spec.Name, lower.Lower)
+					upper.Run, upper.Makespan, lower.Run, lower.Lower)
 			}
 		}
 	}
@@ -430,8 +351,8 @@ func checkBaselines(rep *Report, in *sched.Instance) {
 			rep.violate("%s: makespan %s beats the certified optimum bracket lower end %d", b.name, mk, rep.NonpLo)
 		}
 		for _, run := range rep.Runs {
-			if run.Spec.Variant == sched.NonPreemptive && mk.Less(run.Lower) {
-				rep.violate("%s: makespan %s below %s certified bound %s", b.name, mk, run.Spec.Name, run.Lower)
+			if run.Run.Variant == sched.NonPreemptive && mk.Less(run.Lower) {
+				rep.violate("%s: makespan %s below %s certified bound %s", b.name, mk, run.Run, run.Lower)
 			}
 		}
 	}
@@ -554,8 +475,8 @@ type Summary struct {
 	BBBrackets int64 // instances where the B&B reference certified only a bracket
 	Fallbacks  int64
 	// MaxRatioVsLB is the worst measured makespan/certified-bound ratio
-	// per spec name, over non-fallback runs.
-	MaxRatioVsLB map[string]float64
+	// per spec name (setupsched.Run.String), over non-fallback runs, exact.
+	MaxRatioVsLB map[string]sched.Rat
 	Violations   []Violation
 }
 
@@ -583,7 +504,7 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 		seed    int64
 	}
 	jobs := make(chan item)
-	sum := &Summary{MaxRatioVsLB: map[string]float64{}}
+	sum := &Summary{MaxRatioVsLB: map[string]sched.Rat{}}
 	var mu sync.Mutex
 	var firstErr error
 	stop := func() bool {
@@ -644,8 +565,13 @@ func Run(ctx context.Context, cfg Config) (*Summary, error) {
 					sum.BBBrackets++
 				}
 				for _, run := range rep.Runs {
-					if !run.Fallback && run.RatioVsLB > sum.MaxRatioVsLB[run.Spec.Name] {
-						sum.MaxRatioVsLB[run.Spec.Name] = run.RatioVsLB
+					// A non-positive bound is already a Verify violation.
+					if run.Fallback || run.Lower.Sign() <= 0 {
+						continue
+					}
+					ratio := run.Makespan.Mul(sched.RatOf(run.Lower.Den(), run.Lower.Num()))
+					if name := run.Run.String(); sum.MaxRatioVsLB[name].Less(ratio) {
+						sum.MaxRatioVsLB[name] = ratio
 					}
 				}
 				record()

@@ -35,8 +35,8 @@ func TestEveryFamilyEveryProfileHoldsGuarantees(t *testing.T) {
 					for _, v := range rep.Violations {
 						t.Errorf("%s seed %d (fp %.12s): %s", profile.Name, seed, rep.Fingerprint, v)
 					}
-					if len(rep.Runs) != len(Specs(0)) {
-						t.Fatalf("%s seed %d: %d runs for %d specs", profile.Name, seed, len(rep.Runs), len(Specs(0)))
+					if len(rep.Runs) != len(setupsched.PaperRuns()) {
+						t.Fatalf("%s seed %d: %d runs for %d paper runs", profile.Name, seed, len(rep.Runs), len(setupsched.PaperRuns()))
 					}
 				}
 			}
@@ -130,11 +130,14 @@ func TestBudgetedExactReferences(t *testing.T) {
 	}
 }
 
-// TestHarnessDetectsGuaranteeViolation feeds checkRun an impossible
-// guarantee to prove the harness can actually fail (it is not vacuously
-// green).
+// TestHarnessDetectsGuaranteeViolation proves the guarantee check can
+// fail (it is not vacuously green) and sits exactly at the bound: a
+// ratio > 1 result planted as a RefExact run (guarantee 1) is flagged,
+// and a planted eps-search run passes at exactly (3/2)(1 + EpsRat(eps))
+// but not a hair above it.  The planted runs are separate from the
+// genuine result Verify re-checks.
 func TestHarnessDetectsGuaranteeViolation(t *testing.T) {
-	in := schedgen.Uniform(schedgen.Params{M: 3, Classes: 4, JobsPer: 2, MaxSetup: 12, MaxJob: 16, Seed: 1})
+	in := schedgen.Uniform(schedgen.Params{M: 3, Classes: 4, JobsPer: 2, MaxSetup: 12, MaxJob: 16, Seed: 2})
 	solver, err := setupsched.NewSolver(in)
 	if err != nil {
 		t.Fatal(err)
@@ -144,18 +147,37 @@ func TestHarnessDetectsGuaranteeViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !res.LowerBound.Less(res.Makespan) {
-		t.Skipf("instance solved to optimality (ratio 1), pick another seed")
+		t.Fatalf("instance solved to ratio 1 (makespan %s = bound), pick another seed", res.Makespan)
 	}
-	spec := Spec{Name: "nonp/impossible", Variant: sched.NonPreemptive,
-		Algorithm: setupsched.Exact32, GuarNum: 1, GuarDen: 1}
+	exactRun := setupsched.Run{Variant: sched.NonPreemptive, Algorithm: setupsched.RefExact}
 	rep := &Report{OptNonp: -1}
-	checkRun(rep, in, AlgoRun{Spec: spec, Makespan: res.Makespan, Lower: res.LowerBound,
+	checkRun(rep, in, DefaultEpsilon, AlgoRun{Run: exactRun, Makespan: res.Makespan, Lower: res.LowerBound,
 		RatioVsLB: res.Ratio}, res)
 	if len(rep.Violations) == 0 {
-		t.Fatal("guarantee 1.0 not flagged on a ratio > 1 result")
+		t.Fatal("guarantee 1 not flagged on a ratio > 1 result")
 	}
 	if !strings.Contains(rep.Violations[0], "exceeds guarantee") {
 		t.Fatalf("unexpected violation: %s", rep.Violations[0])
+	}
+
+	// Plant lower bounds at which makespan/lower is exactly the eps-search
+	// guarantee, and a hair (2^-21) above it.
+	epsRun := setupsched.Run{Variant: sched.NonPreemptive, Algorithm: setupsched.EpsilonSearch}
+	g := epsRun.Guarantee(DefaultEpsilon)
+	for _, c := range []struct {
+		ratio   sched.Rat
+		flagged bool
+	}{
+		{g, false},
+		{g.Add(sched.RatOf(1, 1<<21)), true},
+	} {
+		lower := res.Makespan.Mul(sched.RatOf(c.ratio.Den(), c.ratio.Num()))
+		rep := &Report{OptNonp: -1}
+		checkRun(rep, in, DefaultEpsilon, AlgoRun{Run: epsRun, Makespan: res.Makespan, Lower: lower}, res)
+		if flagged := len(rep.Violations) > 0; flagged != c.flagged {
+			t.Errorf("eps run at ratio %s, guarantee %s: flagged %v, want %v (%v)",
+				c.ratio, g, flagged, c.flagged, rep.Violations)
+		}
 	}
 }
 
@@ -171,17 +193,17 @@ func TestHarnessDetectsCorruptResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := Specs(0)[8] // nonp/exact32
-	if spec.Name != "nonp/exact32" {
-		t.Fatalf("spec table order changed: %s", spec.Name)
+	paper := setupsched.PaperRuns()[8]
+	if paper.String() != "nonp/exact32" {
+		t.Fatalf("paper run order changed: %s", paper)
 	}
-	run := AlgoRun{Spec: spec, Makespan: res.Makespan, Lower: res.LowerBound, RatioVsLB: res.Ratio}
+	run := AlgoRun{Run: paper, Makespan: res.Makespan, Lower: res.LowerBound, RatioVsLB: res.Ratio}
 
 	// A lied-about makespan must be caught by the Verify re-check.
 	corrupt := *res
 	corrupt.Makespan = corrupt.Makespan.AddInt(1)
 	rep := &Report{OptNonp: -1}
-	checkRun(rep, in, run, &corrupt)
+	checkRun(rep, in, DefaultEpsilon, run, &corrupt)
 	if len(rep.Violations) == 0 || !strings.Contains(rep.Violations[0], "Verify rejected") {
 		t.Fatalf("corrupt makespan not flagged: %v", rep.Violations)
 	}
@@ -189,7 +211,7 @@ func TestHarnessDetectsCorruptResult(t *testing.T) {
 	// An exact optimum below the certified bound means an unsound
 	// certificate (here the "exact optimum" is the planted lie).
 	rep = &Report{OptNonp: res.LowerBound.Ceil() - 1}
-	checkRun(rep, in, run, res)
+	checkRun(rep, in, DefaultEpsilon, run, res)
 	found := false
 	for _, v := range rep.Violations {
 		if strings.Contains(v, "unsound certificate") {
@@ -206,8 +228,8 @@ func TestHarnessDetectsCorruptResult(t *testing.T) {
 func TestRelaxationChainDetection(t *testing.T) {
 	rep := &Report{
 		Runs: []AlgoRun{
-			{Spec: Spec{Name: "split/exact32", Variant: sched.Splittable}, Lower: sched.R(10), Makespan: sched.R(12)},
-			{Spec: Spec{Name: "pmtn/exact32", Variant: sched.Preemptive}, Lower: sched.R(5), Makespan: sched.R(9)},
+			{Run: setupsched.Run{Variant: sched.Splittable, Algorithm: setupsched.Exact32}, Lower: sched.R(10), Makespan: sched.R(12)},
+			{Run: setupsched.Run{Variant: sched.Preemptive, Algorithm: setupsched.Exact32}, Lower: sched.R(5), Makespan: sched.R(9)},
 		},
 	}
 	checkRelaxationChain(rep)
@@ -235,7 +257,7 @@ func TestRunSweepAggregates(t *testing.T) {
 	if sum.Instances != wantInstances {
 		t.Fatalf("swept %d instances, want %d", sum.Instances, wantInstances)
 	}
-	if sum.Solves != wantInstances*int64(len(Specs(0))) {
+	if sum.Solves != wantInstances*int64(len(setupsched.PaperRuns())) {
 		t.Fatalf("%d solves for %d instances", sum.Solves, sum.Instances)
 	}
 	if len(sum.Violations) != 0 {
@@ -244,10 +266,10 @@ func TestRunSweepAggregates(t *testing.T) {
 	if sum.ExactNonp == 0 || sum.ExactSplit == 0 {
 		t.Fatal("sweep never reached an exact reference")
 	}
-	for _, spec := range Specs(0) {
-		r := sum.MaxRatioVsLB[spec.Name]
-		if r < 1 || r > spec.Guarantee()+1e-9 {
-			t.Fatalf("%s: worst ratio %f outside [1, %f]", spec.Name, r, spec.Guarantee())
+	for _, run := range setupsched.PaperRuns() {
+		r, g := sum.MaxRatioVsLB[run.String()], run.Guarantee(DefaultEpsilon)
+		if r.Less(sched.R(1)) || g.Less(r) {
+			t.Fatalf("%s: worst ratio %s outside [1, %s]", run, r, g)
 		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // TestEngineParallelBitIdentical is the acceptance cross-check of the
-// SolveAll fan-out: over the full schedgen catalog, every spec solved
+// SolveAll fan-out: over the full schedgen catalog, every paper run solved
 // through SolveAll at width 4 must return a bit-identical makespan,
 // certified bound, accepted guess and algorithm to one serial Solve.
 func TestEngineParallelBitIdentical(t *testing.T) {
@@ -21,8 +21,7 @@ func TestEngineParallelBitIdentical(t *testing.T) {
 		{"searchy", schedgen.Params{M: 32, Classes: 40, JobsPer: 3, MaxSetup: 500, MaxJob: 60}},
 	}
 	ctx := context.Background()
-	specs := Specs(0)
-	runs, specEps := specRuns(specs)
+	runs := setupsched.PaperRuns()
 	for _, fam := range schedgen.Families {
 		fam := fam
 		t.Run(fam.Name, func(t *testing.T) {
@@ -36,17 +35,14 @@ func TestEngineParallelBitIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					fanned, err := solver.SolveAll(ctx, setupsched.WithRuns(runs...),
-						setupsched.WithEpsilon(specEps), setupsched.WithParallelism(4))
+						setupsched.WithEpsilon(DefaultEpsilon), setupsched.WithParallelism(4))
 					if err != nil {
 						t.Fatal(err)
 					}
-					for i, spec := range specs {
-						tag := fmt.Sprintf("%s seed %d: %s", prof.Name, seed, spec.Name)
-						opts := []setupsched.Option{setupsched.WithAlgorithm(spec.Algorithm)}
-						if spec.Algorithm == setupsched.EpsilonSearch {
-							opts = append(opts, setupsched.WithEpsilon(spec.Epsilon))
-						}
-						serial, err := solver.Solve(ctx, spec.Variant, opts...)
+					for i, run := range runs {
+						tag := fmt.Sprintf("%s seed %d: %s", prof.Name, seed, run)
+						serial, err := solver.Solve(ctx, run.Variant,
+							setupsched.WithAlgorithm(run.Algorithm), setupsched.WithEpsilon(DefaultEpsilon))
 						if err != nil {
 							t.Fatalf("%s: serial: %v", tag, err)
 						}
@@ -87,12 +83,12 @@ func TestCheckInstanceParallelMatchesSerial(t *testing.T) {
 	}
 	for i := range serial.Runs {
 		s, p := serial.Runs[i], par.Runs[i]
-		if s.Spec.Name != p.Spec.Name {
-			t.Fatalf("run %d ordering differs: %s vs %s", i, s.Spec.Name, p.Spec.Name)
+		if s.Run != p.Run {
+			t.Fatalf("run %d ordering differs: %s vs %s", i, s.Run, p.Run)
 		}
 		if !s.Makespan.Equal(p.Makespan) || !s.Lower.Equal(p.Lower) {
 			t.Errorf("%s: serial (%s, %s) != parallel (%s, %s)",
-				s.Spec.Name, s.Makespan, s.Lower, p.Makespan, p.Lower)
+				s.Run, s.Makespan, s.Lower, p.Makespan, p.Lower)
 		}
 	}
 }

@@ -25,7 +25,7 @@ const defaultDriftSteps = 24
 //   - at every solve point the session instance equals the mirror
 //     (sched.Instance.Equal and fingerprints) and the delta-maintained
 //     preparation passes Session.SelfCheck;
-//   - every paper spec solved through the session — warm, cached or cold
+//   - every paper run solved through the session — warm, cached or cold
 //     — is bit-identical to a fresh NewSolver solve of the mirror:
 //     makespan, certified lower bound, accepted guess, algorithm name and
 //     fallback flag all match.  Probe counts are exempt (warm solves run
@@ -46,7 +46,9 @@ func CheckSessionTrace(ctx context.Context, events []schedgen.TraceEvent, eps fl
 		return nil, stream.Stats{}, err
 	}
 	mirror := events[0].Base.Clone()
-	specs := Specs(eps)
+	if eps <= 0 {
+		eps = DefaultEpsilon
+	}
 
 	var violations []string
 	solvePoints := 0
@@ -62,7 +64,7 @@ func CheckSessionTrace(ctx context.Context, events []schedgen.TraceEvent, eps fl
 			}
 		case ev.Solve:
 			solvePoints++
-			msgs, err := checkSolvePoint(ctx, sess, mirror, specs, solvePoints)
+			msgs, err := checkSolvePoint(ctx, sess, mirror, eps, solvePoints)
 			violations = append(violations, msgs...)
 			if err != nil {
 				return violations, sess.Stats(), err
@@ -73,7 +75,7 @@ func CheckSessionTrace(ctx context.Context, events []schedgen.TraceEvent, eps fl
 }
 
 // checkSolvePoint cross-checks one solve point of a trace replay.
-func checkSolvePoint(ctx context.Context, sess *stream.Session, mirror *sched.Instance, specs []Spec, point int) ([]string, error) {
+func checkSolvePoint(ctx context.Context, sess *stream.Session, mirror *sched.Instance, eps float64, point int) ([]string, error) {
 	var violations []string
 	if !sess.Instance().Equal(mirror) {
 		violations = append(violations, fmt.Sprintf(
@@ -102,37 +104,37 @@ func checkSolvePoint(ctx context.Context, sess *stream.Session, mirror *sched.In
 	if err != nil {
 		return violations, err
 	}
-	for _, spec := range specs {
-		fOpts := []setupsched.Option{setupsched.WithAlgorithm(spec.Algorithm)}
-		sOpts := []stream.SolveOption{stream.WithAlgorithm(spec.Algorithm)}
-		if spec.Algorithm == setupsched.EpsilonSearch {
-			fOpts = append(fOpts, setupsched.WithEpsilon(spec.Epsilon))
-			sOpts = append(sOpts, stream.WithEpsilon(spec.Epsilon))
+	for _, run := range setupsched.PaperRuns() {
+		fOpts := []setupsched.Option{setupsched.WithAlgorithm(run.Algorithm)}
+		sOpts := []stream.SolveOption{stream.WithAlgorithm(run.Algorithm)}
+		if run.Algorithm == setupsched.EpsilonSearch {
+			fOpts = append(fOpts, setupsched.WithEpsilon(eps))
+			sOpts = append(sOpts, stream.WithEpsilon(eps))
 		}
-		fr, err := fresh.Solve(ctx, spec.Variant, fOpts...)
+		fr, err := fresh.Solve(ctx, run.Variant, fOpts...)
 		if err != nil {
 			return violations, err
 		}
-		sr, err := sess.Solve(ctx, spec.Variant, sOpts...)
+		sr, err := sess.Solve(ctx, run.Variant, sOpts...)
 		if err != nil {
 			return violations, err
 		}
-		violations = append(violations, compareSessionRun(mirror, spec, point, sr, fr)...)
+		violations = append(violations, compareSessionRun(mirror, run, point, sr, fr)...)
 	}
 	return violations, nil
 }
 
 // compareSessionRun asserts one session result against the fresh
 // reference.
-func compareSessionRun(in *sched.Instance, spec Spec, point int, sr *stream.Result, fr *setupsched.Result) []string {
+func compareSessionRun(in *sched.Instance, run setupsched.Run, point int, sr *stream.Result, fr *setupsched.Result) []string {
 	tag := func(msg string, args ...any) string {
-		return fmt.Sprintf("solve point %d %s (%s): %s", point, spec.Name, sessionMode(sr), fmt.Sprintf(msg, args...))
+		return fmt.Sprintf("solve point %d %s (%s): %s", point, run, sessionMode(sr), fmt.Sprintf(msg, args...))
 	}
 	if sr.Fallback || fr.Fallback {
 		// Trajectory-dependent conservative path: identity is not defined,
 		// soundness still is.
 		var out []string
-		if err := setupsched.Verify(in, spec.Variant, sr.Result); err != nil {
+		if err := setupsched.Verify(in, run.Variant, sr.Result); err != nil {
 			out = append(out, tag("fallback result failed Verify: %v", err))
 		}
 		return out
@@ -150,7 +152,7 @@ func compareSessionRun(in *sched.Instance, spec Spec, point int, sr *stream.Resu
 	if sr.Algorithm != fr.Algorithm {
 		out = append(out, tag("algorithm %q != fresh %q", sr.Algorithm, fr.Algorithm))
 	}
-	if err := setupsched.Verify(in, spec.Variant, sr.Result); err != nil {
+	if err := setupsched.Verify(in, run.Variant, sr.Result); err != nil {
 		out = append(out, tag("failed Verify: %v", err))
 	}
 	return out

@@ -1,10 +1,12 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
-	"setupsched/internal/core"
+	"setupsched"
+	"setupsched/sched"
 	"setupsched/schedgen"
 )
 
@@ -15,8 +17,8 @@ import (
 // setups dominate.
 type CrossoverRow struct {
 	M                 int64
-	Split, Pmtn, Nonp float64 // makespans (3/2-algorithms)
-	SetupShare        float64 // setup time share of the splittable schedule
+	Split, Pmtn, Nonp sched.Rat // makespans (3/2-algorithms)
+	SetupShare        float64   // setup time share of the splittable schedule
 }
 
 // Crossover sweeps the machine count on a fixed workload.
@@ -24,29 +26,33 @@ func Crossover(ms []int64, seed int64) ([]CrossoverRow, error) {
 	base := schedgen.Uniform(schedgen.Params{
 		M: 1, Classes: 24, JobsPer: 6, MaxSetup: 120, MaxJob: 80, Seed: seed,
 	})
+	ctx := context.Background()
 	var rows []CrossoverRow
 	for _, m := range ms {
 		in := base.Clone()
 		in.M = m
-		p := core.Prepare(in)
-		rs, err := p.SolveSplitJump(core.Ctl{})
+		s, err := setupsched.NewSolver(in)
+		if err != nil {
+			return nil, fmt.Errorf("crossover m=%d: %w", m, err)
+		}
+		rs, err := s.Solve(ctx, sched.Splittable)
 		if err != nil {
 			return nil, fmt.Errorf("crossover m=%d split: %w", m, err)
 		}
-		rp, err := p.SolvePmtnJump(core.Ctl{})
+		rp, err := s.Solve(ctx, sched.Preemptive)
 		if err != nil {
 			return nil, fmt.Errorf("crossover m=%d pmtn: %w", m, err)
 		}
-		rn, err := p.SolveNonpSearch(core.Ctl{})
+		rn, err := s.Solve(ctx, sched.NonPreemptive)
 		if err != nil {
 			return nil, fmt.Errorf("crossover m=%d nonp: %w", m, err)
 		}
 		st := rs.Schedule.ComputeStats(in.NumClasses())
 		rows = append(rows, CrossoverRow{
 			M:          m,
-			Split:      rs.Schedule.Makespan().Float64(),
-			Pmtn:       rp.Schedule.Makespan().Float64(),
-			Nonp:       rn.Schedule.Makespan().Float64(),
+			Split:      rs.Makespan,
+			Pmtn:       rp.Makespan,
+			Nonp:       rn.Makespan,
 			SetupShare: st.SetupOverhead(),
 		})
 	}
@@ -60,37 +66,9 @@ func FormatCrossover(rows []CrossoverRow) string {
 		"m", "splittable", "preemptive", "nonpreempt", "setup-share"))
 	for _, r := range rows {
 		sb.WriteString(fmt.Sprintf("%6d %12.1f %12.1f %12.1f %11.1f%%\n",
-			r.M, r.Split, r.Pmtn, r.Nonp, 100*r.SetupShare))
+			r.M, r.Split.Float64(), r.Pmtn.Float64(), r.Nonp.Float64(), 100*r.SetupShare))
 	}
 	sb.WriteString("(same workload under the three job models; more machines widen the\n" +
 		"preemption/splitting advantage until duplicated setups dominate)\n")
 	return sb.String()
-}
-
-// VerifyCrossoverOrdering checks the sandwich
-// mk_split <= 3/2 OPT_split <= 3/2 OPT_pmtn <= 3/2 OPT_nonp against the
-// measured makespans being within their guarantees; used by tests.
-func VerifyCrossoverOrdering(rows []CrossoverRow) error {
-	for _, r := range rows {
-		// Each algorithm's makespan is within 3/2 of its own optimum and
-		// the optima are ordered, so split <= 1.5*nonp-optimum <= 1.5*nonp.
-		if r.Split > 1.5*r.Nonp+1e-6 {
-			return fmt.Errorf("m=%d: splittable makespan %f above 1.5x nonpreemptive %f", r.M, r.Split, r.Nonp)
-		}
-		if r.Pmtn > 1.5*r.Nonp+1e-6 {
-			return fmt.Errorf("m=%d: preemptive makespan %f above 1.5x nonpreemptive %f", r.M, r.Pmtn, r.Nonp)
-		}
-	}
-	return nil
-}
-
-// nonDecreasingMachines asserts makespans shrink (weakly) as m grows.
-func nonDecreasingMachines(rows []CrossoverRow) error {
-	for k := 1; k < len(rows); k++ {
-		if rows[k].Split > rows[k-1].Split*1.5+1e-6 {
-			return fmt.Errorf("splittable makespan grew sharply from m=%d to m=%d",
-				rows[k-1].M, rows[k].M)
-		}
-	}
-	return nil
 }

@@ -7,61 +7,35 @@
 //
 //   - RatioTable measures realized approximation ratios of every algorithm
 //     against certified lower bounds and (on small instances) exact optima,
-//     checking the Table 1 guarantees (2, 3/2+eps, 3/2);
+//     through the differential harness internal/diff, which checks the
+//     exact Table 1 guarantees (setupsched.Run.Guarantee);
 //   - ScalingTable measures running time against n to confirm the
 //     near-linear claims;
 //   - Figures re-creates the paper's figures from real algorithm runs on
 //     hand-crafted instances with the same class structure.
+//
+// Every solve goes through the public Solver API; the rows of Table 1
+// are setupsched.PaperRuns, named by setupsched.Run.String.
 package expt
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
 
+	"setupsched"
 	"setupsched/internal/baseline"
-	"setupsched/internal/core"
-	"setupsched/internal/exact"
+	"setupsched/internal/diff"
 	"setupsched/sched"
 	"setupsched/schedgen"
 )
 
-// Algo describes one algorithm under test.
-type Algo struct {
-	Name      string
-	Variant   sched.Variant
-	Guarantee float64 // upper bound on makespan / T-guess
-	Run       func(p *core.Prep) (*core.Result, error)
-}
-
-// Algorithms lists the paper's algorithms (rows of Table 1).
-func Algorithms() []Algo {
-	return []Algo{
-		{"split/2approx", sched.Splittable, 2.0,
-			func(p *core.Prep) (*core.Result, error) { return p.SolveSplit2(core.Ctl{}) }},
-		{"split/eps", sched.Splittable, 1.5 * 1.001,
-			func(p *core.Prep) (*core.Result, error) { return p.SolveEps(core.Ctl{}, sched.Splittable, 1e-3) }},
-		{"split/jump", sched.Splittable, 1.5,
-			func(p *core.Prep) (*core.Result, error) { return p.SolveSplitJump(core.Ctl{}) }},
-		{"pmtn/2approx", sched.Preemptive, 2.0,
-			func(p *core.Prep) (*core.Result, error) { return p.SolveNonp2(core.Ctl{}, sched.Preemptive) }},
-		{"pmtn/eps", sched.Preemptive, 1.5 * 1.001,
-			func(p *core.Prep) (*core.Result, error) { return p.SolveEps(core.Ctl{}, sched.Preemptive, 1e-3) }},
-		{"pmtn/jump", sched.Preemptive, 1.5,
-			func(p *core.Prep) (*core.Result, error) { return p.SolvePmtnJump(core.Ctl{}) }},
-		{"nonp/2approx", sched.NonPreemptive, 2.0,
-			func(p *core.Prep) (*core.Result, error) { return p.SolveNonp2(core.Ctl{}, sched.NonPreemptive) }},
-		{"nonp/eps", sched.NonPreemptive, 1.5 * 1.001,
-			func(p *core.Prep) (*core.Result, error) { return p.SolveEps(core.Ctl{}, sched.NonPreemptive, 1e-3) }},
-		{"nonp/binsearch", sched.NonPreemptive, 1.5,
-			func(p *core.Prep) (*core.Result, error) { return p.SolveNonpSearch(core.Ctl{}) }},
-	}
-}
-
 // RatioRow is one row of the measured ratio table.
 type RatioRow struct {
-	Algo      string
+	Algo      string // spec name (setupsched.Run.String)
 	Family    string
 	Instances int
 	// MaxVsLB and AvgVsLB compare against the run's certified lower bound.
@@ -70,19 +44,22 @@ type RatioRow struct {
 	// (exact splittable / exact non-preemptive OPT on small instances);
 	// zero when not available.
 	MaxVsOPT float64
-	// Guarantee is the theoretical bound the measurements must respect.
-	Guarantee float64
-	// Violations counts guarantee violations (must be 0).
-	Violations int
+	// Guarantee is the run's exact Table 1 bound at the harness's eps.
+	Guarantee sched.Rat
 }
 
 // RatioTable measures realized ratios over small random instances of every
-// generator family.
+// generator family.  Each instance goes through diff.CheckInstance, which
+// checks every run against its exact guarantee, the exhaustive optima and
+// the baselines; any violation fails the table.
 func RatioTable(instancesPerFamily int) ([]RatioRow, error) {
-	algos := Algorithms()
+	runs := setupsched.PaperRuns()
 	var rows []RatioRow
 	for _, fam := range schedgen.Families {
-		insts := make([]*sched.Instance, 0, instancesPerFamily)
+		famRows := make([]RatioRow, len(runs))
+		for i, run := range runs {
+			famRows[i] = RatioRow{Algo: run.String(), Family: fam.Name, Guarantee: run.Guarantee(diff.DefaultEpsilon)}
+		}
 		for seed := 0; seed < instancesPerFamily; seed++ {
 			in := fam.Make(schedgen.Params{
 				M:        int64(2 + seed%3),
@@ -92,55 +69,35 @@ func RatioTable(instancesPerFamily int) ([]RatioRow, error) {
 				MaxJob:   20,
 				Seed:     int64(seed),
 			})
-			insts = append(insts, in)
-		}
-		for _, algo := range algos {
-			row := RatioRow{Algo: algo.Name, Family: fam.Name, Guarantee: algo.Guarantee}
-			for _, in := range insts {
-				p := core.Prepare(in)
-				res, err := algo.Run(p)
-				if err != nil {
-					return nil, fmt.Errorf("%s/%s: %w", algo.Name, fam.Name, err)
-				}
-				if err := res.Schedule.Validate(in); err != nil {
-					return nil, fmt.Errorf("%s/%s: %w", algo.Name, fam.Name, err)
-				}
-				mk := res.Schedule.Makespan().Float64()
-				r := mk / res.LowerBound.Float64()
+			rep, err := diff.CheckInstance(context.Background(), in, diff.DefaultEpsilon)
+			if err != nil {
+				return nil, fmt.Errorf("%s seed %d: %w", fam.Name, seed, err)
+			}
+			if len(rep.Violations) > 0 {
+				return nil, fmt.Errorf("%s seed %d: %s", fam.Name, seed, rep.Violations[0])
+			}
+			for i, run := range rep.Runs {
+				row := &famRows[i]
 				row.Instances++
-				row.AvgVsLB += r
-				if r > row.MaxVsLB {
-					row.MaxVsLB = r
-				}
-				// Exact reference.
+				row.AvgVsLB += run.RatioVsLB
+				row.MaxVsLB = max(row.MaxVsLB, run.RatioVsLB)
+				// The preemptive optimum is sandwiched below OPT_nonp.
 				var opt float64
-				switch algo.Variant {
-				case sched.Splittable:
-					if o, err := exact.Splittable(in); err == nil {
-						opt = o.Float64()
-					}
-				case sched.NonPreemptive:
-					if o, err := exact.NonPreemptive(in); err == nil {
-						opt = float64(o)
-					}
-				case sched.Preemptive:
-					// sandwich: OPT_pmtn <= OPT_nonp
-					if o, err := exact.NonPreemptive(in); err == nil {
-						opt = float64(o)
-					}
+				switch {
+				case run.Run.Variant == sched.Splittable && rep.HasOptSplit:
+					opt = rep.OptSplit.Float64()
+				case run.Run.Variant != sched.Splittable && rep.OptNonp >= 0:
+					opt = float64(rep.OptNonp)
 				}
 				if opt > 0 {
-					if v := mk / opt; v > row.MaxVsOPT {
-						row.MaxVsOPT = v
-					}
-				}
-				if r > algo.Guarantee+1e-9 && !res.Fallback {
-					row.Violations++
+					row.MaxVsOPT = max(row.MaxVsOPT, run.Makespan.Float64()/opt)
 				}
 			}
-			row.AvgVsLB /= float64(row.Instances)
-			rows = append(rows, row)
 		}
+		for i := range famRows {
+			famRows[i].AvgVsLB /= float64(famRows[i].Instances)
+		}
+		rows = append(rows, famRows...)
 	}
 	return rows, nil
 }
@@ -148,15 +105,15 @@ func RatioTable(instancesPerFamily int) ([]RatioRow, error) {
 // FormatRatioTable renders the rows as an aligned text table.
 func FormatRatioTable(rows []RatioRow) string {
 	var sb strings.Builder
-	sb.WriteString(fmt.Sprintf("%-16s %-11s %5s %10s %10s %10s %6s %5s\n",
-		"algorithm", "family", "#inst", "max(mk/LB)", "avg(mk/LB)", "max(mk/OPT)", "bound", "viol"))
+	sb.WriteString(fmt.Sprintf("%-16s %-11s %5s %10s %10s %10s %6s\n",
+		"algorithm", "family", "#inst", "max(mk/LB)", "avg(mk/LB)", "max(mk/OPT)", "bound"))
 	for _, r := range rows {
 		opt := "-"
 		if r.MaxVsOPT > 0 {
 			opt = fmt.Sprintf("%.4f", r.MaxVsOPT)
 		}
-		sb.WriteString(fmt.Sprintf("%-16s %-11s %5d %10.4f %10.4f %10s %6.2f %5d\n",
-			r.Algo, r.Family, r.Instances, r.MaxVsLB, r.AvgVsLB, opt, r.Guarantee, r.Violations))
+		sb.WriteString(fmt.Sprintf("%-16s %-11s %5d %10.4f %10.4f %10s %6.2f\n",
+			r.Algo, r.Family, r.Instances, r.MaxVsLB, r.AvgVsLB, opt, r.Guarantee.Float64()))
 	}
 	return sb.String()
 }
@@ -170,10 +127,12 @@ type ScalingRow struct {
 }
 
 // ScalingTable measures running times across instance sizes, reproducing
-// the near-linear running-time column of Table 1.
+// the near-linear running-time column of Table 1.  Each size is solved on
+// one reused Solver, so the timing covers search and build but not the
+// one-time preparation.
 func ScalingTable(sizes []int, reps int) ([]ScalingRow, error) {
 	var rows []ScalingRow
-	for _, algo := range Algorithms() {
+	for _, run := range setupsched.PaperRuns() {
 		for _, n := range sizes {
 			classes := n / 8
 			if classes < 1 {
@@ -183,17 +142,21 @@ func ScalingTable(sizes []int, reps int) ([]ScalingRow, error) {
 				M: int64(n/50 + 1), Classes: classes, JobsPer: 8,
 				MaxSetup: 1000, MaxJob: 1000, Seed: int64(n),
 			})
-			p := core.Prepare(in)
+			s, err := setupsched.NewSolver(in)
+			if err != nil {
+				return nil, fmt.Errorf("%s n=%d: %w", run, n, err)
+			}
 			nj := in.NumJobs()
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				if _, err := algo.Run(p); err != nil {
-					return nil, fmt.Errorf("%s n=%d: %w", algo.Name, n, err)
+				if _, err := s.Solve(context.Background(), run.Variant,
+					setupsched.WithAlgorithm(run.Algorithm), setupsched.WithEpsilon(diff.DefaultEpsilon)); err != nil {
+					return nil, fmt.Errorf("%s n=%d: %w", run, n, err)
 				}
 			}
 			el := time.Since(start).Seconds() / float64(reps)
 			rows = append(rows, ScalingRow{
-				Algo: algo.Name, N: nj,
+				Algo: run.String(), N: nj,
 				Micros: el * 1e6,
 				PerJob: el * 1e9 / float64(nj),
 			})
@@ -222,16 +185,11 @@ func FormatScalingTable(rows []ScalingRow) string {
 		sort.Slice(rs, func(i, j int) bool { return rs[i].N < rs[j].N })
 		if len(rs) >= 2 {
 			lo, hi := rs[0], rs[len(rs)-1]
-			e := logRatio(hi.Micros/lo.Micros) / logRatio(float64(hi.N)/float64(lo.N))
+			e := math.Log(hi.Micros/lo.Micros) / math.Log(float64(hi.N)/float64(lo.N))
 			sb.WriteString(fmt.Sprintf("  %-16s e = %.2f\n", a, e))
 		}
 	}
 	return sb.String()
-}
-
-func logRatio(x float64) float64 {
-	// natural log via math is fine; isolated to keep imports tight
-	return ln(x)
 }
 
 // CompareRow pits the 3/2-algorithms against weaker baselines on the same
@@ -246,22 +204,23 @@ type CompareRow struct {
 
 // CompareTable compares nonpreemptive algorithms with classical baselines.
 func CompareTable(instancesPerFamily int) ([]CompareRow, error) {
+	ctx := context.Background()
 	var rows []CompareRow
 	for _, fam := range schedgen.Families {
 		row := CompareRow{Family: fam.Name}
 		for seed := 0; seed < instancesPerFamily; seed++ {
-			in := fam.Make(schedgen.Params{
-				M: 4, Classes: 12, JobsPer: 4,
-				MaxSetup: 30, MaxJob: 40, Seed: int64(seed),
-			})
-			p := core.Prepare(in)
-			lb := in.LowerBound(sched.NonPreemptive).Float64()
-			r, err := p.SolveNonpSearch(core.Ctl{})
+			in := compareInstance(fam, seed)
+			solver, err := setupsched.NewSolver(in)
 			if err != nil {
 				return nil, err
 			}
-			jump := r.Schedule.Makespan().Float64() / lb
-			two, err := p.SolveNonp2(core.Ctl{}, sched.NonPreemptive)
+			lb := in.LowerBound(sched.NonPreemptive).Float64()
+			r, err := solver.Solve(ctx, sched.NonPreemptive)
+			if err != nil {
+				return nil, err
+			}
+			jump := r.Makespan.Float64() / lb
+			two, err := solver.Solve(ctx, sched.NonPreemptive, setupsched.WithAlgorithm(setupsched.TwoApprox))
 			if err != nil {
 				return nil, err
 			}
@@ -273,7 +232,7 @@ func CompareTable(instancesPerFamily int) ([]CompareRow, error) {
 					return nil, fmt.Errorf("%s: %w", name, err)
 				}
 			}
-			twoR := two.Schedule.Makespan().Float64() / lb
+			twoR := two.Makespan.Float64() / lb
 			lptR := lpt.Makespan().Float64() / lb
 			mpR := mp.Makespan().Float64() / lb
 			nfR := nf.Makespan().Float64() / lb
@@ -296,6 +255,15 @@ func CompareTable(instancesPerFamily int) ([]CompareRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// compareInstance is the seed-th instance of the family CompareTable
+// averages over.
+func compareInstance(fam schedgen.Family, seed int) *sched.Instance {
+	return fam.Make(schedgen.Params{
+		M: 4, Classes: 12, JobsPer: 4,
+		MaxSetup: 30, MaxJob: 40, Seed: int64(seed),
+	})
 }
 
 // FormatCompareTable renders the baseline comparison.

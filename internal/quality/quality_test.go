@@ -3,6 +3,7 @@ package quality
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,8 +26,8 @@ func TestSweepGuaranteesAcrossCatalog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(schedgen.Families) * len(Specs()); len(run.Results) != want {
-		t.Fatalf("%d results for %d families x %d specs", len(run.Results), len(schedgen.Families), len(Specs()))
+	if want := len(schedgen.Families) * len(measured()); len(run.Results) != want {
+		t.Fatalf("%d results for %d families x %d specs", len(run.Results), len(schedgen.Families), len(measured()))
 	}
 
 	one := sched.R(1)
@@ -67,26 +68,30 @@ func TestSweepGuaranteesAcrossCatalog(t *testing.T) {
 	}
 }
 
-func TestGuaranteeValues(t *testing.T) {
-	specs := Specs()
-	if len(specs) != 3 {
-		t.Fatalf("%d specs, want 3", len(specs))
+// TestSweepDeterministicAcrossWorkers pins that a sweep's results, the
+// float means included, do not depend on the worker count or on the order
+// in which workers finish.
+func TestSweepDeterministicAcrossWorkers(t *testing.T) {
+	cfg := Config{Seeds: 6}
+	cfg.Workers = 1
+	want, err := Sweep(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if g := specs[0].Guarantee(0); !g.Equal(sched.R(2)) {
-		t.Errorf("2approx guarantee = %s, want 2", g)
-	}
-	if g := specs[2].Guarantee(0); !g.Equal(sched.RatOf(3, 2)) {
-		t.Errorf("exact32 guarantee = %s, want 3/2", g)
-	}
-	// The eps-search guarantee is the bound the search certifies for its
-	// rational tolerance: strictly above 3/2, and still below 2 for the
-	// default accuracy.
-	g := specs[1].Guarantee(DefaultEpsilon)
-	if !sched.RatOf(3, 2).Less(g) || !g.Less(sched.R(2)) {
-		t.Errorf("eps guarantee = %s, want in (3/2, 2)", g)
-	}
-	if !g.Equal(specs[1].Guarantee(0)) {
-		t.Errorf("eps guarantee with eps=0 should default to DefaultEpsilon")
+	for workers := 2; workers <= 4; workers++ {
+		cfg.Workers = workers
+		got, err := Sweep(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Results) != len(want.Results) {
+			t.Fatalf("workers %d: %d results, workers 1: %d", workers, len(got.Results), len(want.Results))
+		}
+		for i := range want.Results {
+			if !reflect.DeepEqual(got.Results[i], want.Results[i]) {
+				t.Errorf("workers %d: %+v, workers 1: %+v", workers, got.Results[i], want.Results[i])
+			}
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package setupsched
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -34,7 +33,7 @@ const (
 	NonPreemptive = sched.NonPreemptive
 )
 
-// Algorithm selects the approximation algorithm used by Solve.
+// Algorithm selects the approximation algorithm used by Solver.Solve.
 type Algorithm int
 
 const (
@@ -73,18 +72,6 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }
 
-// Options configure the legacy Solve free function.  The zero value (or
-// nil) selects Auto.
-//
-// Deprecated: use functional options (WithAlgorithm, WithEpsilon, ...)
-// with Solver.Solve instead.
-type Options struct {
-	// Algorithm picks the approximation algorithm.
-	Algorithm Algorithm
-	// Epsilon is the accuracy of EpsilonSearch (default DefaultEpsilon).
-	Epsilon float64
-}
-
 // Result is the outcome of a solve.
 type Result struct {
 	// Schedule is the feasible schedule found.
@@ -114,34 +101,6 @@ type Result struct {
 	Trace []Probe
 }
 
-// Solve computes an approximate schedule for the instance under the given
-// variant.  A nil opts selects the exact 3/2-approximation.
-//
-// Deprecated: use NewSolver and Solver.Solve, which reuse the
-// per-instance preparation across calls and support cancellation,
-// observers and probe limits.  Solve(in, v, opts) is equivalent to a
-// fresh NewSolver(in) followed by Solve(context.Background(), v, ...).
-func Solve(in *Instance, v Variant, opts *Options) (*Result, error) {
-	s, err := NewSolver(in)
-	if err != nil {
-		return nil, err
-	}
-	var o []Option
-	if opts != nil {
-		// The legacy switch ran the exact-3/2 path for Auto, Exact32 AND
-		// any out-of-enum value, and only ever read Epsilon for
-		// EpsilonSearch; preserve both so no old caller breaks.
-		switch opts.Algorithm {
-		case TwoApprox, EpsilonSearch, Exact32:
-			o = append(o, WithAlgorithm(opts.Algorithm))
-		}
-		if opts.Algorithm == EpsilonSearch && opts.Epsilon != 0 {
-			o = append(o, WithEpsilon(opts.Epsilon))
-		}
-	}
-	return s.Solve(context.Background(), v, o...)
-}
-
 func finish(r *core.Result) *Result {
 	mk := r.Schedule.Makespan()
 	return &Result{
@@ -156,38 +115,9 @@ func finish(r *core.Result) *Result {
 	}
 }
 
-// LowerBound returns the trivial variant-specific lower bound on OPT
-// (max(N/m, s_max) for splittable; max(N/m, max_i(s_i + t_max^(i)))
-// otherwise, rounded up to an integer for the non-preemptive case).
-//
-// Deprecated: use NewSolver and Solver.LowerBound.
-func LowerBound(in *Instance, v Variant) (Rat, error) {
-	s, err := NewSolver(in)
-	if err != nil {
-		return Rat{}, err
-	}
-	return s.LowerBound(v), nil
-}
-
 // maxDualDen bounds the denominator of user-supplied dual guesses so the
 // internal exact arithmetic cannot overflow.
 const maxDualDen = 1 << 20
-
-// DualTest runs the variant's 3/2-dual approximation at the makespan guess
-// T: it either returns a feasible schedule with makespan at most 3/2*T
-// (accepted) or reports that T was rejected, which certifies T < OPT.
-//
-// T must be positive with denominator at most 2^20.
-//
-// Deprecated: use NewSolver and Solver.DualTest, which reuse the
-// per-instance preparation across probes.
-func DualTest(in *Instance, v Variant, T Rat) (accepted bool, s *Schedule, err error) {
-	sv, err := NewSolver(in)
-	if err != nil {
-		return false, nil, err
-	}
-	return sv.DualTest(context.Background(), v, T)
-}
 
 // Verify re-checks a Result against its instance: the schedule must be
 // feasible for the variant, the makespan must match, and the certified

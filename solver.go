@@ -358,8 +358,53 @@ type Run struct {
 	Algorithm Algorithm
 }
 
-// String renders the run as "variant/algorithm".
-func (r Run) String() string { return r.Variant.Short() + "/" + r.Algorithm.String() }
+// String renders the run's spec name, the row name the differential
+// harness, the quality and benchmark reports and schedbench's ratio table
+// print: "split", "pmtn" or "nonp", a slash, and "2approx", "eps" or
+// "exact32".  Other algorithms render with Algorithm.String.
+func (r Run) String() string {
+	v := r.Variant.Short()
+	switch r.Variant {
+	case Splittable:
+		v = "split"
+	case Preemptive:
+		v = "pmtn"
+	case NonPreemptive:
+		v = "nonp"
+	}
+	a := r.Algorithm.String()
+	switch r.Algorithm {
+	case TwoApprox:
+		a = "2approx"
+	case EpsilonSearch:
+		a = "eps"
+	case Exact32:
+		a = "exact32"
+	}
+	return v + "/" + a
+}
+
+// Guarantee returns the run's approximation guarantee from the paper's
+// Table 1 as an exact rational bound on makespan / certified lower bound:
+// 2 for TwoApprox, 3/2 for Exact32 and Auto, and 1 for RefExact.  For
+// EpsilonSearch it is (3/2)(1 + core.EpsRat(eps)), the bound the search
+// certifies for the rational tolerance it runs with, which lies slightly
+// above (3/2)(1 + eps).  eps 0 means DefaultEpsilon, as in Solve.  Results
+// with Fallback set certify a conservative lower bound and may exceed it.
+func (r Run) Guarantee(eps float64) Rat {
+	switch r.Algorithm {
+	case TwoApprox:
+		return sched.R(2)
+	case EpsilonSearch:
+		if eps == 0 {
+			eps = DefaultEpsilon
+		}
+		return sched.RatOf(3, 2).Mul(core.EpsRat(eps).AddInt(1))
+	case RefExact:
+		return sched.R(1)
+	}
+	return sched.RatOf(3, 2)
+}
 
 // RunResult is the outcome of one Run of a SolveAll call.  Exactly one of
 // Result and Err is non-nil.
