@@ -71,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./serve
 	$(GO) test -run='^$$' -fuzz=FuzzRouteInstance -fuzztime=$(FUZZTIME) ./internal/lb
 	$(GO) test -run='^$$' -fuzz=FuzzWrap -fuzztime=$(FUZZTIME) ./internal/wrap
+	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=$(FUZZTIME) ./internal/core
 
 # A short differential soak: every schedgen family through all nine
 # algorithms with guarantee checking (see cmd/schedstress).

@@ -8,8 +8,8 @@
 //	schedbench -json [-o BENCH_core.json] [-parallelism N]
 //	schedbench -validate BENCH_core.json
 //
-// The default (table) output is the source of EXPERIMENTS.md.  With
-// -json the command instead measures each paper search serially, the
+// By default the command prints those tables as text.  With -json it
+// instead measures each paper search serially, the
 // SolveAll nine-run fan-out against its serial path, and the incremental
 // session engine against stateless re-solving (warm re-solve after a
 // delta vs cold NewSolver+Solve), and

@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	schedsolve [-variant split|pmtn|nonp] [-algo auto|2approx|eps|exact] \
+//	schedsolve [-variant split|pmtn|nonp] [-algo auto|2approx|eps|exact32|refexact] \
 //	           [-eps 1e-4] [-timeout 0] [-gantt] [-trace] [-spans] \
 //	           [instance.json]
 //
@@ -30,12 +30,11 @@ import (
 	"setupsched"
 	"setupsched/internal/render"
 	"setupsched/obs"
-	"setupsched/sched"
 )
 
 func main() {
 	variant := flag.String("variant", "nonp", "problem variant: split, pmtn or nonp")
-	algo := flag.String("algo", "auto", "algorithm: auto, 2approx, eps or exact")
+	algo := flag.String("algo", "auto", "algorithm: auto, 2approx, eps, exact32 (or exact) or refexact")
 	eps := flag.Float64("eps", setupsched.DefaultEpsilon, "accuracy for -algo eps")
 	timeout := flag.Duration("timeout", 0, "abort the solve after this long (0 = no limit)")
 	gantt := flag.Bool("gantt", false, "render the schedule as an ASCII Gantt chart")
@@ -57,11 +56,11 @@ func main() {
 		fail(fmt.Errorf("decoding instance: %w", err))
 	}
 
-	v, err := parseVariant(*variant)
+	v, err := setupsched.ParseVariant(*variant)
 	if err != nil {
 		fail(err)
 	}
-	a, err := parseAlgo(*algo)
+	a, err := setupsched.ParseAlgorithm(*algo)
 	if err != nil {
 		fail(err)
 	}
@@ -139,32 +138,6 @@ func main() {
 		fmt.Print(render.Legend(&in))
 		fmt.Print(render.Gantt(res.Schedule, &render.Options{T: res.Guess}))
 	}
-}
-
-func parseVariant(s string) (sched.Variant, error) {
-	switch s {
-	case "split", "splittable":
-		return setupsched.Splittable, nil
-	case "pmtn", "preemptive":
-		return setupsched.Preemptive, nil
-	case "nonp", "nonpreemptive":
-		return setupsched.NonPreemptive, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want split, pmtn or nonp)", s)
-}
-
-func parseAlgo(s string) (setupsched.Algorithm, error) {
-	switch s {
-	case "auto":
-		return setupsched.Auto, nil
-	case "2approx":
-		return setupsched.TwoApprox, nil
-	case "eps":
-		return setupsched.EpsilonSearch, nil
-	case "exact", "exact32":
-		return setupsched.Exact32, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q", s)
 }
 
 func fail(err error) {

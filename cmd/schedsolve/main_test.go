@@ -6,6 +6,8 @@ import (
 	"setupsched"
 )
 
+// TestParseVariant and TestParseAlgo pin the names the -variant and -algo
+// flags accept, through the library parsers the command reads them with.
 func TestParseVariant(t *testing.T) {
 	cases := map[string]setupsched.Variant{
 		"split": setupsched.Splittable, "splittable": setupsched.Splittable,
@@ -13,12 +15,12 @@ func TestParseVariant(t *testing.T) {
 		"nonp": setupsched.NonPreemptive, "nonpreemptive": setupsched.NonPreemptive,
 	}
 	for in, want := range cases {
-		got, err := parseVariant(in)
+		got, err := setupsched.ParseVariant(in)
 		if err != nil || got != want {
-			t.Errorf("parseVariant(%q) = %v, %v", in, got, err)
+			t.Errorf("ParseVariant(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseVariant("bogus"); err == nil {
+	if _, err := setupsched.ParseVariant("bogus"); err == nil {
 		t.Error("bogus variant accepted")
 	}
 }
@@ -27,15 +29,15 @@ func TestParseAlgo(t *testing.T) {
 	cases := map[string]setupsched.Algorithm{
 		"auto": setupsched.Auto, "2approx": setupsched.TwoApprox,
 		"eps": setupsched.EpsilonSearch, "exact": setupsched.Exact32,
-		"exact32": setupsched.Exact32,
+		"exact32": setupsched.Exact32, "refexact": setupsched.RefExact,
 	}
 	for in, want := range cases {
-		got, err := parseAlgo(in)
+		got, err := setupsched.ParseAlgorithm(in)
 		if err != nil || got != want {
-			t.Errorf("parseAlgo(%q) = %v, %v", in, got, err)
+			t.Errorf("ParseAlgorithm(%q) = %v, %v", in, got, err)
 		}
 	}
-	if _, err := parseAlgo("bogus"); err == nil {
+	if _, err := setupsched.ParseAlgorithm("bogus"); err == nil {
 		t.Error("bogus algorithm accepted")
 	}
 }

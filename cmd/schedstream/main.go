@@ -29,7 +29,6 @@ import (
 
 	"setupsched"
 	"setupsched/obs"
-	"setupsched/sched"
 	"setupsched/schedgen"
 	"setupsched/stream"
 )
@@ -41,27 +40,23 @@ func main() {
 func run() int {
 	file := flag.String("f", "", "trace file (default stdin)")
 	variant := flag.String("variant", "nonp", "variant solved at solve points: split, pmtn or nonp")
-	algorithm := flag.String("algorithm", "auto", "algorithm: auto, 2approx, eps or exact")
+	algorithm := flag.String("algorithm", "auto", "algorithm: auto, 2approx, eps or exact32 (or exact)")
 	eps := flag.Float64("eps", setupsched.DefaultEpsilon, "accuracy for -algorithm eps")
 	check := flag.Bool("check", false, "cross-check every solve point against a fresh cold Solver (bit-identity)")
 	verbose := flag.Bool("v", false, "per-solve-point output")
 	flag.Parse()
 
-	v, ok := map[string]sched.Variant{
-		"split": sched.Splittable, "splittable": sched.Splittable,
-		"pmtn": sched.Preemptive, "preemptive": sched.Preemptive,
-		"nonp": sched.NonPreemptive, "nonpreemptive": sched.NonPreemptive,
-	}[*variant]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "schedstream: unknown variant %q (want split, pmtn or nonp)\n", *variant)
+	v, err := setupsched.ParseVariant(*variant)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "schedstream:", err)
 		return 2
 	}
-	algo, ok := map[string]setupsched.Algorithm{
-		"auto": setupsched.Auto, "2approx": setupsched.TwoApprox,
-		"eps": setupsched.EpsilonSearch, "exact": setupsched.Exact32, "exact32": setupsched.Exact32,
-	}[*algorithm]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "schedstream: unknown algorithm %q (want auto, 2approx, eps or exact)\n", *algorithm)
+	algo, err := setupsched.ParseAlgorithm(*algorithm)
+	if err == nil && algo == setupsched.RefExact {
+		err = fmt.Errorf("sessions do not run %s", algo)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "schedstream:", err)
 		return 2
 	}
 

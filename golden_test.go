@@ -18,9 +18,12 @@ import (
 )
 
 var updateGolden = flag.Bool("update-golden", false,
-	"rewrite testdata/golden_schedules.txt from the current builders")
+	"rewrite the testdata/golden_*.txt files of the tests that run")
 
-const goldenFile = "testdata/golden_schedules.txt"
+const (
+	goldenFile       = "testdata/golden_schedules.txt"
+	goldenProbesFile = "testdata/golden_probes.txt"
+)
 
 // goldenCase is one corpus instance of the construction golden test.
 type goldenCase struct {
@@ -123,12 +126,31 @@ func scheduleDigest(s *Schedule) string {
 
 var goldenAlgo = map[Algorithm]string{TwoApprox: "2approx", EpsilonSearch: "eps", Exact32: "exact"}
 
+// probeDigest is the SHA-256 of a search's probe sequence: the probe
+// count, then every trace entry's guess (normalized numerator and
+// denominator) and decision in execution order.
+func probeDigest(res *Result) string {
+	h := sha256.New()
+	buf := binary.LittleEndian.AppendUint64(nil, uint64(res.Probes))
+	for _, pr := range res.Trace {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(pr.T.Num()))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(pr.T.Den()))
+		if pr.Accepted {
+			buf = append(buf, 1)
+		} else {
+			buf = append(buf, 0)
+		}
+	}
+	h.Write(buf)
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // goldenDigests solves every corpus instance under all nine PaperRuns and
-// returns one "instance run digest" line per solve.
-func goldenDigests(t *testing.T) []string {
+// returns one "instance run digest" line per solve for the schedule and
+// one "instance run probes digest" line for the probe sequence.
+func goldenDigests(t *testing.T) (schedules, probes []string) {
 	t.Helper()
 	ctx := context.Background()
-	var lines []string
 	for _, gc := range goldenCorpus() {
 		s, err := NewSolver(gc.in)
 		if err != nil {
@@ -139,30 +161,49 @@ func goldenDigests(t *testing.T) []string {
 			if err != nil {
 				t.Fatalf("%s %s: %v", gc.name, run, err)
 			}
-			lines = append(lines, fmt.Sprintf("%s %s/%s %s", gc.name, run.Variant.Short(), goldenAlgo[run.Algorithm], scheduleDigest(res.Schedule)))
+			name := fmt.Sprintf("%s %s/%s", gc.name, run.Variant.Short(), goldenAlgo[run.Algorithm])
+			schedules = append(schedules, name+" "+scheduleDigest(res.Schedule))
+			probes = append(probes, fmt.Sprintf("%s %d %s", name, res.Probes, probeDigest(res)))
 		}
 	}
-	return lines
+	return schedules, probes
 }
 
 // TestGoldenScheduleDigests pins the builders' output bit for bit: every
 // PaperRuns schedule of the corpus must hash to its committed digest.
 // Regenerate with -update-golden only for an intentional output change.
 func TestGoldenScheduleDigests(t *testing.T) {
-	got := goldenDigests(t)
+	got, _ := goldenDigests(t)
+	checkGolden(t, goldenFile, "TestGoldenScheduleDigests", got)
+}
+
+// TestGoldenProbeDigests pins the searches' probe sequences on the same
+// corpus: every PaperRuns solve must probe the same guesses, in the same
+// order and with the same decisions, as the committed digests record.  A
+// search change that keeps every schedule can still move the probes;
+// this is the test that notices.
+func TestGoldenProbeDigests(t *testing.T) {
+	_, got := goldenDigests(t)
+	checkGolden(t, goldenProbesFile, "TestGoldenProbeDigests", got)
+}
+
+// checkGolden compares got line by line with the committed file, or
+// rewrites the file under -update-golden.
+func checkGolden(t *testing.T, file, test string, got []string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(goldenFile), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(file), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenFile, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(file, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d digests to %s", len(got), goldenFile)
+		t.Logf("wrote %d digests to %s", len(got), file)
 		return
 	}
-	f, err := os.Open(goldenFile)
+	f, err := os.Open(file)
 	if err != nil {
-		t.Fatalf("%v (generate with go test -run TestGoldenScheduleDigests -update-golden)", err)
+		t.Fatalf("%v (generate with go test -run %s -update-golden)", err, test)
 	}
 	defer f.Close()
 	var want []string
@@ -176,7 +217,7 @@ func TestGoldenScheduleDigests(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("%d digests, golden file has %d", len(got), len(want))
+		t.Fatalf("%d digests, %s has %d", len(got), file, len(want))
 	}
 	bad := 0
 	for i := range got {

@@ -68,15 +68,27 @@ func BenchmarkEvalNonpScratch_n1e5(b *testing.B) {
 	}
 }
 
-// coreColdPrep builds one instance of the end-to-end benchmark's
+// coreColdInstance builds one instance of the end-to-end benchmark's
 // core-cold shape at nominal size n: ExpensiveSetups with m just below the
 // class count and setups ~1e9, on which the Class Jumping searches
 // genuinely probe.
-func coreColdPrep(n int) *Prep {
-	return Prepare(schedgen.ExpensiveSetups(schedgen.Params{
+func coreColdInstance(n int) *sched.Instance {
+	return schedgen.ExpensiveSetups(schedgen.Params{
 		M: int64(n/10 + 1), Classes: n / 8, JobsPer: 8,
 		MaxSetup: 2_000_000_000, MaxJob: 200_000_000, Seed: 1,
-	}))
+	})
+}
+
+func coreColdPrep(n int) *Prep { return Prepare(coreColdInstance(n)) }
+
+// BenchmarkPrepare is the cold per-instance preparation every fresh
+// Solver pays before its first probe, on the core-cold shape.
+func BenchmarkPrepare(b *testing.B) {
+	in := coreColdInstance(20_000) // ≈11k jobs in 2.5k classes
+	b.ReportAllocs()
+	for b.Loop() {
+		Prepare(in)
+	}
 }
 
 // benchJump times one Class Jumping search on the core-cold shape: cold

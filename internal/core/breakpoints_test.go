@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	. "setupsched/internal/core"
@@ -56,6 +58,16 @@ func bracketEnds(p *Prep, rng *rand.Rand) []sched.Rat {
 	return ends
 }
 
+// keyList turns a search's breakpoint keys into the guesses k/scale they
+// stand for.
+func keyList(keys []int64, scale int64) []sched.Rat {
+	out := make([]sched.Rat, len(keys))
+	for i, k := range keys {
+		out[i] = sched.RatOf(k, scale)
+	}
+	return out
+}
+
 // checkBreakpoints compares both key-built lists with the Rat reference
 // over many brackets drawn from bracketEnds.
 func checkBreakpoints(t *testing.T, tag string, in *sched.Instance, rng *rand.Rand) {
@@ -78,8 +90,8 @@ func checkBreakpoints(t *testing.T, tag string, in *sched.Instance, rng *rand.Ra
 			pmtn bool
 			got  []sched.Rat
 		}{
-			{"pmtn", true, PmtnBreakpoints(p, lo, hi)},
-			{"split", false, SplitBreakpoints(p, lo, hi)},
+			{"pmtn", true, keyList(PmtnBreakpoints(p, lo, hi))},
+			{"split", false, keyList(SplitBreakpoints(p, lo, hi))},
 		} {
 			want := ratBreakpoints(p, c.pmtn, lo, hi)
 			if len(c.got) != len(want) {
@@ -97,10 +109,11 @@ func checkBreakpoints(t *testing.T, tag string, in *sched.Instance, rng *rand.Ra
 }
 
 // TestBreakpointKeysMatchRatList pins the Class Jumping searches'
-// breakpoint lists: built as exact int64 keys and filtered to the open
-// bracket, they must equal the Rat-built, Rat-sorted list restricted to
-// the same bracket, for integer and fractional bracket ends, ends lying
-// exactly on a breakpoint, and loads near MaxTotalLoad.
+// breakpoint lists: built as exact int64 keys, filtered to the open
+// bracket and radix-sorted, the guesses they stand for must equal the
+// Rat-built, Rat-sorted list restricted to the same bracket, for integer
+// and fractional bracket ends, ends lying exactly on a breakpoint, and
+// loads near MaxTotalLoad.
 func TestBreakpointKeysMatchRatList(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	t.Run("small", func(t *testing.T) {
@@ -140,6 +153,49 @@ func TestBreakpointKeysMatchRatList(t *testing.T) {
 			}
 			in.Classes[2].Jobs[2] += left
 			checkBreakpoints(t, fmt.Sprintf("iter %d", iter), in, rng)
+		}
+	})
+}
+
+// FuzzSortKeys holds the breakpoint radix sort to slices.Sort plus
+// slices.Compact.  The input is a window base kLo, a span (both folded
+// into ranges of 12 MaxTotalLoad) and the keys as little-endian uint64
+// words, each folded to kLo + 1 + (word mod span), so every key exceeds
+// kLo, as the breakpoint lists guarantee.  The seeds cover the empty
+// list, one key, all-equal keys, heavy duplicates, a key at kLo+1 and
+// spans from 1 up to 12 MaxTotalLoad.
+func FuzzSortKeys(f *testing.F) {
+	words := func(ws ...uint64) []byte {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+		return b
+	}
+	maxSpan := 12 * sched.MaxTotalLoad
+	f.Add(int64(0), int64(1), []byte{})
+	f.Add(int64(5), int64(100), words(42))
+	f.Add(int64(7), int64(1000), words(9, 9, 9, 9, 9, 9))
+	f.Add(int64(0), int64(4), words(3, 1, 3, 0, 3, 1, 1, 3, 0, 0, 2, 3, 1))
+	f.Add(int64(-3), int64(1<<20), words(0, 70000, 0, 1, 256, 0, 65535))
+	f.Add(int64(0), int64(1), words(5, 6, 7))
+	f.Add(int64(1<<40), int64(300), words(255, 256, 0, 257, 299, 1))
+	f.Add(int64(0), maxSpan, words(uint64(maxSpan-1), 0, 1<<56, 1<<48, 1<<32, 1<<56, 12345, 1<<8))
+	f.Add(int64(999), maxSpan, words(1<<63, 1<<62+77, 3, 1<<61, 1<<57, 1<<60, 1<<59-1, 4))
+	f.Fuzz(func(t *testing.T, kLo, span int64, raw []byte) {
+		if span < 1 || span > maxSpan {
+			span = 1 + int64(uint64(span)%uint64(maxSpan))
+		}
+		kLo %= maxSpan
+		keys := make([]int64, 0, len(raw)/8)
+		for ; len(raw) >= 8; raw = raw[8:] {
+			keys = append(keys, kLo+1+int64(binary.LittleEndian.Uint64(raw)%uint64(span)))
+		}
+		want := slices.Clone(keys)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		if got := SortKeys(keys, kLo); !slices.Equal(got, want) {
+			t.Fatalf("kLo %d span %d: sorted %v, want %v", kLo, span, got, want)
 		}
 	})
 }

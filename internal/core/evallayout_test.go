@@ -221,11 +221,12 @@ func refEvalSplit(p *Prep, T sched.Rat, hi *sched.Rat) *SplitEval {
 }
 
 // partitionGuesses returns the evalLadder guesses plus every breakpoint
-// b of bps and its neighbours b -+ 1/den(b), positive, ascending and
-// deduplicated.
-func partitionGuesses(p *Prep, rng *rand.Rand, bps []sched.Rat) []sched.Rat {
+// b = k/scale of the keys and its neighbours b -+ 1/den(b), positive,
+// ascending and deduplicated.
+func partitionGuesses(p *Prep, rng *rand.Rand, keys []int64, scale int64) []sched.Rat {
 	gs := evalLadder(p, rng)
-	for _, b := range bps {
+	for _, k := range keys {
+		b := sched.RatOf(k, scale)
 		d := sched.RatOf(1, b.Den())
 		gs = append(gs, b, b.Sub(d), b.Add(d))
 	}
@@ -311,7 +312,7 @@ func TestEvalPmtnStarMatchesWalk(t *testing.T) {
 			for seed, in := range g.ins {
 				p := Prepare(in)
 				rng := rand.New(rand.NewSource(int64(seed) * 104729))
-				gs := partitionGuesses(p, rng, p.pmtnBreakpoints(sched.R(0), sched.R(4*p.N)))
+				gs := partitionGuesses(p, rng, p.pmtnBreakpoints(sched.R(0), sched.R(4*p.N)), 3)
 				guessModes(gs, func(T sched.Rat, hi *sched.Rat) {
 					ev := p.EvalPmtn(T, hi)
 					mode := "point"
@@ -389,7 +390,7 @@ func TestEvalSplitMatchesRat(t *testing.T) {
 			for seed, in := range g.ins {
 				p := Prepare(in)
 				rng := rand.New(rand.NewSource(int64(seed) * 7907))
-				gs := partitionGuesses(p, rng, p.splitBreakpoints(sched.R(0), sched.R(4*p.N)))
+				gs := partitionGuesses(p, rng, p.splitBreakpoints(sched.R(0), sched.R(4*p.N)), 1)
 				guessModes(gs, func(T sched.Rat, hi *sched.Rat) {
 					got, want := p.EvalSplit(T, hi), refEvalSplit(p, T, hi)
 					if !reflect.DeepEqual(got, want) {

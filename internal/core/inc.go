@@ -23,11 +23,10 @@ const incStalenessBase = 64
 //     are order-preserving, matching sched.Delta.Apply);
 //   - the SoA eval layout (Sorted/Pref) is refreshed only for the touched
 //     class — re-sorting one class is O(|C_i| log |C_i|), not O(n);
-//   - SMax, which a removal can decrease, is read off an ascending
-//     multiset of the per-class setups maintained by binary-search
-//     insert/delete; SPT is the bound of the last SptOrder entry, and
-//     SptOrder itself is maintained by (setup+t_max, index) pair
-//     insert/delete (class removals renumber the surviving indices).
+//   - SMax and SPT, which a removal can decrease, are the last entries of
+//     two ascending multisets, of the per-class setups s_i and of the
+//     per-class bounds s_i + t_max^(i), maintained by binary-search
+//     insert/delete.
 //
 // All patches are exact int64 arithmetic on values a fresh Prepare would
 // recompute, so the maintained Prep is field-for-field identical to
@@ -42,12 +41,12 @@ const incStalenessBase = 64
 // both), because solvers rely on the Prep being immutable while running.
 type Inc struct {
 	p *Prep
-	// setupsSorted is the ascending multiset of the per-class setup
-	// values; the last element is SMax.  (SPT needs no twin multiset:
-	// p.SptOrder already orders the classes by setup+t_max.)
-	setupsSorted []int64
-	patched      int // deltas absorbed since the last full (re)build
-	rebuilds     int
+	// setupsSorted and sptSorted are the ascending multisets of the
+	// per-class values s_i and s_i + t_max^(i); their last elements are
+	// SMax and SPT.
+	setupsSorted, sptSorted []int64
+	patched                 int // deltas absorbed since the last full (re)build
+	rebuilds                int
 }
 
 // NewInc prepares the instance and builds the incremental state.  The
@@ -76,6 +75,11 @@ func (inc *Inc) rebuildSorted() {
 	p := inc.p
 	inc.setupsSorted = append(inc.setupsSorted[:0], p.Setups...)
 	slices.Sort(inc.setupsSorted)
+	inc.sptSorted = append(inc.sptSorted[:0], p.Setups...)
+	for i, t := range p.TMaxC {
+		inc.sptSorted[i] += t
+	}
+	slices.Sort(inc.sptSorted)
 }
 
 // Rebuild discards the patched state and re-runs the O(n) Prepare pass.
@@ -134,11 +138,7 @@ func (inc *Inc) Apply(d sched.Delta) error {
 		p.PJ += sum
 		p.NJob += len(d.Jobs)
 		p.Sorted[i], p.Pref[i] = classSoA(in.Classes[i].Jobs)
-		if mx != p.TMaxC[i] {
-			inc.sptRemove(i)
-			p.TMaxC[i] = mx
-			inc.sptInsert(i)
-		}
+		inc.setTMax(i, mx)
 
 	case sched.DeltaRemoveJob:
 		i := d.Class
@@ -153,20 +153,15 @@ func (inc *Inc) Apply(d sched.Delta) error {
 			if n := len(p.Sorted[i]); n > 0 {
 				mx = p.Sorted[i][n-1]
 			}
-			if mx != p.TMaxC[i] {
-				inc.sptRemove(i)
-				p.TMaxC[i] = mx
-				inc.sptInsert(i)
-			}
+			inc.setTMax(i, mx)
 		}
 
 	case sched.DeltaSetSetup:
 		i := d.Class
 		p.SumS += d.Setup - oldSetup
-		inc.replaceSetup(oldSetup, d.Setup)
-		inc.sptRemove(i)
+		inc.setupsSorted = inc.replaceSorted(inc.setupsSorted, oldSetup, d.Setup)
+		inc.sptSorted = inc.replaceSorted(inc.sptSorted, oldSetup+p.TMaxC[i], d.Setup+p.TMaxC[i])
 		p.Setups[i] = d.Setup
-		inc.sptInsert(i)
 
 	case sched.DeltaAddClass:
 		cl := &in.Classes[len(in.Classes)-1]
@@ -182,7 +177,7 @@ func (inc *Inc) Apply(d sched.Delta) error {
 		p.NJob += len(cl.Jobs)
 		p.C++
 		inc.setupsSorted = insertSorted(inc.setupsSorted, cl.Setup)
-		inc.sptInsert(p.C - 1)
+		inc.sptSorted = insertSorted(inc.sptSorted, cl.Setup+mx)
 
 	case sched.DeltaRemoveClass:
 		i := d.Class
@@ -191,15 +186,7 @@ func (inc *Inc) Apply(d sched.Delta) error {
 		p.NJob -= oldClassJobs
 		p.C--
 		inc.setupsSorted = inc.removeSorted(inc.setupsSorted, p.Setups[i])
-		inc.sptRemove(i)
-		// Surviving classes above i shift down by one (the instance-side
-		// removal is order-preserving); renumbering by -1 keeps SptOrder
-		// sorted, since equal-bound runs stay in ascending index order.
-		for k, j := range p.SptOrder {
-			if int(j) > i {
-				p.SptOrder[k] = j - 1
-			}
-		}
+		inc.sptSorted = inc.removeSorted(inc.sptSorted, p.Setups[i]+p.TMaxC[i])
 		p.P = append(p.P[:i], p.P[i+1:]...)
 		p.TMaxC = append(p.TMaxC[:i], p.TMaxC[i+1:]...)
 		p.Setups = append(p.Setups[:i], p.Setups[i+1:]...)
@@ -211,12 +198,11 @@ func (inc *Inc) Apply(d sched.Delta) error {
 	}
 
 	p.N = newN
-	if len(inc.setupsSorted) > 0 {
-		p.SMax = inc.setupsSorted[len(inc.setupsSorted)-1]
+	if n := len(inc.setupsSorted); n > 0 {
+		p.SMax = inc.setupsSorted[n-1]
 	}
-	if n := len(p.SptOrder); n > 0 {
-		j := p.SptOrder[n-1]
-		p.SPT = p.Setups[j] + p.TMaxC[j]
+	if n := len(inc.sptSorted); n > 0 {
+		p.SPT = inc.sptSorted[n-1]
 	}
 
 	if threshold := max(incStalenessBase, p.C); inc.patched >= threshold {
@@ -225,52 +211,20 @@ func (inc *Inc) Apply(d sched.Delta) error {
 	return nil
 }
 
-func (inc *Inc) replaceSetup(old, new int64) {
+// setTMax patches class i's largest job to mx, moving its SPT bound in
+// the multiset.
+func (inc *Inc) setTMax(i int, mx int64) {
+	p := inc.p
+	inc.sptSorted = inc.replaceSorted(inc.sptSorted, p.Setups[i]+p.TMaxC[i], p.Setups[i]+mx)
+	p.TMaxC[i] = mx
+}
+
+// replaceSorted replaces one occurrence of old by new in the multiset s.
+func (inc *Inc) replaceSorted(s []int64, old, new int64) []int64 {
 	if old == new {
-		return
+		return s
 	}
-	inc.setupsSorted = inc.removeSorted(inc.setupsSorted, old)
-	inc.setupsSorted = insertSorted(inc.setupsSorted, new)
-}
-
-// sptFind returns the SptOrder position at or before which class i's
-// (setup+t_max, index) key sorts, reading the bounds off the current
-// Setups/TMaxC entries — so removals must run before a class's entries
-// are patched and insertions after.
-func (inc *Inc) sptFind(i int) int {
-	p := inc.p
-	b := p.Setups[i] + p.TMaxC[i]
-	lo, hi := 0, len(p.SptOrder)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		j := p.SptOrder[mid]
-		bj := p.Setups[j] + p.TMaxC[j]
-		if bj < b || (bj == b && int(j) < i) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// sptInsert inserts class i into SptOrder; i's Setups/TMaxC entries must
-// already hold the values it sorts under.
-func (inc *Inc) sptInsert(i int) {
-	inc.p.SptOrder = slices.Insert(inc.p.SptOrder, inc.sptFind(i), int32(i))
-}
-
-// sptRemove deletes class i from SptOrder; i's Setups/TMaxC entries must
-// still hold the values it was inserted under.  A missing entry means the
-// order drifted from the instance — a bug; rather than corrupt SPT
-// silently, force the staleness rebuild (as removeSorted does).
-func (inc *Inc) sptRemove(i int) {
-	p := inc.p
-	if pos := inc.sptFind(i); pos < len(p.SptOrder) && p.SptOrder[pos] == int32(i) {
-		p.SptOrder = slices.Delete(p.SptOrder, pos, pos+1)
-		return
-	}
-	inc.patched = 1 << 30
+	return insertSorted(inc.removeSorted(s, old), new)
 }
 
 func insertSorted(s []int64, v int64) []int64 {
@@ -319,8 +273,6 @@ func (inc *Inc) Check() error {
 		return fmt.Errorf("core: Inc drift: per-class max jobs differ")
 	case !slices.Equal(got.Setups, want.Setups):
 		return fmt.Errorf("core: Inc drift: per-class setups differ")
-	case !slices.Equal(got.SptOrder, want.SptOrder):
-		return fmt.Errorf("core: Inc drift: spt class order differs")
 	}
 	for i := range want.Sorted {
 		if !slices.Equal(got.Sorted[i], want.Sorted[i]) {
@@ -330,8 +282,13 @@ func (inc *Inc) Check() error {
 			return fmt.Errorf("core: Inc drift: prefix sums of class %d differ", i)
 		}
 	}
-	if !slices.IsSorted(inc.setupsSorted) || len(inc.setupsSorted) != got.C {
-		return fmt.Errorf("core: Inc drift: sorted setup order corrupt")
+	fresh := &Inc{p: want}
+	fresh.rebuildSorted()
+	if !slices.Equal(inc.setupsSorted, fresh.setupsSorted) {
+		return fmt.Errorf("core: Inc drift: sorted setups differ from the fresh Prep's")
+	}
+	if !slices.Equal(inc.sptSorted, fresh.sptSorted) {
+		return fmt.Errorf("core: Inc drift: sorted spt bounds differ from the fresh Prep's")
 	}
 	return nil
 }

@@ -13,10 +13,10 @@ import (
 // changes at 2(s_i + t_j), giving O(n) breakpoints in total.  Every one of
 // them is a third of an integer, so the search collects them as exact
 // int64 keys 3T (see pmtnBreakpoints), keeps the k keys strictly inside
-// the bracket it has when narrowing starts and sorts only those: the
-// breakpoint list costs O(n + k log k), and a warm-started re-solve,
-// whose seeded bracket holds a handful of breakpoints, skips the sort
-// almost entirely.  The jumps of
+// the bracket it has when narrowing starts and radix-sorts only those:
+// the breakpoint list costs O(n + k), a warm-started re-solve, whose
+// seeded bracket holds a handful of breakpoints, skips the sort almost
+// entirely, and only a key the search probes becomes a Rat.  The jumps of
 // the I+exp classes follow the family T = 2(s_i+P_i)/(g+2) of the modified
 // step 1 (Section 4.4), for which Lemma 5 bounds the jumps inside the
 // final interval by one per class.
@@ -70,7 +70,7 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 	bps := p.pmtnBreakpoints(br.lo, br.hi)
 
 	for round := 0; round < 48 && br.err == nil; round++ {
-		br.narrowOnCandidates(test, bps)
+		br.narrowOnKeys(test, bps, 3)
 
 		// Jump search for the I+exp classes of the interval's partition.
 		evInt := p.EvalPmtn(br.lo, &br.hi)
@@ -152,15 +152,15 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 	return br.annotate(&Result{Schedule: s, T: br.hi, LowerBound: br.lo, Algorithm: "pmtn/jump/fallback", Probes: br.probes, Fallback: true}, true), nil
 }
 
-// pmtnBreakpoints returns the preemptive partition and big-job membership
-// breakpoints strictly inside (lo, hi), ascending and deduplicated.  Each
-// breakpoint T is built as the integer key 3T — 6 s_i, 12 s_i,
-// 3(s_i+P_i), 4(s_i+P_i) and 6(s_i+t_j) — and every key is at most
-// 12 N <= 12 MaxTotalLoad < 2^57, so none overflows.  Key order and
-// equality are exactly the order and equality of the Rats key/3, so the
-// list equals the sorted, deduplicated Rat breakpoints restricted to
-// (lo, hi), at the cost of an int64 sort of the survivors only.
-func (p *Prep) pmtnBreakpoints(lo, hi sched.Rat) []sched.Rat {
+// pmtnBreakpoints returns the keys of the preemptive partition and
+// big-job membership breakpoints strictly inside (lo, hi), ascending and
+// distinct.  Each breakpoint T is built as the integer key 3T (scale 3) —
+// 6 s_i, 12 s_i, 3(s_i+P_i), 4(s_i+P_i) and 6(s_i+t_j) — and every key is
+// at most 12 N <= 12 MaxTotalLoad < 2^57, so none overflows.  Key order
+// and equality are exactly the order and equality of the Rats key/3, so
+// the keys stand for the sorted, deduplicated Rat breakpoints restricted
+// to (lo, hi), at the cost of a radix sort of the survivors only.
+func (p *Prep) pmtnBreakpoints(lo, hi sched.Rat) []int64 {
 	kLo, kHi := keyWindow(lo, hi, 3)
 	keys := make([]int64, 0, p.NJob+4*p.C)
 	add := func(k int64) {
@@ -179,5 +179,5 @@ func (p *Prep) pmtnBreakpoints(lo, hi sched.Rat) []sched.Rat {
 			add(6 * (cls.Setup + t))
 		}
 	}
-	return keyRats(keys, 3)
+	return sortKeys(keys, kLo)
 }

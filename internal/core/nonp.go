@@ -106,9 +106,9 @@ func (p *Prep) evalNonpCore(ev *NonpEval) {
 			ev.Mi[i] = ceilDiv64(p.P[i], T-s) // T-s >= t_max^(i) >= 1
 		case 2*(s+p.TMaxC[i]) <= T:
 			// Even the longest job clears neither threshold: the class
-			// demands no machines at T.  This skip is what makes warm
-			// probes near a seeded threshold o(n): only classes in the
-			// active suffix of SptOrder pay the binary searches.
+			// demands no machines at T.  Every class takes this O(1)
+			// test, and only the a classes with 2s <= T < 2(s+t_max) pay
+			// the binary searches, so a probe costs O(c + a log).
 			ev.Mi[i] = 0
 		default:
 			jobs := p.Sorted[i]

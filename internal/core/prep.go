@@ -17,7 +17,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -70,12 +69,6 @@ type Prep struct {
 	// original-order walk it replaces.
 	Sorted [][]int64
 	Pref   [][]int64
-	// SptOrder lists the class indices ordered by ascending
-	// (Setups[i]+TMaxC[i], i).  Classes form a suffix of this order exactly
-	// when they can demand machines at a guess T (2*(s_i+tmax_i) > T), so
-	// the warm-probe fast path walks only that suffix; the last entry also
-	// yields SPT, which is how Inc maintains the maximum under removals.
-	SptOrder []int32
 }
 
 // Prepare computes the shared per-instance data in O(n log(max_i |C_i|))
@@ -111,10 +104,9 @@ func Prepare(in *sched.Instance) *Prep {
 	return p
 }
 
-// buildSoA constructs the sorted-jobs/prefix-sum arrays and the spt class
-// order from the instance.  The per-class slices are carved out of two
-// flat arenas so the whole layout is three allocations plus the slice
-// headers.
+// buildSoA constructs the sorted-jobs/prefix-sum arrays from the
+// instance.  The per-class slices are carved out of two flat arenas so
+// the whole layout is two allocations plus the slice headers.
 func (p *Prep) buildSoA() {
 	in := p.In
 	sortedArena := make([]int64, p.NJob)
@@ -134,17 +126,6 @@ func (p *Prep) buildSoA() {
 		so += len(jobs)
 		po += len(jobs) + 1
 	}
-	p.SptOrder = make([]int32, p.C)
-	for i := range p.SptOrder {
-		p.SptOrder[i] = int32(i)
-	}
-	slices.SortFunc(p.SptOrder, func(a, b int32) int {
-		ba, bb := p.Setups[a]+p.TMaxC[a], p.Setups[b]+p.TMaxC[b]
-		if ba != bb {
-			return cmp.Compare(ba, bb)
-		}
-		return cmp.Compare(a, b)
-	})
 }
 
 // classSoA (re)computes one class's sorted segment and prefix sums into

@@ -187,7 +187,7 @@ func (br *bracket) probe(test func(sched.Rat) bool, T sched.Rat) bool {
 
 // narrowOnCandidates binary-searches the sorted ascending candidate list,
 // restricted to the open interval (lo, hi), until no candidate remains
-// strictly inside the bracket.
+// strictly inside the bracket.  The breakpoint lists take narrowOnKeys.
 func (br *bracket) narrowOnCandidates(test func(sched.Rat) bool, cands []sched.Rat) {
 	lo := sort.Search(len(cands), func(i int) bool { return br.lo.Less(cands[i]) })
 	hi := sort.Search(len(cands), func(i int) bool { return !cands[i].Less(br.hi) })
@@ -203,6 +203,25 @@ func (br *bracket) narrowOnCandidates(test func(sched.Rat) bool, cands []sched.R
 			continue
 		}
 		if br.probe(test, c) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+}
+
+// narrowOnKeys is narrowOnCandidates over ascending, distinct breakpoint
+// keys k = scale*T: it restricts and bisects them as int64s and builds
+// the Rat k/scale only for a key it probes.  Key order and equality are
+// those of the Rats, so it probes exactly what narrowOnCandidates would
+// on the Rat list.
+func (br *bracket) narrowOnKeys(test func(sched.Rat) bool, keys []int64, scale int64) {
+	kLo, kHi := keyWindow(br.lo, br.hi, scale)
+	lo, _ := slices.BinarySearch(keys, kLo+1)
+	hi, _ := slices.BinarySearch(keys, kHi)
+	for lo < hi && br.err == nil {
+		mid := lo + (hi-lo)/2
+		if br.probe(test, sched.RatOf(keys[mid], scale)) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -243,17 +262,43 @@ func keyWindow(lo, hi sched.Rat, scale int64) (kLo, kHi int64) {
 	return lo.MulInt(scale).Floor(), hi.MulInt(scale).Ceil()
 }
 
-// keyRats sorts and deduplicates breakpoint keys in place and returns them
-// as the ascending Rats key/scale.  Distinct keys are distinct Rats, so no
-// Rat comparison is needed.
-func keyRats(keys []int64, scale int64) []sched.Rat {
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	out := make([]sched.Rat, len(keys))
-	for i, k := range keys {
-		out[i] = sched.RatOf(k, scale)
+// sortKeys sorts breakpoint keys ascending and removes duplicates.  Every
+// key must exceed kLo.  It is an LSD radix sort on the offsets k - kLo,
+// one stable counting pass per byte in which the offsets differ, so it
+// costs O(k) per pass; keys below 12 MaxTotalLoad < 2^57 need at most 8
+// passes.  The passes alternate between keys and one scratch buffer, and
+// the result may live in either.
+func sortKeys(keys []int64, kLo int64) []int64 {
+	if len(keys) < 2 {
+		return keys
 	}
-	return out
+	var varying uint64
+	first := uint64(keys[0] - kLo)
+	for _, k := range keys {
+		varying |= uint64(k-kLo) ^ first
+	}
+	src, dst := keys, make([]int64, len(keys))
+	for shift := uint(0); varying>>shift != 0; shift += 8 {
+		if (varying>>shift)&0xff == 0 {
+			continue
+		}
+		var count [256]int
+		for _, k := range src {
+			count[(uint64(k-kLo)>>shift)&0xff]++
+		}
+		pos := 0
+		for b, c := range count {
+			count[b] = pos
+			pos += c
+		}
+		for _, k := range src {
+			b := (uint64(k-kLo) >> shift) & 0xff
+			dst[count[b]] = k
+			count[b]++
+		}
+		src, dst = dst, src
+	}
+	return slices.Compact(src)
 }
 
 // SolveSplit2 runs the splittable 2-approximation (Theorem 1).
@@ -396,9 +441,9 @@ func (p *Prep) dualFor(ctl Ctl, v sched.Variant) (func(sched.Rat) bool, func(sch
 //
 // The search maintains a right interval (lo, hi]: lo rejected (so
 // OPT > lo), hi accepted.  Phase A removes all partition breakpoints 2 s_i
-// from the interval, sorting only the k of them strictly inside it as
-// exact int64 keys in O(c + k log k) (see splitBreakpoints; the keys stay
-// below 2 MaxTotalLoad); phase B removes the jumps 2 P_f / g of a fastest
+// from the interval, radix-sorting only the k of them strictly inside it
+// as exact int64 keys in O(c + k) (see splitBreakpoints and sortKeys);
+// phase B removes the jumps 2 P_f / g of a fastest
 // expensive class f; phase C removes the remaining (at most one per class,
 // Lemma 3) jumps.  On the final jump-free interval the required load L and
 // machine count m_exp are constant, so the smallest acceptable makespan is
@@ -432,7 +477,7 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 	}
 
 	// Phase A: partition breakpoints 2 s_i.
-	br.narrowOnCandidates(test, p.splitBreakpoints(br.lo, br.hi))
+	br.narrowOnKeys(test, p.splitBreakpoints(br.lo, br.hi), 1)
 	if br.err != nil {
 		return nil, br.err
 	}
@@ -481,18 +526,19 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 		"split/jump")
 }
 
-// splitBreakpoints returns the splittable partition breakpoints 2 s_i
-// strictly inside (lo, hi), ascending and deduplicated, sorted as the
-// exact int64 keys 2 s_i <= 2 MaxTotalLoad (see pmtnBreakpoints).
-func (p *Prep) splitBreakpoints(lo, hi sched.Rat) []sched.Rat {
+// splitBreakpoints returns the keys of the splittable partition
+// breakpoints 2 s_i strictly inside (lo, hi), ascending and distinct.
+// The key of a breakpoint T is T itself (scale 1), an integer
+// 2 s_i <= 2 MaxTotalLoad (see pmtnBreakpoints).
+func (p *Prep) splitBreakpoints(lo, hi sched.Rat) []int64 {
 	kLo, kHi := keyWindow(lo, hi, 1)
 	keys := make([]int64, 0, p.C)
-	for i := range p.In.Classes {
-		if k := 2 * p.In.Classes[i].Setup; kLo < k && k < kHi {
+	for _, s := range p.Setups {
+		if k := 2 * s; kLo < k && k < kHi {
 			keys = append(keys, k)
 		}
 	}
-	return keyRats(keys, 1)
+	return sortKeys(keys, kLo)
 }
 
 // intervalData captures the interval-constant quantities of a dual

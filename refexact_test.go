@@ -23,8 +23,8 @@ func TestRefExactSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Algorithm != "exact" {
-		t.Errorf("algorithm name %q, want %q", res.Algorithm, "exact")
+	if res.Algorithm != "refexact" {
+		t.Errorf("algorithm name %q, want %q", res.Algorithm, "refexact")
 	}
 	if res.Ratio != 1 {
 		t.Errorf("ratio %g, want exactly 1", res.Ratio)

@@ -48,11 +48,18 @@ func TestCacheHitAllocsDoNotScaleWithClasses(t *testing.T) {
 // recorder enabled allocates exactly as much as on a server with it
 // disabled — the tracing feature costs nothing until a request actually
 // carries a sampled context.
+//
+// Each server's view pool hands out one view: race builds drop a random
+// quarter of sync.Pool Puts, and a dropped view is reallocated and
+// regrown on the next request, so counts through a real pool would
+// depend on pool hits rather than on tracing.
 func TestUntracedSolveAllocsUnchangedByTracing(t *testing.T) {
 	in := schedgen.Uniform(schedgen.Params{
 		M: 4, Classes: 128, JobsPer: 3, MaxSetup: 20, MaxJob: 30, Seed: 7,
 	})
 	solveAllocs := func(s *Server) float64 {
+		view := new(sched.CanonicalView)
+		s.views.New = func() any { return view }
 		req := &SolveRequest{Instance: in, Variant: "nonp"}
 		if resp := s.Solve(context.Background(), req); resp.Error != "" {
 			t.Fatalf("cold solve: %s", resp.Error)

@@ -61,10 +61,10 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -194,6 +194,12 @@ type Server struct {
 	// flight retains completed request traces for GET /v1/debug/traces;
 	// nil when Config.FlightRecorderSize is negative.
 	flight *obs.FlightRecorder
+	// views recycles canonical views across requests: a view's sort
+	// permutations, arenas and encoding buffer are reused, so
+	// fingerprinting a steady-state request stream allocates nothing
+	// proportional to the instance.  Views are borrowed for the duration
+	// of one solve only.
+	views sync.Pool
 	// draining flips one-way when the shard is told to leave the
 	// topology: health turns 503 and session creates are refused (see
 	// admin.go for the migration protocol).
@@ -208,6 +214,7 @@ func New(cfg Config) *Server {
 		metrics: newServerMetrics(),
 	}
 	s.probeObs = &obs.ProbeCounter{C: s.metrics.probes}
+	s.views.New = func() any { return new(sched.CanonicalView) }
 	s.logger = s.cfg.Logger
 	if s.logger == nil {
 		s.logger = slog.Default()
@@ -283,7 +290,8 @@ type SolveRequest struct {
 	Instance *sched.Instance `json:"instance"`
 	// Variant is "split", "pmtn" or "nonp" (default "nonp").
 	Variant string `json:"variant,omitempty"`
-	// Algorithm is "auto", "2approx", "eps" or "exact" (default "auto").
+	// Algorithm is "auto", "2approx", "eps", "exact32" (or "exact") or
+	// "refexact" (default "auto"); see setupsched.ParseAlgorithm.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Epsilon is the accuracy for Algorithm "eps" (default 1e-4).
 	Epsilon float64 `json:"epsilon,omitempty"`
@@ -435,37 +443,16 @@ func scheduleJSON(sc *sched.Schedule) *ScheduleJSON {
 	return out
 }
 
+// parseVariant and parseAlgo read a request's names with the library
+// parsers; an omitted name takes the request default, nonp or auto.
 func parseVariant(s string) (sched.Variant, error) {
-	switch s {
-	case "split", "splittable":
-		return sched.Splittable, nil
-	case "pmtn", "preemptive":
-		return sched.Preemptive, nil
-	case "", "nonp", "nonpreemptive":
-		return sched.NonPreemptive, nil
-	}
-	return 0, fmt.Errorf("unknown variant %q (want split, pmtn or nonp)", s)
+	return setupsched.ParseVariant(cmp.Or(s, "nonp"))
 }
 
 func parseAlgo(s string) (setupsched.Algorithm, error) {
-	switch s {
-	case "", "auto":
-		return setupsched.Auto, nil
-	case "2approx":
-		return setupsched.TwoApprox, nil
-	case "eps":
-		return setupsched.EpsilonSearch, nil
-	case "exact", "exact32":
-		return setupsched.Exact32, nil
-	case "refexact":
-		return setupsched.RefExact, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (want auto, 2approx, eps, exact or refexact)", s)
+	return setupsched.ParseAlgorithm(cmp.Or(s, "auto"))
 }
 
-// cacheKey builds the LRU key.  Epsilon only differentiates entries for
-// the eps-search algorithm; all other algorithms normalize it to 0.
-// Auto and Exact32 run the identical solver path, so they share entries.
 func cacheKey(fp string, v sched.Variant, a setupsched.Algorithm, eps float64) string {
 	if a == setupsched.Auto {
 		a = setupsched.Exact32
@@ -588,12 +575,6 @@ func (s *Server) maybeLogSlow(elapsed time.Duration, resp *SolveResponse, fallba
 	obs.LogSlowSolve(s.logger, elapsed, resp.TraceID, fp, resp.Variant, resp.Algorithm, resp.Probes, root)
 }
 
-// viewPool recycles canonical views across requests: a view's sort
-// permutations, arenas and encoding buffer are reused, so fingerprinting
-// a steady-state request stream allocates nothing proportional to the
-// instance.  Views are borrowed for the duration of one solve only.
-var viewPool = sync.Pool{New: func() any { return new(sched.CanonicalView) }}
-
 func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanRecorder) *SolveResponse {
 	v, err := parseVariant(req.Variant)
 	if err != nil {
@@ -622,8 +603,8 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanReco
 	// particular every cache hit) never materializes the canonical deep
 	// copy that Canonicalize builds — the view answers the fingerprint,
 	// the collision check and the schedule remap out of reusable buffers.
-	view := viewPool.Get().(*sched.CanonicalView)
-	defer func() { view.Unbind(); viewPool.Put(view) }()
+	view := s.views.Get().(*sched.CanonicalView)
+	defer func() { view.Unbind(); s.views.Put(view) }()
 	view.Bind(req.Instance)
 	fp := view.Fingerprint()
 	key := cacheKey(fp, v, algo, req.Epsilon)

@@ -67,7 +67,7 @@ func (a Algorithm) String() string {
 	case Exact32:
 		return "3/2-approximation"
 	case RefExact:
-		return "exact"
+		return "refexact"
 	}
 	return fmt.Sprintf("Algorithm(%d)", int(a))
 }

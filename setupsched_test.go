@@ -161,9 +161,43 @@ func TestAlgorithmString(t *testing.T) {
 	for a, want := range map[Algorithm]string{
 		Auto: "auto", TwoApprox: "2-approximation",
 		EpsilonSearch: "(3/2+eps)-approximation", Exact32: "3/2-approximation",
+		RefExact: "refexact",
 	} {
 		if a.String() != want {
 			t.Errorf("%d.String() = %q, want %q", a, a.String(), want)
+		}
+	}
+}
+
+// TestParseNamesRoundTrip pins that a name the library prints selects
+// what printed it: both halves of every PaperRuns spec name and of the
+// RefExact run's parse back to the run, so do the variant names
+// Variant.Short prints, and RefExact's own name, which its results carry
+// as Result.Algorithm, parses to RefExact rather than to Exact32.
+func TestParseNamesRoundTrip(t *testing.T) {
+	for _, run := range append(PaperRuns(), Run{Variant: NonPreemptive, Algorithm: RefExact}) {
+		vName, aName, ok := strings.Cut(run.String(), "/")
+		if !ok {
+			t.Fatalf("%s: no variant/algorithm split", run)
+		}
+		for _, name := range []string{vName, run.Variant.Short()} {
+			if v, err := ParseVariant(name); err != nil || v != run.Variant {
+				t.Errorf("ParseVariant(%q) = %v, %v; want %v", name, v, err, run.Variant)
+			}
+		}
+		if a, err := ParseAlgorithm(aName); err != nil || a != run.Algorithm {
+			t.Errorf("ParseAlgorithm(%q) = %v, %v; want %v", aName, a, err, run.Algorithm)
+		}
+	}
+	if a, err := ParseAlgorithm(RefExact.String()); err != nil || a != RefExact {
+		t.Errorf("ParseAlgorithm(%q) = %v, %v; want RefExact", RefExact.String(), a, err)
+	}
+	for _, bad := range []string{"", "exact33", "Split", "nonp/exact32"} {
+		if _, err := ParseVariant(bad); err == nil {
+			t.Errorf("ParseVariant(%q) accepted", bad)
+		}
+		if _, err := ParseAlgorithm(bad); err == nil {
+			t.Errorf("ParseAlgorithm(%q) accepted", bad)
 		}
 	}
 }

@@ -361,7 +361,9 @@ type Run struct {
 // String renders the run's spec name, the row name the differential
 // harness, the quality and benchmark reports and schedbench's ratio table
 // print: "split", "pmtn" or "nonp", a slash, and "2approx", "eps" or
-// "exact32".  Other algorithms render with Algorithm.String.
+// "exact32".  Other algorithms render with Algorithm.String.  Both halves
+// of a Run's spec name parse back (ParseVariant, ParseAlgorithm) to the
+// Run for every Algorithm other than Auto.
 func (r Run) String() string {
 	v := r.Variant.Short()
 	switch r.Variant {
@@ -382,6 +384,40 @@ func (r Run) String() string {
 		a = "exact32"
 	}
 	return v + "/" + a
+}
+
+// ParseVariant reads a variant name: "split", "pmtn" or "nonp", or the
+// long forms "splittable", "preemptive" and "nonpreemptive" that
+// Variant.Short prints.
+func ParseVariant(s string) (Variant, error) {
+	switch s {
+	case "split", "splittable":
+		return Splittable, nil
+	case "pmtn", "preemptive":
+		return Preemptive, nil
+	case "nonp", "nonpreemptive":
+		return NonPreemptive, nil
+	}
+	return 0, fmt.Errorf("setupsched: unknown variant %q (want split, pmtn or nonp)", s)
+}
+
+// ParseAlgorithm reads an algorithm name: "auto", "2approx", "eps",
+// "exact32" (also accepted as "exact") or "refexact", which is also
+// RefExact's Algorithm.String and the Result.Algorithm of its solves.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch s {
+	case "auto":
+		return Auto, nil
+	case "2approx":
+		return TwoApprox, nil
+	case "eps":
+		return EpsilonSearch, nil
+	case "exact32", "exact":
+		return Exact32, nil
+	case "refexact":
+		return RefExact, nil
+	}
+	return 0, fmt.Errorf("setupsched: unknown algorithm %q (want auto, 2approx, eps, exact32 or refexact)", s)
 }
 
 // Guarantee returns the run's approximation guarantee from the paper's
