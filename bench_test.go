@@ -158,7 +158,7 @@ func BenchmarkFigure6_Wrap(b *testing.B) {
 	p := core.Prepare(in)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.TwoApproxSplit(nil); err != nil {
+		if _, _, err := p.TwoApproxSplit(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -170,7 +170,7 @@ func BenchmarkFigure7_NextFit2Approx(b *testing.B) {
 	p := core.Prepare(in)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.TwoApproxNonPreemptive(sched.NonPreemptive, nil); err != nil {
+		if _, _, err := p.TwoApproxNonPreemptive(sched.NonPreemptive, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

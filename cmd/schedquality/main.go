@@ -34,6 +34,7 @@ import (
 	"runtime"
 	"strings"
 
+	"setupsched/internal/diff"
 	"setupsched/internal/quality"
 	"setupsched/schedgen"
 )
@@ -45,7 +46,7 @@ func main() {
 func run() int {
 	seeds := flag.Int64("seeds", 12, "seeds per family")
 	seedBase := flag.Int64("seedbase", 0, "first seed of the sweep")
-	eps := flag.Float64("eps", quality.DefaultEpsilon, "accuracy of the eps-search spec")
+	eps := flag.Float64("eps", diff.DefaultEpsilon, "accuracy of the eps-search spec")
 	budget := flag.Int64("budget", 0, "node budget of the reference backend per instance (0 = backend default)")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel sweep workers")
 	m := flag.Int64("m", 0, "machines (0 = default sweep profile)")

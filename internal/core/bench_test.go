@@ -168,8 +168,8 @@ func BenchmarkProbePmtn(b *testing.B) {
 
 // buildAtAccepted returns the variant's builder bound to the accepting
 // evaluation at the exact search's answer for p, the construction every
-// exact solve ends with.
-func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(*RunScratch) (*sched.Schedule, error) {
+// exact solve ends with.  The builder draws on the Ctl's lent scratch.
+func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(Ctl) (*sched.Schedule, sched.Rat, error) {
 	tb.Helper()
 	switch v {
 	case sched.Splittable:
@@ -178,17 +178,22 @@ func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(*RunScratch) 
 			tb.Fatal(err)
 		}
 		ev := p.EvalSplit(r.T, nil)
-		return func(sc *RunScratch) (*sched.Schedule, error) { return p.BuildSplitScratch(ev, sc) }
+		return func(c Ctl) (*sched.Schedule, sched.Rat, error) { return p.BuildSplitScratch(ev, c.runs()) }
 	case sched.Preemptive:
 		r, err := p.SolvePmtnJump(Ctl{})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		ev := p.EvalPmtn(r.T, nil)
-		return func(sc *RunScratch) (*sched.Schedule, error) { return p.BuildPmtnScratch(ev, sc) }
+		return func(c Ctl) (*sched.Schedule, sched.Rat, error) { return p.BuildPmtnScratch(ev, c.runs()) }
+	default:
+		r, err := p.SolveNonpSearch(Ctl{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ev := p.EvalNonp(r.T)
+		return func(c Ctl) (*sched.Schedule, sched.Rat, error) { return p.BuildNonpScratch(ev, c.nonp()) }
 	}
-	tb.Fatalf("no run builder for %v", v)
-	return nil
 }
 
 // churnPrep builds the base instance of the end-to-end benchmark's
@@ -203,25 +208,25 @@ func churnPrep() *Prep {
 
 // benchBuild times one construction on the core-cold and the churn
 // shape: fresh allocates its working memory per build (Solver, serve),
-// scratch reuses one warm RunScratch (stream.Session re-solves).
+// scratch reuses one warm BuildScratch (stream.Session re-solves).
 func benchBuild(b *testing.B, v sched.Variant) {
 	for _, shape := range []struct {
 		name string
 		p    *Prep
 	}{{"corecold", coreColdPrep(20_000)}, {"churn", churnPrep()}} {
 		build := buildAtAccepted(b, shape.p, v)
-		var warm RunScratch
-		if _, err := build(&warm); err != nil {
+		warm := Ctl{Scratch: &BuildScratch{}}
+		if _, _, err := build(warm); err != nil {
 			b.Fatal(err)
 		}
 		for _, bc := range []struct {
 			name string
-			sc   *RunScratch
-		}{{"fresh", nil}, {"scratch", &warm}} {
+			ctl  Ctl
+		}{{"fresh", Ctl{}}, {"scratch", warm}} {
 			b.Run(shape.name+"/"+bc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, err := build(bc.sc); err != nil {
+					if _, _, err := build(bc.ctl); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -235,3 +240,7 @@ func BenchmarkBuildPmtn(b *testing.B) { benchBuild(b, sched.Preemptive) }
 
 // BenchmarkBuildSplit is the splittable construction (Theorem 7(ii)).
 func BenchmarkBuildSplit(b *testing.B) { benchBuild(b, sched.Splittable) }
+
+// BenchmarkBuildNonp is the non-preemptive construction (Theorem 9(ii),
+// Algorithm 6).
+func BenchmarkBuildNonp(b *testing.B) { benchBuild(b, sched.NonPreemptive) }

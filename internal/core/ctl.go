@@ -105,6 +105,14 @@ func (c Ctl) runs() *RunScratch {
 	return &c.Scratch.Run
 }
 
+// nonp returns the lent non-preemptive builder scratch, or nil.
+func (c Ctl) nonp() *NonpScratch {
+	if c.Scratch == nil {
+		return nil
+	}
+	return &c.Scratch.Nonp
+}
+
 // interrupted reports the context error, if any.  The deadline is also
 // checked against the wall clock directly: probes are tight CPU-bound
 // loops, and on a saturated (or single-core) machine the context's timer

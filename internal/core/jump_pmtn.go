@@ -33,22 +33,24 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		return nil, err
 	}
 	if p.M >= int64(p.NJob) {
-		s := p.oneJobPerMachine(sched.Preemptive, ctl.runs())
-		return &Result{Schedule: s, T: s.T, LowerBound: s.T, Algorithm: "pmtn/jump"}, nil
+		s, mk := p.oneJobPerMachine(sched.Preemptive, ctl.runs())
+		return &Result{Schedule: s, Makespan: mk, T: s.T, LowerBound: s.T, Algorithm: "pmtn/jump"}, nil
 	}
 	test := p.pmtnOK
-	build := func(T sched.Rat) (*sched.Schedule, error) { return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs()) }
+	build := func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
+		return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs())
+	}
 	tmin := p.TMin(sched.Preemptive)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
 	if br.probe(test, tmin) {
 		if err := br.checkpoint(); err != nil {
 			return nil, err
 		}
-		s, err := build(tmin)
+		s, mk, err := build(tmin)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Schedule: s, T: tmin, LowerBound: tmin, Algorithm: "pmtn/jump", Probes: br.probes}, nil
+		return &Result{Schedule: s, Makespan: mk, T: tmin, LowerBound: tmin, Algorithm: "pmtn/jump", Probes: br.probes}, nil
 	}
 	// Warm start: a confirmed seed hi makes the N probe redundant (N >= hi
 	// is accepted by monotonicity).
@@ -129,11 +131,11 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		evPoint := p.EvalPmtn(tNew, nil)
 		br.end(tNew, evPoint.OK)
 		if evPoint.OK && evPoint.L == evInt.L {
-			s, err := p.BuildPmtnScratch(evPoint, ctl.runs())
+			s, mk, err := p.BuildPmtnScratch(evPoint, ctl.runs())
 			if err != nil {
 				return nil, err
 			}
-			return br.annotate(&Result{Schedule: s, T: tNew, LowerBound: tNew, Algorithm: "pmtn/jump", Probes: br.probes}, true), nil
+			return br.annotate(&Result{Schedule: s, Makespan: mk, T: tNew, LowerBound: tNew, Algorithm: "pmtn/jump", Probes: br.probes}, true), nil
 		}
 		if evPoint.OK {
 			br.hi = tNew
@@ -145,11 +147,11 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		return nil, err
 	}
 	// Bounded rounds exhausted: sound conservative fallback.
-	s, err := build(br.hi)
+	s, mk, err := build(br.hi)
 	if err != nil {
 		return nil, err
 	}
-	return br.annotate(&Result{Schedule: s, T: br.hi, LowerBound: br.lo, Algorithm: "pmtn/jump/fallback", Probes: br.probes, Fallback: true}, true), nil
+	return br.annotate(&Result{Schedule: s, Makespan: mk, T: br.hi, LowerBound: br.lo, Algorithm: "pmtn/jump/fallback", Probes: br.probes, Fallback: true}, true), nil
 }
 
 // pmtnBreakpoints returns the keys of the preemptive partition and

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"setupsched/internal/wrap"
 	"setupsched/sched"
 )
 
@@ -227,220 +228,243 @@ func ceilDiv64(a, b int64) int64 {
 // a machine-last piece) and moves every border item below the first
 // step-3 item of the next machine, adding a setup for moved jobs; this
 // move also repairs the setups of batches that continue across machines.
+//
+// Every phase appends to one machine at a time, so a machine's items are
+// at most five contiguous ranges of one shared item array, one range per
+// phase that can add to the machine (see the seg* constants).  Moving a
+// border item below the next machine's step-3 items then fills that
+// machine's segMoved range instead of shifting its items, and every item
+// keeps its index for the whole build.
 
+// nonpItem is a setup (job -1) or a job piece on a machine.  Step 4
+// marks the pieces and border items it replaces deleted.
 type nonpItem struct {
-	isSetup bool
+	length  int64
 	class   int
 	job     int
-	length  int64
-	parent  int // index into nonpBuild.parents, or -1
+	isSetup bool
 	deleted bool
 }
 
+// A machine's item ranges in time order.  Each names the phase that
+// fills it.
+const (
+	segStep1     = iota // step 1: obligatory jobs, with the class setup
+	segStep2            // step 2: top-up with the class's remaining jobs
+	segMoved            // step 4b: the previous machine's border item
+	segStep3            // step 3: the residual sequence Q
+	segRelocated        // step 4b: the last border item, on the first step-3 machine
+	nonpSegs
+)
+
+type nonpMachine struct {
+	seg      [nonpSegs]wrap.Span // ranges of nonpBuild.items
+	load     int64               // length put so far; steps 2 and 3 fill up to T by it
+	crossing int                 // items index of the border-reaching step-3 item, or -1
+}
+
+// nonpParent is a job split into pieces.  Its pieces form a list through
+// nonpBuild.pieces in placement order, from head to tail.
 type nonpParent struct {
 	class, job int
 	total      int64
-	pieces     []nonpLoc
+	head, tail int
 }
 
-type nonpLoc struct{ mach, item int }
+// nonpPiece is one piece of a split job: its machine, its items index and
+// the job's next piece (or -1).
+type nonpPiece struct{ mach, item, next int }
 
-type nonpMachine struct {
-	items      []nonpItem
-	load       int64
-	step3Start int
-	crossing   int // index of the border-reaching step-3 item, or -1
-}
-
-// nonpClassState tracks one class's machines and leftover jobs between
-// the construction steps.
+// nonpClassState tracks one class between the construction steps.
 type nonpClassState struct {
-	candidates []int // machines that may take step-2/3 load of the class
-	restJobs   []int
-	restLens   []int64
-	restFull   []int64
+	candidates []int     // machines that may take step-2 load of the class
+	rest       jobCursor // the jobs left for steps 2 and 3
 }
 
 // nonpBuild is the builder's working state.  Machines live in one value
-// slice and are addressed by index only (taking a *nonpMachine across a
-// newMachine call would dangle when the slice grows); their initial item
-// lists are carved out of a shared arena.  Everything here is reusable
-// between builds — see NonpScratch — and nothing the emitted Schedule
-// references aliases it.
+// slice and are addressed by index only, their items in one array
+// addressed by index.  Everything here is reusable between builds — see
+// NonpScratch — and nothing the emitted Schedule references aliases it.
 type nonpBuild struct {
-	p *Prep
-	T int64
+	items    []nonpItem
+	machines []nonpMachine
+	phase    int // the seg* range put appends to
+	parents  []nonpParent
+	pieces   []nonpPiece
+	states   []nonpClassState
+	order    []int // step-3 machines in fill order
 
-	machines  []nonpMachine
-	itemArena []nonpItem
-	itemOff   int
-	parents   []nonpParent
-	parentIdx map[int64]int
-
-	states    []nonpClassState
-	wrapJobsA []int
-	wrapLensA []int64
-	restJobsA []int
-	restLensA []int64
-
-	order   []int
-	live    []nonpItem
-	insBuf  []nonpItem
-	tailBuf []nonpItem
+	// candidates holds every class's candidate machines, class after
+	// class; a machine is a candidate of at most one class.
+	candidates []int
 }
 
-// machItemCap is each machine's arena-backed initial item capacity (a
-// setup plus a handful of jobs); machines that outgrow it migrate to a
-// private backing array on the next append.
-const machItemCap = 8
-
-// reset prepares the builder for one construction, retaining all backing
-// arrays from previous uses.
-func (b *nonpBuild) reset(p *Prep, T int64) {
-	b.p, b.T = p, T
-	b.machines = b.machines[:0]
-	b.itemOff = 0
+// reset prepares the builder for one construction.  It keeps the backing
+// arrays of earlier builds and sizes the item and machine lists that are
+// too small for p once, so none of them regrows during the build: a
+// build uses at most min(m, n) machines, each holding a job of its own,
+// and besides the n jobs and c step-3 class setups it adds at most four
+// items per machine (on a step-1 machine its setup and a split piece, on
+// a step-3 machine a moved border item and its setup).  The split-job
+// lists, parents and pieces, are short (empty on many instances) and
+// grow on demand.
+func (b *nonpBuild) reset(p *Prep) {
+	mach := int(min(p.M, int64(p.NJob)))
+	b.items = grown(b.items, p.NJob+p.C+4*mach)
+	b.machines = grown(b.machines, mach)
 	b.parents = b.parents[:0]
-	if b.parentIdx == nil {
-		b.parentIdx = map[int64]int{}
-	} else {
-		clear(b.parentIdx)
-	}
-	if cap(b.states) >= p.C {
-		b.states = b.states[:p.C]
-	} else {
+	b.pieces = b.pieces[:0]
+	b.order = grown(b.order, mach)
+	b.candidates = grown(b.candidates, mach)
+	if cap(b.states) < p.C {
 		b.states = make([]nonpClassState, p.C)
 	}
-	if cap(b.wrapJobsA) < p.NJob {
-		b.wrapJobsA = make([]int, 0, p.NJob)
-		b.wrapLensA = make([]int64, 0, p.NJob)
-		b.restJobsA = make([]int, 0, p.NJob)
-		b.restLensA = make([]int64, 0, p.NJob)
-	} else {
-		b.wrapJobsA = b.wrapJobsA[:0]
-		b.wrapLensA = b.wrapLensA[:0]
-		b.restJobsA = b.restJobsA[:0]
-		b.restLensA = b.restLensA[:0]
-	}
-	b.order = b.order[:0]
+	b.states = b.states[:p.C]
 }
 
-// itemSeg returns a fresh exclusive full-slice segment of the item arena.
-// Old segments keep whatever backing they were carved from, so replacing
-// an exhausted arena never invalidates them.
-func (b *nonpBuild) itemSeg() []nonpItem {
-	if b.itemOff+machItemCap > len(b.itemArena) {
-		n := 2 * len(b.itemArena)
-		if n < 2048 {
-			n = 2048
-		}
-		b.itemArena = make([]nonpItem, n)
-		b.itemOff = 0
+// grown returns s emptied, with capacity for at least n elements.
+func grown[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, 0, n)
 	}
-	seg := b.itemArena[b.itemOff : b.itemOff : b.itemOff+machItemCap]
-	b.itemOff += machItemCap
-	return seg
+	return s[:0]
 }
 
 func (b *nonpBuild) newMachine() int {
-	b.machines = append(b.machines, nonpMachine{crossing: -1, step3Start: -1, items: b.itemSeg()})
+	b.machines = append(b.machines, nonpMachine{crossing: -1})
 	return len(b.machines) - 1
 }
 
-func (b *nonpBuild) put(mi int, it nonpItem) {
-	m := &b.machines[mi]
-	if it.parent >= 0 {
-		b.parents[it.parent].pieces = append(b.parents[it.parent].pieces,
-			nonpLoc{mach: mi, item: len(m.items)})
+// put appends it to machine mi's range of the current phase.  A piece
+// of a split job names the job's parent record, which lists it; a whole
+// item passes parent -1.
+func (b *nonpBuild) put(mi int, it nonpItem, parent int) {
+	k := len(b.items)
+	if parent >= 0 {
+		par := &b.parents[parent]
+		b.pieces = append(b.pieces, nonpPiece{mach: mi, item: k, next: -1})
+		if par.tail >= 0 {
+			b.pieces[par.tail].next = len(b.pieces) - 1
+		} else {
+			par.head = len(b.pieces) - 1
+		}
+		par.tail = len(b.pieces) - 1
 	}
-	m.items = append(m.items, it)
+	m := &b.machines[mi]
+	sp := &m.seg[b.phase]
+	if sp.Len() == 0 {
+		sp.Lo = k
+	}
+	sp.Hi = k + 1
+	b.items = append(b.items, it)
 	m.load += it.length
 }
 
-func parentKey(class, job int) int64 { return int64(class)<<32 | int64(job) }
-
-// ensureParent registers (or finds) the parent record of a job being split.
-func (b *nonpBuild) ensureParent(class, job int, total int64) int {
-	key := parentKey(class, job)
-	if pi, ok := b.parentIdx[key]; ok {
-		return pi
+// lastItem returns the items index of machine mi's last item, or -1.
+func (b *nonpBuild) lastItem(mi int) int {
+	seg := &b.machines[mi].seg
+	for k := nonpSegs - 1; k >= 0; k-- {
+		if seg[k].Len() > 0 {
+			return seg[k].Hi - 1
+		}
 	}
-	b.parents = append(b.parents, nonpParent{class: class, job: job, total: total})
-	pi := len(b.parents) - 1
-	b.parentIdx[key] = pi
-	return pi
+	return -1
 }
 
-// jobCursor walks a job list, splitting jobs at machine capacity borders.
+// Step 1 partitions each class's jobs at T into the jobs it wraps (an
+// expensive class, or the set K), the big jobs, each on its own machine,
+// and the rest, left for steps 2 and 3.
+const (
+	partWrap = iota
+	partBig
+	partRest
+)
+
+// nonpPart returns the partition of a job of length t in a class with
+// setup s at T.
+func nonpPart(s, t, T int64) int {
+	switch {
+	case 2*s > T || 2*(s+t) > T && 2*t <= T:
+		return partWrap
+	case 2*t > T:
+		return partBig
+	}
+	return partRest
+}
+
+// jobCursor walks the jobs of one class and one step-1 partition in job
+// order, splitting jobs at machine capacity borders: left is the
+// unplaced length of job pos, and parent its record once it has been
+// split (else -1).
 type jobCursor struct {
-	b     *nonpBuild
-	class int
-	jobs  []int
-	lens  []int64
-	full  []int64 // original full lengths (for parent registration)
-	pos   int
-	left  int64
+	class    int
+	jobs     []int64 // the class's job lengths
+	setup, T int64
+	part     int
+	pos      int
+	left     int64
+	parent   int
 }
 
-func newJobCursor(b *nonpBuild, class int, jobs []int, lens, full []int64) *jobCursor {
-	jc := &jobCursor{b: b, class: class, jobs: jobs, lens: lens, full: full}
-	if len(jobs) > 0 {
-		jc.left = lens[0]
-	}
+func newJobCursor(p *Prep, class int, T int64, part int) jobCursor {
+	cls := &p.In.Classes[class]
+	jc := jobCursor{class: class, jobs: cls.Jobs, setup: cls.Setup, T: T, part: part, pos: -1}
+	jc.next()
 	return jc
 }
 
 func (jc *jobCursor) done() bool { return jc.pos >= len(jc.jobs) }
 
+// next moves to the following job of the partition.
+func (jc *jobCursor) next() {
+	jc.parent = -1
+	for jc.pos++; !jc.done(); jc.pos++ {
+		if t := jc.jobs[jc.pos]; nonpPart(jc.setup, t, jc.T) == jc.part {
+			jc.left = t
+			return
+		}
+	}
+}
+
+// piece returns the item for the next take units of the current job and
+// its parent record: -1 for the whole job, else the job's record,
+// registered on its first split.
+func (jc *jobCursor) piece(b *nonpBuild, take int64) (nonpItem, int) {
+	j, full := jc.pos, jc.jobs[jc.pos]
+	it := nonpItem{class: jc.class, job: j, length: take}
+	if take == full {
+		return it, -1
+	}
+	if jc.parent < 0 {
+		b.parents = append(b.parents, nonpParent{class: jc.class, job: j, total: full, head: -1, tail: -1})
+		jc.parent = len(b.parents) - 1
+	}
+	return it, jc.parent
+}
+
 // fill places up to cap units onto machine mi, splitting the border job.
-func (jc *jobCursor) fill(mi int, cap int64) {
+func (jc *jobCursor) fill(b *nonpBuild, mi int, cap int64) {
 	for cap > 0 && !jc.done() {
-		take := jc.left
-		parent := -1
-		split := take > cap
-		if split {
-			take = cap
-		}
-		if split || jc.left != jc.full[jc.pos] {
-			parent = jc.b.ensureParent(jc.class, jc.jobs[jc.pos], jc.full[jc.pos])
-		}
-		jc.b.put(mi, nonpItem{class: jc.class, job: jc.jobs[jc.pos], length: take, parent: parent})
+		take := min(jc.left, cap)
+		it, parent := jc.piece(b, take)
+		b.put(mi, it, parent)
 		cap -= take
 		jc.left -= take
 		if jc.left == 0 {
-			jc.pos++
-			if !jc.done() {
-				jc.left = jc.lens[jc.pos]
-			}
+			jc.next()
 		}
 	}
 }
 
-// remainder returns the unplaced jobs; the first may be a partial piece.
-// The returned slices alias the cursor's inputs where possible (nothing
-// downstream mutates them); only a genuinely split first job forces a
-// copy of the length column.
-func (jc *jobCursor) remainder() ([]int, []int64, []int64) {
-	if jc.done() {
-		return nil, nil, nil
-	}
-	jobs := jc.jobs[jc.pos:]
-	full := jc.full[jc.pos:]
-	lens := jc.lens[jc.pos:]
-	if jc.left != lens[0] {
-		lens = append([]int64(nil), lens...)
-		lens[0] = jc.left
-	}
-	return jobs, lens, full
-}
-
 // NonpScratch carries the non-preemptive builder's reusable working
-// memory across solves.  Construction is allocation-bound; a serialized
-// caller that rebuilds after every change (stream.Session) passes one
-// scratch via Ctl.Scratch so steady-state re-solves stop paying the
-// builder's allocations.  The emitted Schedule never aliases scratch
-// memory, so results stay valid after the scratch is reused.  A scratch
-// must not be used by two builds concurrently.
+// memory across solves: the item array, the machine, candidate, parent
+// and piece lists and the class states, each sized once for the largest
+// instance it served.  A build with a warm scratch allocates only its
+// output (the Schedule, its slot array and its run array), so a
+// serialized caller that rebuilds after every change (stream.Session)
+// passes one scratch via Ctl.Scratch.  The emitted Schedule never aliases
+// scratch memory, so results stay valid after the scratch is reused.  A
+// scratch must not be used by two builds concurrently.
 type NonpScratch struct {
 	b nonpBuild
 }
@@ -448,96 +472,75 @@ type NonpScratch struct {
 // BuildNonp constructs a feasible non-preemptive schedule with makespan at
 // most 3/2*T from an accepting evaluation (Theorem 9(ii), Algorithm 6).
 func (p *Prep) BuildNonp(ev *NonpEval) (*sched.Schedule, error) {
-	return p.BuildNonpScratch(ev, nil)
+	s, _, err := p.BuildNonpScratch(ev, nil)
+	return s, err
 }
 
 // BuildNonpScratch is BuildNonp drawing its working memory from sc; a nil
-// sc allocates fresh memory (identical output either way).
-func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule, error) {
+// sc allocates fresh memory (identical output either way).  It also
+// returns the schedule's makespan, the latest slot end it emitted.
+func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule, sched.Rat, error) {
 	if !ev.OK {
-		return nil, errInternal("BuildNonp on rejected evaluation (%s)", ev.Reason)
+		return nil, sched.Rat{}, errInternal("BuildNonp on rejected evaluation (%s)", ev.Reason)
 	}
 	T := ev.T
 	if sc == nil {
 		sc = &NonpScratch{}
 	}
 	b := &sc.b
-	b.reset(p, T)
+	b.reset(p)
 
-	// Step 1.  The per-class wrap/rest partitions draw from four shared
-	// arenas (every job lands in at most one partition) instead of
-	// thousands of small growing slices.  The sub-slices are read-only
-	// downstream — jobCursor.fill never mutates its inputs and remainder
-	// copies the one column it edits.
+	// Step 1: big jobs on machines of their own, then the wrapped jobs.
+	b.phase = segStep1
 	for i := range p.In.Classes {
 		cls := &p.In.Classes[i]
-		st := &b.states[i]
-		st.candidates = st.candidates[:0]
-		expensive := 2*cls.Setup > T
-		ws, rs := len(b.wrapJobsA), len(b.restJobsA)
+		cs := len(b.candidates)
 		for j, t := range cls.Jobs {
-			switch {
-			case expensive || 2*(cls.Setup+t) > T && 2*t <= T:
-				b.wrapJobsA = append(b.wrapJobsA, j)
-				b.wrapLensA = append(b.wrapLensA, t)
-			case 2*t > T: // big job: own machine
+			if nonpPart(cls.Setup, t, T) == partBig {
 				mi := b.newMachine()
 				if cls.Setup > 0 {
-					b.put(mi, nonpItem{isSetup: true, class: i, job: -1, length: cls.Setup, parent: -1})
+					b.put(mi, nonpItem{isSetup: true, class: i, job: -1, length: cls.Setup}, -1)
 				}
-				b.put(mi, nonpItem{class: i, job: j, length: t, parent: -1})
-				st.candidates = append(st.candidates, mi)
-			default:
-				b.restJobsA = append(b.restJobsA, j)
-				b.restLensA = append(b.restLensA, t)
+				b.put(mi, nonpItem{class: i, job: j, length: t}, -1)
+				b.candidates = append(b.candidates, mi)
 			}
 		}
-		wrapJobs := b.wrapJobsA[ws:len(b.wrapJobsA):len(b.wrapJobsA)]
-		wrapLens := b.wrapLensA[ws:len(b.wrapLensA):len(b.wrapLensA)]
-		st.restJobs = b.restJobsA[rs:len(b.restJobsA):len(b.restJobsA)]
-		st.restLens = b.restLensA[rs:len(b.restLensA):len(b.restLensA)]
-		// The full-length column equals the (unmutated) length column at
-		// creation; remainder splits them when a border job is cut.
-		st.restFull = st.restLens
-		if len(wrapJobs) > 0 {
-			jc := newJobCursor(b, i, wrapJobs, wrapLens, wrapLens)
+		if jc := newJobCursor(p, i, T, partWrap); !jc.done() {
 			last := -1
 			for !jc.done() {
 				mi := b.newMachine()
 				last = mi
 				if cls.Setup > 0 {
-					b.put(mi, nonpItem{isSetup: true, class: i, job: -1, length: cls.Setup, parent: -1})
+					b.put(mi, nonpItem{isSetup: true, class: i, job: -1, length: cls.Setup}, -1)
 				}
-				jc.fill(mi, T-cls.Setup)
+				jc.fill(b, mi, T-cls.Setup)
 			}
-			if !expensive && last >= 0 {
-				st.candidates = append(st.candidates, last)
+			if 2*cls.Setup <= T { // cheap: the last wrap machine is a candidate
+				b.candidates = append(b.candidates, last)
 			}
 		}
+		b.states[i] = nonpClassState{candidates: b.candidates[cs:], rest: newJobCursor(p, i, T, partRest)}
 	}
 
 	// Step 2: top up candidate machines with the class's remaining jobs.
-	for i := range p.In.Classes {
+	b.phase = segStep2
+	for i := range b.states {
 		st := &b.states[i]
-		if len(st.restJobs) == 0 {
-			continue
-		}
-		jc := newJobCursor(b, i, st.restJobs, st.restLens, st.restFull)
 		for _, mi := range st.candidates {
-			if jc.done() {
+			if st.rest.done() {
 				break
 			}
 			if load := b.machines[mi].load; load < T {
-				jc.fill(mi, T-load)
+				st.rest.fill(b, mi, T-load)
 			}
 		}
-		st.restJobs, st.restLens, st.restFull = jc.remainder()
 	}
 
 	// Step 3: greedy fill with the residual sequence Q.  A machine closes
 	// when its load reaches the border T; the border item stays for now
 	// and is relocated in step 4b, which also restores missing setups of
 	// batches continuing across machines.
+	b.phase = segStep3
 	cur, next := -1, 0
 	advance := func() error {
 		for {
@@ -555,13 +558,11 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 				cur = b.newMachine()
 				next = len(b.machines)
 			}
-			m := &b.machines[cur]
-			m.step3Start = len(m.items)
 			b.order = append(b.order, cur)
 			return nil
 		}
 	}
-	place := func(it nonpItem) error {
+	place := func(it nonpItem, parent int) error {
 		for cur < 0 || b.machines[cur].load >= T {
 			if cur >= 0 && b.machines[cur].load >= T {
 				cur = -1
@@ -573,32 +574,27 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 			}
 		}
 		mi := cur
-		idx := len(b.machines[mi].items)
-		b.put(mi, it)
+		idx := len(b.items)
+		b.put(mi, it, parent)
 		if m := &b.machines[mi]; m.load >= T {
 			m.crossing = idx
 			cur = -1
 		}
 		return nil
 	}
-	for i := range p.In.Classes {
-		st := &b.states[i]
-		if len(st.restJobs) == 0 {
+	for i := range b.states {
+		jc := &b.states[i].rest
+		if jc.done() {
 			continue
 		}
-		cls := &p.In.Classes[i]
-		if cls.Setup > 0 {
-			if err := place(nonpItem{isSetup: true, class: i, job: -1, length: cls.Setup, parent: -1}); err != nil {
-				return nil, err
+		if s := p.In.Classes[i].Setup; s > 0 {
+			if err := place(nonpItem{isSetup: true, class: i, job: -1, length: s}, -1); err != nil {
+				return nil, sched.Rat{}, err
 			}
 		}
-		for k, j := range st.restJobs {
-			parent := -1
-			if st.restLens[k] != st.restFull[k] {
-				parent = b.ensureParent(i, j, st.restFull[k])
-			}
-			if err := place(nonpItem{class: i, job: j, length: st.restLens[k], parent: parent}); err != nil {
-				return nil, err
+		for ; !jc.done(); jc.next() {
+			if err := place(jc.piece(b, jc.left)); err != nil {
+				return nil, sched.Rat{}, err
 			}
 		}
 	}
@@ -608,64 +604,52 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 	// it (and its fresh setup) below the continuation.
 	for pi := range b.parents {
 		par := &b.parents[pi]
-		if len(par.pieces) == 0 {
-			continue
-		}
-		if len(par.pieces) == 1 {
-			loc := par.pieces[0]
-			it := &b.machines[loc.mach].items[loc.item]
-			if it.length != par.total {
-				return nil, errInternal("sole piece of job (%d,%d) has length %d of %d",
+		if par.head == par.tail {
+			if it := &b.items[b.pieces[par.head].item]; it.length != par.total {
+				return nil, sched.Rat{}, errInternal("sole piece of job (%d,%d) has length %d of %d",
 					par.class, par.job, it.length, par.total)
 			}
-			it.parent = -1
 			continue
 		}
 		host := -1
-		for k, loc := range par.pieces {
-			if b.machines[loc.mach].crossing == loc.item {
-				host = k
-				break
+		for q := par.head; q >= 0 && host < 0; q = b.pieces[q].next {
+			if pc := b.pieces[q]; b.machines[pc.mach].crossing == pc.item {
+				host = q
+			}
+		}
+		for q := par.head; q >= 0 && host < 0; q = b.pieces[q].next {
+			if pc := b.pieces[q]; pc.item == b.lastItem(pc.mach) {
+				host = q
 			}
 		}
 		if host < 0 {
-			for k, loc := range par.pieces {
-				if loc.item == len(b.machines[loc.mach].items)-1 {
-					host = k
-					break
-				}
-			}
+			return nil, sched.Rat{}, errInternal("no machine-last piece for split job (%d,%d)", par.class, par.job)
 		}
-		if host < 0 {
-			return nil, errInternal("no machine-last piece for split job (%d,%d)", par.class, par.job)
-		}
-		for k, loc := range par.pieces {
-			m := &b.machines[loc.mach]
-			it := &m.items[loc.item]
-			if k == host {
-				m.load += par.total - it.length
+		for q := par.head; q >= 0; q = b.pieces[q].next {
+			if it := &b.items[b.pieces[q].item]; q == host {
 				it.length = par.total
-				it.parent = -1
 			} else {
 				it.deleted = true
-				m.load -= it.length
 			}
 		}
 	}
 
-	// Step 4b: move surviving border items, processing machines in reverse
-	// fill order so insertion indices stay valid.  The insertion scratch
-	// buffers are shared across iterations.
+	// Step 4b: move surviving border items below the next machine's
+	// step-3 items.  Every surviving item is whole now.
 	for oi := len(b.order) - 1; oi >= 0; oi-- {
 		m := &b.machines[b.order[oi]]
 		if m.crossing < 0 {
 			continue
 		}
-		it := m.items[m.crossing]
+		it := b.items[m.crossing]
 		if it.deleted {
 			continue
 		}
-		if oi+1 >= len(b.order) {
+		recv := -1
+		if oi+1 < len(b.order) {
+			recv = b.order[oi+1]
+			b.phase = segMoved
+		} else {
 			// The border item ends the whole sequence Q, so no
 			// continuation setup needs repair.  But if this machine also
 			// receives the previous machine's move, keeping the item
@@ -676,97 +660,74 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 			if len(b.order) < 2 {
 				continue // sole machine: load < T plus one item <= 3/2 T
 			}
-			m.items[m.crossing].deleted = true
-			m.load -= it.length
-			if it.isSetup {
-				continue // a trailing setup enables nothing; drop it
+			if !it.isSetup { // a trailing setup enables nothing; drop it
+				recv = b.order[0]
 			}
-			first := &b.machines[b.order[0]]
-			if s := p.In.Classes[it.class].Setup; s > 0 {
-				first.items = append(first.items, nonpItem{isSetup: true, class: it.class, job: -1, length: s, parent: -1})
-				first.load += s
-			}
-			it.deleted = false
-			first.items = append(first.items, it)
-			first.load += it.length
+			b.phase = segRelocated
+		}
+		b.items[m.crossing].deleted = true
+		if recv < 0 {
 			continue
 		}
-		m.items[m.crossing].deleted = true
-		m.load -= it.length
-		recv := &b.machines[b.order[oi+1]]
-		b.insBuf = b.insBuf[:0]
-		if !it.isSetup {
-			if s := p.In.Classes[it.class].Setup; s > 0 {
-				b.insBuf = append(b.insBuf, nonpItem{isSetup: true, class: it.class, job: -1, length: s, parent: -1})
-			}
+		if s := p.In.Classes[it.class].Setup; s > 0 && !it.isSetup {
+			b.put(recv, nonpItem{isSetup: true, class: it.class, job: -1, length: s}, -1)
 		}
-		b.insBuf = append(b.insBuf, it)
-		b.tailBuf = append(b.tailBuf[:0], recv.items[recv.step3Start:]...)
-		recv.items = append(recv.items[:recv.step3Start], b.insBuf...)
-		recv.items = append(recv.items, b.tailBuf...)
-		for _, x := range b.insBuf {
-			recv.load += x.length
-		}
+		b.put(recv, it, -1)
 	}
 
-	// Emit.  Schedule construction is allocation-bound and runs on every
-	// solve — warm session re-solves included, where it dominates once
-	// the search itself is down to a few probes — so all machines' slots
-	// share one arena sized up front (AddMachine aliases, never copies)
-	// and the per-machine scratch is reused.  All times are integral
-	// here, so the running top stays in int64.  The arena is the one
-	// allocation that escapes into the result; it must never come from
-	// the reusable scratch.
+	// Emit every machine's live items in range order into one slot array
+	// (AddMachine aliases, never copies), dropping each setup that no job
+	// of its class directly follows.  All times are integral here, so the
+	// running top stays in int64.  The slot and run arrays escape into the
+	// result, so they must never come from the scratch.
 	out := &sched.Schedule{Variant: sched.NonPreemptive, T: sched.R(T)}
-	total := 0
-	for mi := range b.machines {
-		total += len(b.machines[mi].items)
-	}
-	arena := make([]sched.Slot, 0, total)
+	slots := make([]sched.Slot, 0, len(b.items))
 	out.Runs = make([]sched.MachineRun, 0, len(b.machines))
+	var top, peak int64
+	emit := func(it *nonpItem) {
+		if it.length == 0 {
+			return
+		}
+		kind, job := sched.SlotJob, it.job
+		if it.isSetup {
+			kind, job = sched.SlotSetup, -1
+		}
+		slots = append(slots, sched.Slot{
+			Kind: kind, Class: it.class, Job: job,
+			Start: sched.R(top), End: sched.R(top + it.length),
+		})
+		top += it.length
+	}
 	for mi := range b.machines {
-		m := &b.machines[mi]
-		b.live = b.live[:0]
-		for _, it := range m.items {
-			if !it.deleted {
-				b.live = append(b.live, it)
-			}
-		}
-		live := dropUselessNonpSetups(b.live)
-		start := len(arena)
-		var top int64
-		for _, it := range live {
-			if it.length <= 0 {
-				if it.length < 0 {
-					return nil, errInternal("negative slot length %d", it.length)
+		start := len(slots)
+		top = 0
+		setup := -1 // items index of a live setup awaiting its job
+		seg := &b.machines[mi].seg
+		for s := range seg {
+			for k := seg[s].Lo; k < seg[s].Hi; k++ {
+				it := &b.items[k]
+				if it.deleted {
+					continue
 				}
-				continue
+				if it.length < 0 {
+					return nil, sched.Rat{}, errInternal("negative slot length %d", it.length)
+				}
+				if setup >= 0 && !it.isSetup && it.class == b.items[setup].class {
+					emit(&b.items[setup])
+				}
+				setup = -1
+				if it.isSetup {
+					setup = k
+				} else {
+					emit(it)
+				}
 			}
-			kind, job := sched.SlotJob, it.job
-			if it.isSetup {
-				kind, job = sched.SlotSetup, -1
-			}
-			arena = append(arena, sched.Slot{
-				Kind: kind, Class: it.class, Job: job,
-				Start: sched.R(top), End: sched.R(top + it.length),
-			})
-			top += it.length
 		}
-		out.AddMachine(arena[start:len(arena):len(arena)])
+		peak = max(peak, top)
+		out.AddMachine(slots[start:len(slots):len(slots)])
 	}
-	return out, nil
-}
-
-// dropUselessNonpSetups removes setups not directly followed by a job of
-// their class.
-func dropUselessNonpSetups(items []nonpItem) []nonpItem {
-	keep := items[:0]
-	for k := 0; k < len(items); k++ {
-		it := items[k]
-		if it.isSetup && (k+1 >= len(items) || items[k+1].isSetup || items[k+1].class != it.class) {
-			continue
-		}
-		keep = append(keep, it)
+	if peak == 0 {
+		return out, sched.Rat{}, nil
 	}
-	return keep
+	return out, sched.R(peak), nil
 }

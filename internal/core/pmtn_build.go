@@ -27,18 +27,20 @@ type kItem struct {
 // in K run strictly below T/2 while their sibling pieces in the nice part
 // run at or above T/2, so no job ever runs in parallel with itself.
 func (p *Prep) BuildPmtn(ev *PmtnEval) (*sched.Schedule, error) {
-	return p.BuildPmtnScratch(ev, nil)
+	s, _, err := p.BuildPmtnScratch(ev, nil)
+	return s, err
 }
 
 // BuildPmtnScratch is BuildPmtn drawing its working memory from sc; a nil
-// sc allocates fresh memory (identical output either way).
-func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, error) {
+// sc allocates fresh memory (identical output either way).  It also
+// returns the schedule's makespan, the latest slot end it placed.
+func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, sched.Rat, error) {
 	if !ev.OK {
-		return nil, errInternal("BuildPmtn on rejected evaluation (%s)", ev.Reason)
+		return nil, sched.Rat{}, errInternal("BuildPmtn on rejected evaluation (%s)", ev.Reason)
 	}
 	T := ev.T
 	if ev.RefNum != T.Num() || ev.RefDen != T.Den() {
-		return nil, errInternal("BuildPmtn on interval-mode evaluation")
+		return nil, sched.Rat{}, errInternal("BuildPmtn on interval-mode evaluation")
 	}
 	// The grid 1/(4 td) puts T/4 at tn, T/2 at 2 tn, T at 4 tn and 3/2 T
 	// at 6 tn; buildNice checks that 6 tn fits.
@@ -82,7 +84,7 @@ func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, 
 				b.fullBatch(p, i)
 			case k == ev.SplitPos:
 				if err := b.splitStarClass(p, ev, i); err != nil {
-					return nil, err
+					return nil, sched.Rat{}, err
 				}
 			default:
 				// Unselected: obligatory pieces j(2) to the nice part,
@@ -108,22 +110,23 @@ func (p *Prep) BuildPmtnScratch(ev *PmtnEval, sc *RunScratch) (*sched.Schedule, 
 		}
 		var err error
 		if splitClass, err = b.caseBGreedy(p, ev, l); err != nil {
-			return nil, err
+			return nil, sched.Rat{}, err
 		}
 	}
 
 	// Step 3: the nice instance on the residual m-l machines.
 	if err := p.buildNice(b, tn, p.M-l, ev.ExpPlus, ev.Gamma, ev.ExpMinus); err != nil {
-		return nil, err
+		return nil, sched.Rat{}, err
 	}
 
 	// Step 4: place K at the bottoms of the large machines.
 	if len(b.kItems) > 0 {
 		if err := p.placeK(b, splitClass, tn); err != nil {
-			return nil, err
+			return nil, sched.Rat{}, err
 		}
 	}
-	return b.emit(&sched.Schedule{Variant: sched.Preemptive, T: T}), nil
+	s, mk := b.emit(&sched.Schedule{Variant: sched.Preemptive, T: T})
+	return s, mk, nil
 }
 
 // splitClassOf returns the class index of the case-A split item, or -1.

@@ -20,6 +20,7 @@ type RunScratch struct {
 	den   int64     // the build's grid denominator D: offset u is time u/D
 	top   int64     // end of the open machine's last slot, in offsets
 	topAt sched.Rat // top as a Rat: the last End, or Rat{} on a new machine
+	peak  int64     // latest end of any slot of the build, in offsets
 
 	seq       wrap.Sequence
 	niceClass int // BuildPmtn: class of the nice batch seq ends with, or -1
@@ -59,6 +60,7 @@ func runsFor(p *Prep, sc *RunScratch, den int64) *RunScratch {
 	sc.arena = sc.arena[:0]
 	sc.runs = sc.runs[:0]
 	sc.den = den
+	sc.peak = 0
 	sc.seq.Reset()
 	sc.niceClass = -1
 	sc.gaps = sc.gaps[:0]
@@ -98,6 +100,7 @@ func (b *RunScratch) place(kind sched.SlotKind, class, job int, length int64) {
 	at := sched.RatOf(top, b.den)
 	b.arena = append(b.arena, sched.Slot{Kind: kind, Class: class, Job: job, Start: b.topAt, End: at})
 	b.top, b.topAt = top, at
+	b.peak = max(b.peak, top)
 }
 
 // span returns the open machine's slots so far.
@@ -115,6 +118,7 @@ func (b *RunScratch) end(count int64) int {
 func (b *RunScratch) wrapSeq(p *Prep, tail wrap.TailRun) error {
 	var err error
 	b.arena, err = wrap.Wrap(b.arena, &b.placed, b.gaps, tail, &b.seq, p.setups(), b.den)
+	b.peak = max(b.peak, b.placed.Peak)
 	return err
 }
 
@@ -126,11 +130,17 @@ func (b *RunScratch) addTail() {
 }
 
 // emit copies the run table into out as one exactly sized slot array in
-// run order and returns out.  Every run's Slots has cap == len, and a
-// run without slots keeps nil Slots.
-func (b *RunScratch) emit(out *sched.Schedule) *sched.Schedule {
+// run order and returns out with its makespan: the latest slot end the
+// build placed, or the zero Rat when it placed none.  Every placed slot
+// belongs to a run.  Every run's Slots has cap == len, and a run without
+// slots keeps nil Slots.
+func (b *RunScratch) emit(out *sched.Schedule) (*sched.Schedule, sched.Rat) {
+	var mk sched.Rat
+	if b.peak > 0 {
+		mk = sched.RatOf(b.peak, b.den)
+	}
 	if len(b.runs) == 0 {
-		return out
+		return out, mk
 	}
 	total := 0
 	for i := range b.runs {
@@ -151,5 +161,5 @@ func (b *RunScratch) emit(out *sched.Schedule) *sched.Schedule {
 			out.Runs[i].Slots = slots[lo:k:k]
 		}
 	}
-	return out
+	return out, mk
 }

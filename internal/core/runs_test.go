@@ -10,8 +10,8 @@ import (
 )
 
 // arenaSolves are the searches whose schedules come out of the slot
-// arena (plus the non-preemptive exact search, whose own builder obeys
-// the same cap == len contract).
+// arena, plus the non-preemptive eps and exact searches, whose own
+// builder obeys the same contract.
 var arenaSolves = []struct {
 	name  string
 	solve func(*Prep, Ctl) (*Result, error)
@@ -23,6 +23,7 @@ var arenaSolves = []struct {
 	{"pmtn/eps", func(p *Prep, c Ctl) (*Result, error) { return p.SolveEps(c, sched.Preemptive, 1e-3) }},
 	{"pmtn/exact", (*Prep).SolvePmtnJump},
 	{"nonp/2approx", func(p *Prep, c Ctl) (*Result, error) { return p.SolveNonp2(c, sched.NonPreemptive) }},
+	{"nonp/eps", func(p *Prep, c Ctl) (*Result, error) { return p.SolveEps(c, sched.NonPreemptive, 1e-3) }},
 	{"nonp/exact", (*Prep).SolveNonpSearch},
 }
 
@@ -109,7 +110,7 @@ func TestArenaExactCapacity(t *testing.T) {
 	for _, in := range pmtnHandInstances() {
 		p := Prepare(in)
 		ev := p.EvalPmtn(sched.R(100), nil)
-		s, err := p.BuildPmtnScratch(ev, &sc.Run)
+		s, _, err := p.BuildPmtnScratch(ev, &sc.Run)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,21 +148,53 @@ func TestArenaLentScratchKeepsResult(t *testing.T) {
 	}
 }
 
+// TestResultMakespan pins that every search reports the makespan its
+// builder emitted: Result.Makespan is Schedule.Makespan() with the same
+// numerator and denominator fields, fresh and with a lent scratch, on
+// the arena instances and the core-cold and churn shapes.  A build that
+// places no slot reports the zero Rat, as Makespan() does.
+func TestResultMakespan(t *testing.T) {
+	var sc BuildScratch
+	var preps []*Prep
+	for _, in := range arenaInstances() {
+		preps = append(preps, Prepare(in))
+	}
+	preps = append(preps, coreColdPrep(20_000), churnPrep())
+	for k, p := range preps {
+		for _, as := range arenaSolves {
+			for _, ctl := range []Ctl{{}, {Scratch: &sc}} {
+				r, err := as.solve(p, ctl)
+				if err != nil {
+					t.Fatalf("instance %d %s: %v", k, as.name, err)
+				}
+				if want := r.Schedule.Makespan(); r.Makespan != want {
+					t.Fatalf("instance %d %s (lent %v): Result.Makespan %d/%d, schedule makespan %d/%d",
+						k, as.name, ctl.Scratch != nil, r.Makespan.Num(), r.Makespan.Den(), want.Num(), want.Den())
+				}
+			}
+		}
+	}
+	s, mk := runsFor(preps[0], nil, 1).emit(&sched.Schedule{})
+	if want := s.Makespan(); mk != want || mk != (sched.Rat{}) {
+		t.Fatalf("empty build: makespan %v, schedule makespan %v", mk, want)
+	}
+}
+
 // TestArenaAllocsFlat pins that a warm scratch makes construction's
 // allocation count independent of the instance size: the n = 2e4
 // core-cold shape may allocate no more per build than the n = 2e3 one
 // (the schedule, its slot array and its run array remain).
 func TestArenaAllocsFlat(t *testing.T) {
-	for _, v := range []sched.Variant{sched.Preemptive, sched.Splittable} {
+	for _, v := range []sched.Variant{sched.Preemptive, sched.Splittable, sched.NonPreemptive} {
 		var allocs []float64
 		for _, n := range []int{2_000, 20_000} {
 			build := buildAtAccepted(t, coreColdPrep(n), v)
-			var sc RunScratch
-			if _, err := build(&sc); err != nil {
+			warm := Ctl{Scratch: &BuildScratch{}}
+			if _, _, err := build(warm); err != nil {
 				t.Fatal(err)
 			}
 			allocs = append(allocs, testing.AllocsPerRun(5, func() {
-				if _, err := build(&sc); err != nil {
+				if _, _, err := build(warm); err != nil {
 					t.Fatal(err)
 				}
 			}))

@@ -11,6 +11,10 @@ import (
 // Result is the outcome of a full approximation run.
 type Result struct {
 	Schedule *sched.Schedule
+	// Makespan is the schedule's makespan as its builder emitted it, the
+	// latest slot end, equal to Schedule.Makespan() without a pass over
+	// the slots.
+	Makespan sched.Rat
 	// T is the accepted makespan guess the schedule was built for; the
 	// schedule's makespan is at most 3/2*T (2*T for the 2-approximations).
 	T sched.Rat
@@ -306,11 +310,11 @@ func (p *Prep) SolveSplit2(ctl Ctl) (*Result, error) {
 	if err := ctl.interrupted(); err != nil {
 		return nil, err
 	}
-	s, err := p.TwoApproxSplit(ctl.runs())
+	s, mk, err := p.TwoApproxSplit(ctl.runs())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schedule: s, T: s.T, LowerBound: p.TMin(sched.Splittable), Algorithm: "split/2approx"}, nil
+	return &Result{Schedule: s, Makespan: mk, T: s.T, LowerBound: p.TMin(sched.Splittable), Algorithm: "split/2approx"}, nil
 }
 
 // SolveNonp2 runs the non-preemptive (or preemptive) 2-approximation.
@@ -318,11 +322,11 @@ func (p *Prep) SolveNonp2(ctl Ctl, v sched.Variant) (*Result, error) {
 	if err := ctl.interrupted(); err != nil {
 		return nil, err
 	}
-	s, err := p.TwoApproxNonPreemptive(v, ctl.runs())
+	s, mk, err := p.TwoApproxNonPreemptive(v, ctl.runs())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schedule: s, T: s.T, LowerBound: p.TMin(v), Algorithm: v.Short() + "/2approx"}, nil
+	return &Result{Schedule: s, Makespan: mk, T: s.T, LowerBound: p.TMin(v), Algorithm: v.Short() + "/2approx"}, nil
 }
 
 // EpsRat exposes the rational tolerance SolveEps actually searches with
@@ -354,23 +358,15 @@ func (p *Prep) SolveEps(ctl Ctl, v sched.Variant, eps float64) (*Result, error) 
 	test, build, name := p.dualFor(ctl, v)
 	tmin := p.TMin(v)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
-	if v != sched.Splittable && v != sched.Preemptive {
-		// Non-preemptive probes route through the reusable eval scratch.
-		sc := p.evalScratchFor(ctl)
-		test = func(T sched.Rat) bool { return p.EvalNonpScratch(T, sc).OK }
-		build = func(T sched.Rat) (*sched.Schedule, error) {
-			return p.buildNonpWith(ctl, p.EvalNonpScratch(T, sc))
-		}
-	}
 	if br.probe(test, tmin) {
 		if err := br.checkpoint(); err != nil {
 			return nil, err
 		}
-		s, err := build(tmin)
+		s, mk, err := build(tmin)
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Schedule: s, T: tmin, LowerBound: tmin, Algorithm: name + "/eps", Probes: br.probes}, nil
+		return &Result{Schedule: s, Makespan: mk, T: tmin, LowerBound: tmin, Algorithm: name + "/eps", Probes: br.probes}, nil
 	}
 	if !br.probe(test, sched.R(p.N)) {
 		if br.err != nil {
@@ -389,19 +385,11 @@ func (p *Prep) SolveEps(ctl Ctl, v sched.Variant, eps float64) (*Result, error) 
 	if err := br.checkpoint(); err != nil {
 		return nil, err
 	}
-	s, err := build(br.hi)
+	s, mk, err := build(br.hi)
 	if err != nil {
 		return nil, err
 	}
-	return br.annotate(&Result{Schedule: s, T: br.hi, LowerBound: br.lo, Algorithm: name + "/eps", Probes: br.probes}, true), nil
-}
-
-// buildNonpWith builds through the Ctl's scratch when one is lent.
-func (p *Prep) buildNonpWith(ctl Ctl, ev *NonpEval) (*sched.Schedule, error) {
-	if ctl.Scratch != nil {
-		return p.BuildNonpScratch(ev, &ctl.Scratch.Nonp)
-	}
-	return p.BuildNonp(ev)
+	return br.annotate(&Result{Schedule: s, Makespan: mk, T: br.hi, LowerBound: br.lo, Algorithm: name + "/eps", Probes: br.probes}, true), nil
 }
 
 // evalScratchFor returns the Ctl's lent eval scratch, or a fresh
@@ -415,23 +403,33 @@ func (p *Prep) evalScratchFor(ctl Ctl) *NonpEvalScratch {
 	return &NonpEvalScratch{}
 }
 
+// buildFunc builds the schedule for an accepted guess T and returns it
+// with the makespan the builder emitted.
+type buildFunc func(T sched.Rat) (*sched.Schedule, sched.Rat, error)
+
 // dualFor returns the dual test and builder for a variant; the builders
 // draw on the Ctl's scratch when one is lent.
-func (p *Prep) dualFor(ctl Ctl, v sched.Variant) (func(sched.Rat) bool, func(sched.Rat) (*sched.Schedule, error), string) {
+func (p *Prep) dualFor(ctl Ctl, v sched.Variant) (func(sched.Rat) bool, buildFunc, string) {
 	switch v {
 	case sched.Splittable:
 		return p.splitOK,
-			func(T sched.Rat) (*sched.Schedule, error) {
+			func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
 				return p.BuildSplitScratch(p.EvalSplit(T, nil), ctl.runs())
 			},
 			"split"
 	case sched.Preemptive:
 		return p.pmtnOK,
-			func(T sched.Rat) (*sched.Schedule, error) { return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs()) },
+			func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
+				return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs())
+			},
 			"pmtn"
 	default:
-		return func(T sched.Rat) bool { return p.EvalNonp(T).OK },
-			func(T sched.Rat) (*sched.Schedule, error) { return p.BuildNonp(p.EvalNonp(T)) },
+		// Non-preemptive probes route through the reusable eval scratch.
+		sc := p.evalScratchFor(ctl)
+		return func(T sched.Rat) bool { return p.EvalNonpScratch(T, sc).OK },
+			func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
+				return p.BuildNonpScratch(p.EvalNonpScratch(T, sc), ctl.nonp())
+			},
 			"nonp"
 	}
 }
@@ -456,11 +454,11 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 		if err := br.checkpoint(); err != nil {
 			return nil, err
 		}
-		s, err := p.BuildSplitScratch(p.EvalSplit(tmin, nil), ctl.runs())
+		s, mk, err := p.BuildSplitScratch(p.EvalSplit(tmin, nil), ctl.runs())
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Schedule: s, T: tmin, LowerBound: tmin, Algorithm: "split/jump", Probes: br.probes}, nil
+		return &Result{Schedule: s, Makespan: mk, T: tmin, LowerBound: tmin, Algorithm: "split/jump", Probes: br.probes}, nil
 	}
 	// Warm start: a confirmed seed hi makes the N probe redundant (N >= hi
 	// is accepted by monotonicity).
@@ -520,7 +518,7 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 
 	// Closing step (Algorithm 1, step 9).
 	return p.closeJump(br, p.EvalSplit(br.lo, &br.hi).machineData(), test,
-		func(T sched.Rat) (*sched.Schedule, error) {
+		func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
 			return p.BuildSplitScratch(p.EvalSplit(T, nil), ctl.runs())
 		},
 		"split/jump")
@@ -563,16 +561,16 @@ func (ev *SplitEval) machineData() intervalData {
 // and the returned guess is both accepted and a certified lower bound,
 // giving the exact 3/2 ratio.
 func (p *Prep) closeJump(br *bracket, data intervalData, test func(sched.Rat) bool,
-	build func(sched.Rat) (*sched.Schedule, error), algo string) (*Result, error) {
+	build buildFunc, algo string) (*Result, error) {
 	if err := br.checkpoint(); err != nil {
 		return nil, err
 	}
 	ret := func(T sched.Rat) (*Result, error) {
-		s, err := build(T)
+		s, mk, err := build(T)
 		if err != nil {
 			return nil, err
 		}
-		return br.annotate(&Result{Schedule: s, T: T, LowerBound: T, Algorithm: algo, Probes: br.probes}, true), nil
+		return br.annotate(&Result{Schedule: s, Makespan: mk, T: T, LowerBound: T, Algorithm: algo, Probes: br.probes}, true), nil
 	}
 	if !data.machinesOK {
 		return ret(br.hi)
@@ -597,11 +595,11 @@ func (p *Prep) closeJump(br *bracket, data intervalData, test func(sched.Rat) bo
 	// preemptive knapsack term, see ALGORITHMS.md, "Knapsack
 	// constancy"); fall back to a sound conservative answer: build at
 	// hi, certify only lo.
-	s, err := build(br.hi)
+	s, mk, err := build(br.hi)
 	if err != nil {
 		return nil, err
 	}
-	return br.annotate(&Result{Schedule: s, T: br.hi, LowerBound: br.lo, Algorithm: algo + "/fallback", Probes: br.probes, Fallback: true}, true), nil
+	return br.annotate(&Result{Schedule: s, Makespan: mk, T: br.hi, LowerBound: br.lo, Algorithm: algo + "/fallback", Probes: br.probes, Fallback: true}, true), nil
 }
 
 // SolveNonpSearch is the exact 3/2-approximation for the non-preemptive
@@ -613,8 +611,8 @@ func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
 		return nil, err
 	}
 	if p.M >= int64(p.NJob) {
-		s := p.oneJobPerMachine(sched.NonPreemptive, ctl.runs())
-		return &Result{Schedule: s, T: s.T, LowerBound: s.T, Algorithm: "nonp/binsearch"}, nil
+		s, mk := p.oneJobPerMachine(sched.NonPreemptive, ctl.runs())
+		return &Result{Schedule: s, Makespan: mk, T: s.T, LowerBound: s.T, Algorithm: "nonp/binsearch"}, nil
 	}
 	// Every probe runs through the reusable eval scratch, so a warm
 	// re-solve's probes allocate nothing.  lastEv aliases the scratch's
@@ -629,11 +627,11 @@ func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
 		if err := br.checkpoint(); err != nil {
 			return nil, err
 		}
-		s, err := p.buildNonpWith(ctl, lastEv)
+		s, mk, err := p.BuildNonpScratch(lastEv, ctl.nonp())
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Schedule: s, T: sched.R(tmin), LowerBound: sched.R(tmin), Algorithm: "nonp/binsearch", Probes: br.probes}, nil
+		return &Result{Schedule: s, Makespan: mk, T: sched.R(tmin), LowerBound: sched.R(tmin), Algorithm: "nonp/binsearch", Probes: br.probes}, nil
 	}
 	// Warm start: OPT is integral, so seed guesses are rounded outward
 	// (floor for the reject candidate, ceil for the accept candidate) and
@@ -695,10 +693,10 @@ func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
 		return nil, err
 	}
 	// lo rejected => OPT >= lo+1 = hi: the result is a true 3/2-approximation.
-	s, err := p.buildNonpWith(ctl, p.EvalNonpScratch(sched.R(hi), sc))
+	s, mk, err := p.BuildNonpScratch(p.EvalNonpScratch(sched.R(hi), sc), ctl.nonp())
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schedule: s, T: sched.R(hi), LowerBound: sched.R(hi), Algorithm: "nonp/binsearch", Probes: br.probes,
+	return &Result{Schedule: s, Makespan: mk, T: sched.R(hi), LowerBound: sched.R(hi), Algorithm: "nonp/binsearch", Probes: br.probes,
 		SeedUsed: br.seeded, SeedLo: sched.R(lo), HasSeedLo: true}, nil
 }

@@ -112,14 +112,16 @@ func (ev *SplitEval) reject(machFail bool, reason string) bool {
 // cheap setup) and into gaps [T/2, 3/2T) on the m - m_exp unused machines,
 // emitting compressed machine runs for the unused-machine region.
 func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
-	return p.BuildSplitScratch(ev, nil)
+	s, _, err := p.BuildSplitScratch(ev, nil)
+	return s, err
 }
 
 // BuildSplitScratch is BuildSplit drawing its working memory from sc; a
-// nil sc allocates fresh memory (identical output either way).
-func (p *Prep) BuildSplitScratch(ev *SplitEval, sc *RunScratch) (*sched.Schedule, error) {
+// nil sc allocates fresh memory (identical output either way).  It also
+// returns the schedule's makespan, the latest slot end it placed.
+func (p *Prep) BuildSplitScratch(ev *SplitEval, sc *RunScratch) (*sched.Schedule, sched.Rat, error) {
 	if !ev.OK {
-		return nil, errInternal("BuildSplit on rejected evaluation (%s)", ev.Reason)
+		return nil, sched.Rat{}, errInternal("BuildSplit on rejected evaluation (%s)", ev.Reason)
 	}
 	T := ev.T
 	// The grid 1/(2 td) puts T/2 at tn, T at 2 tn and 3/2 T at 3 tn.
@@ -180,7 +182,7 @@ func (p *Prep) BuildSplitScratch(ev *SplitEval, sc *RunScratch) (*sched.Schedule
 			}
 		}
 		if jobLeft > 0 || jobIdx < len(cls.Jobs)-1 {
-			return nil, errInternal("splittable step 1 left work of class %d unplaced", i)
+			return nil, sched.Rat{}, errInternal("splittable step 1 left work of class %d unplaced", i)
 		}
 	}
 
@@ -191,12 +193,13 @@ func (p *Prep) BuildSplitScratch(ev *SplitEval, sc *RunScratch) (*sched.Schedule
 		}
 		tail := wrap.TailRun{Count: p.M - ev.MExp, A: half, B: top}
 		if err := b.wrapSeq(p, tail); err != nil {
-			return nil, errInternal("splittable cheap wrap failed: %v", err)
+			return nil, sched.Rat{}, errInternal("splittable cheap wrap failed: %v", err)
 		}
 		for g, sp := range b.placed.Machines {
 			b.runs[b.owners[g]].post = sp
 		}
 		b.addTail()
 	}
-	return b.emit(&sched.Schedule{Variant: sched.Splittable, T: T}), nil
+	s, mk := b.emit(&sched.Schedule{Variant: sched.Splittable, T: T})
+	return s, mk, nil
 }

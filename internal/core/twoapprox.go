@@ -9,8 +9,9 @@ import (
 // (Lemma 8): wrap the whole instance as one sequence into m identical gaps
 // [s_max, s_max + N/m), leaving room for any setup below each gap.  It
 // builds on the grid of N/m's denominator and draws its working memory
-// from sc; nil allocates fresh memory.
-func (p *Prep) TwoApproxSplit(sc *RunScratch) (*sched.Schedule, error) {
+// from sc; nil allocates fresh memory.  It also returns the schedule's
+// makespan.
+func (p *Prep) TwoApproxSplit(sc *RunScratch) (*sched.Schedule, sched.Rat, error) {
 	avg := sched.RatOf(p.N, p.M)
 	b := runsFor(p, sc, avg.Den())
 	for i := range p.In.Classes {
@@ -18,10 +19,11 @@ func (p *Prep) TwoApproxSplit(sc *RunScratch) (*sched.Schedule, error) {
 	}
 	lo := b.units(p.SMax)
 	if err := b.wrapSeq(p, wrap.TailRun{Count: p.M, A: lo, B: wrap.Add(lo, avg.Num())}); err != nil {
-		return nil, errInternal("splittable 2-approx wrap failed: %v", err)
+		return nil, sched.Rat{}, errInternal("splittable 2-approx wrap failed: %v", err)
 	}
 	b.addTail()
-	return b.emit(&sched.Schedule{Variant: sched.Splittable, T: p.TMin(sched.Splittable)}), nil
+	s, mk := b.emit(&sched.Schedule{Variant: sched.Splittable, T: p.TMin(sched.Splittable)})
+	return s, mk, nil
 }
 
 // nfItem is one next-fit sequence element for the non-preemptive/preemptive
@@ -37,14 +39,16 @@ type nfItem struct {
 // non-preemptive (and hence also preemptive) case (Lemma 9): next-fit by
 // class with threshold T_min, then move every T_min-crossing item to the
 // beginning of the next machine, paying one extra setup for moved jobs.
-// It emits through sc; nil allocates fresh memory.
-func (p *Prep) TwoApproxNonPreemptive(v sched.Variant, sc *RunScratch) (*sched.Schedule, error) {
+// It emits through sc; nil allocates fresh memory.  It also returns the
+// schedule's makespan.
+func (p *Prep) TwoApproxNonPreemptive(v sched.Variant, sc *RunScratch) (*sched.Schedule, sched.Rat, error) {
 	if v == sched.Splittable {
-		return nil, errInternal("TwoApproxNonPreemptive called with splittable variant")
+		return nil, sched.Rat{}, errInternal("TwoApproxNonPreemptive called with splittable variant")
 	}
 	// Trivial optimum when m >= n: one job (plus setup) per machine.
 	if p.M >= int64(p.NJob) {
-		return p.oneJobPerMachine(v, sc), nil
+		s, mk := p.oneJobPerMachine(v, sc)
+		return s, mk, nil
 	}
 	tmin := sched.MaxRat(sched.RatOf(p.N, p.M), sched.R(p.SPT))
 	// Work on the scaled threshold exactly: compare load*den vs num.
@@ -77,7 +81,7 @@ func (p *Prep) TwoApproxNonPreemptive(v sched.Variant, sc *RunScratch) (*sched.S
 			machines = machines[:len(machines)-1]
 		}
 		if int64(len(machines)) > p.M {
-			return nil, errInternal("2-approx next-fit used %d > m = %d machines", len(machines), p.M)
+			return nil, sched.Rat{}, errInternal("2-approx next-fit used %d > m = %d machines", len(machines), p.M)
 		}
 	}
 
@@ -117,7 +121,8 @@ func (p *Prep) TwoApproxNonPreemptive(v sched.Variant, sc *RunScratch) (*sched.S
 		}
 		b.end(1)
 	}
-	return b.emit(&sched.Schedule{Variant: v, T: tmin}), nil
+	s, mk := b.emit(&sched.Schedule{Variant: v, T: tmin})
+	return s, mk, nil
 }
 
 // dropUselessSetups removes setup items that are not directly followed by
@@ -136,8 +141,8 @@ func dropUselessSetups(items []nfItem) []nfItem {
 
 // oneJobPerMachine returns the trivial optimal schedule for m >= n: every
 // job gets its own machine with one setup.  Its makespan is
-// max_i (s_i + t_max^(i)) = OPT.
-func (p *Prep) oneJobPerMachine(v sched.Variant, sc *RunScratch) *sched.Schedule {
+// max_i (s_i + t_max^(i)) = OPT, returned with the schedule.
+func (p *Prep) oneJobPerMachine(v sched.Variant, sc *RunScratch) (*sched.Schedule, sched.Rat) {
 	b := runsFor(p, sc, 1) // integer times: the grid is 1
 	for i := range p.In.Classes {
 		c := &p.In.Classes[i]

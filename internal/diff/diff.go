@@ -51,7 +51,11 @@ import (
 	"setupsched/schedgen"
 )
 
-// DefaultEpsilon is the eps-search accuracy used when Config.Epsilon is 0.
+// DefaultEpsilon is the eps-search accuracy of the test harnesses — this
+// package, internal/quality, internal/expt, cmd/schedstress and
+// cmd/schedquality — used when Config.Epsilon is 0.  It is coarser than
+// setupsched.DefaultEpsilon, so a harness checking guarantees passes it
+// to Run.Guarantee explicitly.
 const DefaultEpsilon = 1e-3
 
 // AlgoRun is the outcome of one paper run (a row of Table 1, see

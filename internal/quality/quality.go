@@ -24,16 +24,13 @@ import (
 	"time"
 
 	"setupsched"
+	"setupsched/internal/diff"
 	"setupsched/sched"
 	"setupsched/schedgen"
 )
 
 // Schema versions the BENCH_quality.json wire format.
 const Schema = "setupsched/bench_quality/v1"
-
-// DefaultEpsilon is the eps-search accuracy measured when Config.Epsilon
-// is zero.
-const DefaultEpsilon = 1e-3
 
 // measured returns the measured runs in report order: the
 // non-preemptive rows of setupsched.PaperRuns, the variant the exact
@@ -136,7 +133,7 @@ type Config struct {
 	// Seeds runs seeds SeedBase .. SeedBase+Seeds-1 per family.
 	Seeds    int64
 	SeedBase int64
-	// Epsilon is the eps-search accuracy (default DefaultEpsilon).
+	// Epsilon is the eps-search accuracy (default diff.DefaultEpsilon).
 	Epsilon float64
 	// NodeBudget bounds the reference backend per instance (0 = the
 	// backend's default).
@@ -183,7 +180,7 @@ func Sweep(ctx context.Context, cfg Config) (*Run, error) {
 	}
 	eps := cfg.Epsilon
 	if eps <= 0 {
-		eps = DefaultEpsilon
+		eps = diff.DefaultEpsilon
 	}
 	workers := cfg.Workers
 	if workers <= 0 {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"setupsched/internal/diff"
 	"setupsched/sched"
 	"setupsched/schedgen"
 )
@@ -99,7 +100,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 func testRun() Run {
 	return Run{
 		GoVersion: "go-test", GOOS: "linux", GOARCH: "amd64", GoMaxProcs: 1, NumCPU: 1,
-		GeneratedUnix: 1, Seeds: 2, Epsilon: DefaultEpsilon,
+		GeneratedUnix: 1, Seeds: 2, Epsilon: diff.DefaultEpsilon,
 		M: 4, Classes: 10, JobsPer: 3, MaxSetup: 40, MaxJob: 60,
 		Results: []FamilyResult{
 			{Family: "uniform", Spec: "nonp/2approx", Instances: 2, Exact: 2,

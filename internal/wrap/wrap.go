@@ -162,6 +162,10 @@ type Placement struct {
 	// order.  The sum of their counts is the number of tail machines
 	// that received load, at most the tail count.
 	Tail []Run
+	// Peak is the latest end of a placed slot in offsets, 0 when the
+	// sequence placed none: the wrapped part's makespan, without a pass
+	// over the slots.
+	Peak int64
 }
 
 // reset sizes the placement for g explicit gaps, reusing its storage.
@@ -169,6 +173,7 @@ func (pl *Placement) reset(g int) {
 	pl.Machines = slices.Grow(pl.Machines[:0], g)[:g]
 	clear(pl.Machines)
 	pl.Tail = pl.Tail[:0]
+	pl.Peak = 0
 }
 
 var (
@@ -266,6 +271,7 @@ func (st *wrapState) advance(class int) error {
 				return fmt.Errorf("%w: class %d setup %d below gap start %s", ErrSetupBelowGap, class, s, st.at)
 			}
 			st.arena = append(st.arena, sched.Slot{Kind: sched.SlotSetup, Class: class, Job: -1, Start: sched.RatOf(start, st.d), End: st.at})
+			st.place.Peak = max(st.place.Peak, st.t)
 		}
 	}
 	return nil
@@ -304,6 +310,7 @@ func (st *wrapState) emit(kind sched.SlotKind, class, job int, length int64) {
 	at := sched.RatOf(t, st.d)
 	st.arena = append(st.arena, sched.Slot{Kind: kind, Class: class, Job: job, Start: st.at, End: at})
 	st.t, st.at = t, at
+	st.place.Peak = max(st.place.Peak, t)
 }
 
 func (st *wrapState) placeItem(it *Item) error {
@@ -370,4 +377,5 @@ func (st *wrapState) appendFullGap(it *Item) {
 		Kind: sched.SlotJob, Class: it.Class, Job: it.Job,
 		Start: st.tailA, End: st.tailB,
 	})
+	st.place.Peak = max(st.place.Peak, st.tail.B)
 }

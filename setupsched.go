@@ -101,14 +101,15 @@ type Result struct {
 	Trace []Probe
 }
 
+// finish converts a core result.  The makespan is the one the builder
+// emitted; Verify recomputes it from the slots.
 func finish(r *core.Result) *Result {
-	mk := r.Schedule.Makespan()
 	return &Result{
 		Schedule:   r.Schedule,
-		Makespan:   mk,
+		Makespan:   r.Makespan,
 		Guess:      r.T,
 		LowerBound: r.LowerBound,
-		Ratio:      core.Ratio(mk, r.LowerBound),
+		Ratio:      core.Ratio(r.Makespan, r.LowerBound),
 		Algorithm:  r.Algorithm,
 		Probes:     r.Probes,
 		Fallback:   r.Fallback,

@@ -425,8 +425,10 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // 2 for TwoApprox, 3/2 for Exact32 and Auto, and 1 for RefExact.  For
 // EpsilonSearch it is (3/2)(1 + core.EpsRat(eps)), the bound the search
 // certifies for the rational tolerance it runs with, which lies slightly
-// above (3/2)(1 + eps).  eps 0 means DefaultEpsilon, as in Solve.  Results
-// with Fallback set certify a conservative lower bound and may exceed it.
+// above (3/2)(1 + eps).  eps 0 means this package's DefaultEpsilon
+// (1e-4), as in Solve, not the coarser accuracy a test harness solves
+// at: a caller solving at another eps passes that eps.  Results with
+// Fallback set certify a conservative lower bound and may exceed it.
 func (r Run) Guarantee(eps float64) Rat {
 	switch r.Algorithm {
 	case TwoApprox:

@@ -617,13 +617,12 @@ func (s *Session) solveLocked(ctx context.Context, v sched.Variant, algo setupsc
 		obs.SearchFinished(r.Algorithm, r.Probes)
 	}
 
-	mk := r.Schedule.Makespan()
 	res := &setupsched.Result{
 		Schedule:   r.Schedule,
-		Makespan:   mk,
+		Makespan:   r.Makespan,
 		Guess:      r.T,
 		LowerBound: r.LowerBound,
-		Ratio:      core.Ratio(mk, r.LowerBound),
+		Ratio:      core.Ratio(r.Makespan, r.LowerBound),
 		Algorithm:  r.Algorithm,
 		Probes:     r.Probes,
 		Fallback:   r.Fallback,
