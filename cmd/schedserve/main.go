@@ -24,10 +24,8 @@
 //	                               bulk re-create sessions from a
 //	                               snapshot stream
 //	GET    /healthz                liveness probe (503 while draining)
-//	GET    /v1/stats               counters, cache/session hit rates,
-//	                               latency quantiles
-//	GET    /metrics                Prometheus text exposition over the
-//	                               same registry as /v1/stats
+//	GET    /metrics                Prometheus text exposition: counters,
+//	                               cache/session hits, latency histogram
 //	GET    /v1/debug/traces        flight recorder: recently completed
 //	                               request traces (?trace_id=, ?min_ms=)
 //	GET    /debug/pprof/...        runtime profiles (only with -pprof)

@@ -149,29 +149,29 @@
 // results are re-checked with Verify before they are served.  The
 // service keeps one prepared Solver per fingerprint, honors per-request
 // timeouts and client-disconnect cancellation, and reports probe-level
-// search metrics plus the process's goroutine posture on /v1/stats.  Stateful delta traffic goes through the /v1/sessions
-// endpoints, which keep stream.Sessions alive server-side under TTL and
-// LRU eviction; a saturated batch worker pool answers 429 with
-// Retry-After instead of queueing unboundedly.
+// search metrics plus the Go runtime on /metrics.  Stateful delta
+// traffic goes through the /v1/sessions endpoints, which keep
+// stream.Sessions alive server-side under TTL and LRU eviction; a
+// saturated batch worker pool answers 429 with Retry-After instead of
+// queueing unboundedly.
 //
 // # Scaling out
 //
 // One serve process is the unit of deployment; package setupsched/shard
 // and cmd/schedlb compose k of them into one horizontally scaled
-// service.  shard provides the pluggable Store interface behind serve's
-// result, solver and session state (in-memory today, external
-// tomorrow) and a consistent-hash Ring (1024 virtual nodes per shard)
-// that routes stateless solves by canonical instance fingerprint and
-// session traffic by session id.  schedlb is the stateless front tier:
-// it pins session ids at create time, fans /v1/solve/batch lines
-// across owning shards merging responses in arrival order, retries
-// idempotent requests once on connection failure, and verifies every
-// response's X-Sched-Shard echo against its own ring (misroutes are
-// counted; the contract is zero).  Topology changes migrate sessions
-// by drain + snapshot import with solves bit-identical to fresh solves
-// of the moved instances.  cmd/schedload is the multi-process
-// load-test harness proving the contract and recording the latency/RPS
-// trajectory in BENCH_serve.json.
+// service.  shard provides a consistent-hash Ring (1024 virtual nodes
+// per shard) that routes stateless solves by canonical instance
+// fingerprint and session traffic by session id, so each shard's
+// in-process result, solver and session LRUs see all traffic for their
+// keys.  schedlb is the stateless front tier: it pins session ids at
+// create time, fans /v1/solve/batch lines across owning shards merging
+// responses in arrival order, retries idempotent requests once on
+// connection failure, and verifies every response's X-Sched-Shard echo
+// against its own ring (misroutes are counted; the contract is zero).
+// Topology changes migrate sessions by drain + snapshot import with
+// solves bit-identical to fresh solves of the moved instances.
+// cmd/schedload is the multi-process load-test harness proving the
+// contract and recording the latency/RPS trajectory in BENCH_serve.json.
 //
 // # Testing
 //

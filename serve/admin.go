@@ -69,7 +69,7 @@ func (s *Server) ExportSessions(ctx context.Context, w io.Writer) (int, error) {
 	}
 	enc := json.NewEncoder(w)
 	n := 0
-	for _, e := range s.sessions.entries() {
+	for _, e := range s.sessions.live() {
 		in, rev, err := e.sess.Snapshot(ctx)
 		if err != nil {
 			return n, fmt.Errorf("snapshotting session %s: %w", e.id, err)
@@ -138,7 +138,8 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// The export is NDJSON-streamed; all we can do mid-stream is log
 		// the count mismatch via metrics and cut the stream short.  The
-		// driver detects the short stream by re-polling /v1/stats.
+		// driver detects the short stream by comparing the lines it got
+		// with sched_sessions_active on /metrics.
 		s.metrics.errors.Inc()
 		return
 	}

@@ -198,13 +198,15 @@ func TestSessionMigration(t *testing.T) {
 		t.Fatalf("post-migration rev = %d, want %d", dr2.Rev, dr.Rev+1)
 	}
 
-	// Stats reflect the move on both sides.
-	statsA, statsB := getStats(t, a), getStats(t, b)
-	if !statsA.Draining || statsA.ShardID != "shard-a" || statsA.Sessions.Exported != 1 {
-		t.Errorf("shard A stats = {draining %v shard %q exported %d}", statsA.Draining, statsA.ShardID, statsA.Sessions.Exported)
+	// The metrics reflect the move on both sides.
+	mA, mB := scrapeMetrics(t, a), scrapeMetrics(t, b)
+	if mA["sched_draining"] != 1 || mA[`sched_shard_info{shard="shard-a"}`] != 1 || mA["sched_sessions_exported_total"] != 1 {
+		t.Errorf("shard A metrics = {draining %v shard-a info %v exported %v}",
+			mA["sched_draining"], mA[`sched_shard_info{shard="shard-a"}`], mA["sched_sessions_exported_total"])
 	}
-	if statsB.Draining || statsB.ShardID != "shard-b" || statsB.Sessions.Imported != 1 {
-		t.Errorf("shard B stats = {draining %v shard %q imported %d}", statsB.Draining, statsB.ShardID, statsB.Sessions.Imported)
+	if mB["sched_draining"] != 0 || mB[`sched_shard_info{shard="shard-b"}`] != 1 || mB["sched_sessions_imported_total"] != 1 {
+		t.Errorf("shard B metrics = {draining %v shard-b info %v imported %v}",
+			mB["sched_draining"], mB[`sched_shard_info{shard="shard-b"}`], mB["sched_sessions_imported_total"])
 	}
 }
 

@@ -105,11 +105,11 @@ func TestBatchIsolatesInvalidAndCanceledItems(t *testing.T) {
 		}
 	}
 
-	stats := getStats(t, ts)
-	if stats.Search.Timeouts == 0 {
-		t.Fatalf("timeout not counted in stats: %+v", stats.Search)
+	m := scrapeMetrics(t, ts)
+	if m["sched_solve_timeouts_total"] == 0 {
+		t.Fatal("timeout not counted in /metrics")
 	}
-	if stats.Requests.Errors < 2 {
-		t.Fatalf("error counter %d, want >= 2", stats.Requests.Errors)
+	if errs := m["sched_request_errors_total"]; errs < 2 {
+		t.Fatalf("error counter %v, want >= 2", errs)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"setupsched"
 	"setupsched/obs"
 	"setupsched/sched"
-	"setupsched/shard"
 )
 
 // cacheEntry is one cached solve outcome.  The schedule inside Result is
@@ -21,29 +20,25 @@ type cacheEntry struct {
 }
 
 // resultCache is the result LRU keyed by
-// (fingerprint, variant, algorithm, epsilon).  Since the shard rework
-// the entries live behind the pluggable shard.Store seam (in-memory per
-// shard today, external store tomorrow); this type owns the policy on
-// top of the store's recency mechanics: capacity eviction, collision
-// checks, and the hit/miss counters shared by /metrics and /v1/stats.
-// The mutex serializes store access, which is the Store contract.
+// (fingerprint, variant, algorithm, epsilon).  On top of the LRU's
+// recency and capacity it owns the collision checks and the hit, miss
+// and eviction counters of /metrics.
 type resultCache struct {
-	mu       sync.Mutex
-	capacity int
-	st       shard.Store
+	mu      sync.Mutex
+	entries *lru[*cacheEntry]
 
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
 }
 
-func newResultCache(st shard.Store, capacity int, hits, misses, evictions *obs.Counter) *resultCache {
+func newResultCache(capacity int, hits, misses, evictions *obs.Counter) *resultCache {
 	if capacity <= 0 {
 		return nil
 	}
 	return &resultCache{
-		capacity: capacity, st: st,
-		hits: hits, misses: misses, evictions: evictions,
+		entries: newLRU[*cacheEntry](capacity),
+		hits:    hits, misses: misses, evictions: evictions,
 	}
 }
 
@@ -56,17 +51,12 @@ func newResultCache(st shard.Store, capacity int, hits, misses, evictions *obs.C
 func (c *resultCache) get(key string, matches func(*sched.Instance) bool) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	v, ok := c.st.Get(key)
-	if !ok {
+	e, ok := c.entries.get(key)
+	if !ok || !matches(e.canon) {
 		c.misses.Inc()
 		return nil
 	}
-	e := v.(*cacheEntry)
-	if !matches(e.canon) {
-		c.misses.Inc()
-		return nil
-	}
-	c.st.Touch(key)
+	c.entries.touch(key)
 	c.hits.Inc()
 	return e
 }
@@ -76,13 +66,7 @@ func (c *resultCache) get(key string, matches func(*sched.Instance) bool) *cache
 func (c *resultCache) put(e *cacheEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.st.Put(e.key, e)
-	for c.st.Len() > c.capacity {
-		if k, _, ok := c.st.Oldest(); ok {
-			c.st.Delete(k)
-		}
-		c.evictions.Inc()
-	}
+	c.evictions.Add(uint64(c.entries.put(e.key, e)))
 }
 
 // remove drops the entry for key if present (used when a cached result
@@ -90,12 +74,12 @@ func (c *resultCache) put(e *cacheEntry) {
 func (c *resultCache) remove(key string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.st.Delete(key)
+	c.entries.remove(key)
 }
 
-// size returns current occupancy for /v1/stats and the size gauge.
-func (c *resultCache) size() (size int, capacity int) {
+// size returns current occupancy for the size gauge.
+func (c *resultCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.Len(), c.capacity
+	return c.entries.len()
 }

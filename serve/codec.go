@@ -206,7 +206,7 @@ func appendResponse(b []byte, resp *SolveResponse) ([]byte, error) {
 	}
 	if resp.schedule != nil {
 		key("schedule")
-		b = appendSchedule(b, resp.schedule)
+		b = appendSchedule(b, resp.schedule, resp.Makespan)
 	}
 	if len(resp.probes) > 0 {
 		key("trace")
@@ -235,12 +235,13 @@ func appendResponse(b []byte, resp *SolveResponse) ([]byte, error) {
 }
 
 // appendSchedule appends the ScheduleJSON form of sc, as scheduleJSON
-// would build it.  Variant names, kinds and rationals need no escaping.
-func appendSchedule(b []byte, sc *sched.Schedule) []byte {
+// would build it with the same makespan.  Variant names, kinds and
+// rationals need no escaping.
+func appendSchedule(b []byte, sc *sched.Schedule, makespan string) []byte {
 	b = append(b, `{"variant":"`...)
 	b = append(b, sc.Variant.Short()...)
 	b = append(b, `","makespan":"`...)
-	b = sc.Makespan().Append(b)
+	b = append(b, makespan...)
 	b = append(b, `","runs":[`...)
 	for i := range sc.Runs {
 		run := &sc.Runs[i]

@@ -66,7 +66,7 @@ func TestPlainRequestTakesFamilyBodies(t *testing.T) {
 			t.Errorf("plain reader rejected %s", b)
 			continue
 		}
-		if resp := s.handle(context.Background(), &req); resp.Error != "" {
+		if resp := s.handle(context.Background(), &req, nil); resp.Error != "" {
 			t.Errorf("%s: %s", b, resp.Error)
 		}
 	}
@@ -152,7 +152,7 @@ func TestAppendResponseMatchesEncodingJSON(t *testing.T) {
 					ID: id, Instance: in, Variant: v, IncludeSchedule: true, IncludeTrace: true,
 					IncludeSpans: true, TraceParent: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
 				}
-				resp := s.handle(context.Background(), req)
+				resp := s.handle(context.Background(), req, nil)
 				if resp.Error != "" || resp.Cached != cached || resp.schedule == nil {
 					t.Fatalf("%s/%s: cached %v, error %q", f.Name, v, resp.Cached, resp.Error)
 				}

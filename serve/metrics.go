@@ -7,10 +7,9 @@ import (
 )
 
 // serverMetrics is the Server's observability core: every counter the
-// server records lives in one per-Server obs.Registry, which backs both
-// the Prometheus exposition at GET /metrics and the /v1/stats JSON view
-// (see stats.go).  Two servers in one process never collide because the
-// registry is per-Server, not process-global.
+// server records lives in one per-Server obs.Registry, which backs the
+// Prometheus exposition at GET /metrics.  Two servers in one process
+// never collide because the registry is per-Server, not process-global.
 //
 // Metric catalog (all prefixed sched_):
 //
@@ -134,15 +133,15 @@ func newServerMetrics() *serverMetrics {
 func (m *serverMetrics) registerDerived(s *Server) {
 	if s.cache != nil {
 		m.reg.GaugeFunc(`sched_cache_size{cache="results"}`, "Current LRU occupancy by cache.",
-			func() float64 { size, _ := s.cache.size(); return float64(size) })
+			func() float64 { return float64(s.cache.size()) })
 	}
 	if s.solvers != nil {
 		m.reg.GaugeFunc(`sched_cache_size{cache="solvers"}`, "Current LRU occupancy by cache.",
-			func() float64 { size, _ := s.solvers.size(); return float64(size) })
+			func() float64 { return float64(s.solvers.size()) })
 	}
 	if s.sessions != nil {
 		m.reg.GaugeFunc("sched_sessions_active", "Live incremental solve sessions.",
-			func() float64 { active, _, _ := s.sessions.size(); return float64(active) })
+			func() float64 { return float64(s.sessions.size()) })
 	}
 	if s.cfg.ShardID != "" {
 		// Constant info series: the shard's identity as a label, so fleet

@@ -42,8 +42,8 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 }
 
 // TestMetricsEndpointExposition drives traffic through every subsystem
-// and asserts GET /metrics is valid Prometheus text format whose numbers
-// agree with the /v1/stats view over the same registry.
+// and asserts GET /metrics is valid Prometheus text format with the
+// exact counts of that traffic.
 func TestMetricsEndpointExposition(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)
@@ -77,34 +77,30 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	}
 
 	samples := scrapeMetrics(t, ts)
-	stats := getStats(t, ts)
 
-	expectCounter := func(series string, want uint64) {
+	expectCounter := func(series string, want float64) {
 		t.Helper()
 		got, ok := samples[series]
 		if !ok {
 			t.Fatalf("series %q missing from /metrics", series)
 		}
-		if uint64(got) != want {
-			t.Errorf("%s = %v, want %d", series, got, want)
+		if got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
 		}
 	}
-	expectCounter(`sched_requests_total{kind="solve"}`, stats.Requests.Solve)
-	expectCounter(`sched_requests_total{kind="session"}`, stats.Requests.Session)
-	expectCounter(`sched_cache_hits_total{cache="results"}`, stats.Cache.Hits)
-	expectCounter(`sched_cache_misses_total{cache="results"}`, stats.Cache.Misses)
-	expectCounter(`sched_cache_hits_total{cache="solvers"}`, stats.Solvers.Hits)
-	expectCounter("sched_probes_total", stats.Search.Probes)
-	expectCounter("sched_sessions_created_total", stats.Sessions.Created)
-	expectCounter("sched_session_solves_total", stats.Sessions.Solves)
-	if stats.Search.Probes == 0 {
+	expectCounter(`sched_requests_total{kind="solve"}`, 2)
+	expectCounter(`sched_cache_hits_total{cache="results"}`, 1)
+	expectCounter(`sched_cache_misses_total{cache="results"}`, 1)
+	expectCounter("sched_sessions_created_total", 1)
+	expectCounter("sched_session_solves_total", 1)
+	// Three successful solves: the cold one, its cache hit and the
+	// session's.
+	expectCounter("sched_solve_duration_seconds_count", 3)
+	if samples["sched_probes_total"] <= 0 {
 		t.Error("probe counter never moved")
 	}
 
-	// Histogram integrity: _count matches stats, sum and gauges present.
-	if got := samples["sched_solve_duration_seconds_count"]; int(got) != stats.LatencyMS.Count {
-		t.Errorf("histogram count %v, want %d", got, stats.LatencyMS.Count)
-	}
+	// The sum and the gauges are present.
 	for _, series := range []string{
 		"sched_solve_duration_seconds_sum",
 		`sched_cache_size{cache="results"}`,
@@ -127,63 +123,6 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("POST /metrics: status %d, want 405", resp.StatusCode)
-	}
-}
-
-// TestStatsGoldenSchema locks the /v1/stats JSON shape: the exact key set
-// must not drift now that the response is a view over the obs registry.
-func TestStatsGoldenSchema(t *testing.T) {
-	s := New(Config{})
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-	if _, resp := postJSON(t, ts, "/v1/solve", &SolveRequest{Instance: testInstance(3)}); resp.Error != "" {
-		t.Fatalf("solve error: %s", resp.Error)
-	}
-	if st := getStats(t, ts); st.Runtime.MaxProcs < 1 || st.Runtime.Goroutines < 1 {
-		t.Fatalf("runtime stats not populated: %+v", st.Runtime)
-	}
-
-	raw, err := ts.Client().Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer raw.Body.Close()
-	var doc map[string]json.RawMessage
-	if err := json.NewDecoder(raw.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-
-	golden := map[string][]string{
-		"":           {"uptime_seconds", "draining", "requests", "search", "cache", "solvers", "sessions", "latency_ms", "runtime"},
-		"requests":   {"solve", "batch", "batch_items", "session", "errors", "rejected"},
-		"search":     {"probes", "timeouts"},
-		"cache":      {"enabled", "size", "capacity", "hits", "misses", "evictions", "hit_rate"},
-		"solvers":    {"enabled", "size", "capacity", "hits", "misses", "evictions", "hit_rate"},
-		"sessions":   {"enabled", "active", "capacity", "ttl_seconds", "created", "deleted", "evicted_lru", "evicted_ttl", "deltas", "solves", "cache_hits", "warm_hits", "exported", "imported"},
-		"latency_ms": {"count", "p50", "p99", "max"},
-		"runtime":    {"goroutines", "gomaxprocs"},
-	}
-	for _, key := range golden[""] {
-		if _, ok := doc[key]; !ok {
-			t.Errorf("top-level key %q missing", key)
-		}
-	}
-	for section, keys := range golden {
-		if section == "" {
-			continue
-		}
-		var sub map[string]json.RawMessage
-		if err := json.Unmarshal(doc[section], &sub); err != nil {
-			t.Fatalf("section %q: %v", section, err)
-		}
-		for _, key := range keys {
-			if _, ok := sub[key]; !ok {
-				t.Errorf("key %q missing from section %q", key, section)
-			}
-		}
-		if len(sub) != len(keys) {
-			t.Errorf("section %q has %d keys, want %d (schema drift)", section, len(sub), len(keys))
-		}
 	}
 }
 
@@ -385,8 +324,8 @@ func (lw lockedWriter) Write(p []byte) (int, error) {
 }
 
 // TestConcurrentSolvesAndScrapes hammers the solve path while /metrics
-// and /v1/stats are scraped concurrently (run under -race), asserting
-// every scrape stays well-formed and the counters end exact.
+// is scraped concurrently (run under -race), asserting every scrape
+// stays well-formed and the counters end exact.
 func TestConcurrentSolvesAndScrapes(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s)
@@ -426,7 +365,6 @@ func TestConcurrentSolvesAndScrapes(t *testing.T) {
 				return
 			}
 			lastSolve = cur
-			getStats(t, ts)
 		}
 	}()
 	wg.Wait()
@@ -436,12 +374,5 @@ func TestConcurrentSolvesAndScrapes(t *testing.T) {
 	samples := scrapeMetrics(t, ts)
 	if got := samples["sched_solve_duration_seconds_count"]; got != workers*solvesPer {
 		t.Fatalf("final solve count %v, want %d", got, workers*solvesPer)
-	}
-	stats := getStats(t, ts)
-	if stats.LatencyMS.Count != workers*solvesPer {
-		t.Fatalf("/v1/stats count %d, want %d", stats.LatencyMS.Count, workers*solvesPer)
-	}
-	if stats.LatencyMS.P99 < stats.LatencyMS.P50 {
-		t.Fatalf("p99 %v < p50 %v", stats.LatencyMS.P99, stats.LatencyMS.P50)
 	}
 }

@@ -16,8 +16,8 @@
 //	                               reusing preparation and warm-start state
 //	DELETE /v1/sessions/{id}       close a session
 //	GET    /healthz                liveness probe (503 while draining)
-//	GET    /v1/stats               request counters, cache hit rates,
-//	                               session/warm counters, latency quantiles
+//	GET    /metrics                Prometheus text exposition of every
+//	                               counter, gauge and latency histogram
 //	POST   /v1/admin/drain         flip into draining mode and stream a
 //	                               session snapshot export (migration)
 //	POST   /v1/admin/sessions/import  bulk re-create sessions from a
@@ -25,12 +25,11 @@
 //
 // A Server can run standalone (the single-box configuration) or as one
 // shard of a distributed deployment behind the schedlb front tier: set
-// Config.ShardID so responses carry the X-Sched-Shard routing proof, and
-// point Config.StoreFactory at an alternative shard.Store backend if the
-// state tier should live outside the process.  Consistent-hash routing,
-// topology and migration live in package setupsched/shard and the
-// schedlb/schedload commands; the admin endpoints above are this
-// server's side of the migration protocol (see admin.go).
+// Config.ShardID so responses carry the X-Sched-Shard routing proof.
+// Consistent-hash routing, topology and migration live in package
+// setupsched/shard and the schedlb/schedload commands; the admin
+// endpoints above are this server's side of the migration protocol (see
+// admin.go).
 //
 // Sessions wrap stream.Session: the instance lives server-side, deltas
 // patch the solver preparation instead of rebuilding it, and re-solves
@@ -54,7 +53,7 @@
 // shape still reuses the instance's O(n) preparation.  Solves run under
 // the request's context tightened by the server's SolveTimeout and the
 // request's timeout_ms: client disconnects and deadline hits abort the
-// search mid-probe (HTTP 408) and are counted in /v1/stats along with
+// search mid-probe (HTTP 408) and are counted in /metrics along with
 // every dual-test probe the searches run.
 package serve
 
@@ -76,7 +75,6 @@ import (
 	"setupsched"
 	"setupsched/obs"
 	"setupsched/sched"
-	"setupsched/shard"
 )
 
 // Config configures a Server.  The zero value is usable: every field
@@ -117,16 +115,10 @@ type Config struct {
 	// ShardID names this process in a distributed deployment.  When set,
 	// every response carries it in the X-Sched-Shard header (the routing
 	// proof the schedlb front tier and the load-test harness check),
-	// /healthz and /v1/stats report it, and the metrics registry gains a
+	// /healthz reports it, and the metrics registry gains a
 	// sched_shard_info{shard="..."} series.  Empty means single-box mode
 	// with none of the above.
 	ShardID string
-	// StoreFactory builds the state-tier stores (result cache, prepared
-	// solvers, session registry) behind the shard.Store seam.  Nil uses
-	// shard.DefaultFactory, the in-process store.  Capacity knobs above
-	// keep their meaning regardless of the backing store: eviction policy
-	// stays with the server.
-	StoreFactory shard.Factory
 	// SlowSolveThreshold, when positive, makes every solve record a span
 	// tree and emits one structured log line (obs.LogSlowSolve: phase
 	// breakdown, trace id, fingerprint, probe count) for solves slower
@@ -220,25 +212,10 @@ func New(cfg Config) *Server {
 		s.logger = slog.Default()
 	}
 	m := s.metrics
-	// State tier: each store kind is built by the pluggable factory (the
-	// in-process shard.Mem by default) and owned by its policy wrapper.
-	factory := s.cfg.StoreFactory
-	if factory == nil {
-		factory = shard.DefaultFactory
-	}
-	if s.cfg.CacheSize > 0 {
-		s.cache = newResultCache(factory(shard.Results, s.cfg.CacheSize),
-			s.cfg.CacheSize, m.cacheHits, m.cacheMisses, m.cacheEvictions)
-	}
-	if s.cfg.SolverCacheSize > 0 {
-		s.solvers = newSolverCache(factory(shard.Solvers, s.cfg.SolverCacheSize),
-			s.cfg.SolverCacheSize, m.solverHits, m.solverMisses, m.solverEvictions)
-	}
-	if s.cfg.SessionCapacity > 0 {
-		s.sessions = newSessionStore(factory(shard.Sessions, s.cfg.SessionCapacity),
-			s.cfg.SessionCapacity, s.cfg.SessionTTL,
-			m.sessionsCreated, m.sessionsDeleted, m.sessionsEvictedLRU, m.sessionsEvictedTTL)
-	}
+	s.cache = newResultCache(s.cfg.CacheSize, m.cacheHits, m.cacheMisses, m.cacheEvictions)
+	s.solvers = newSolverCache(s.cfg.SolverCacheSize, m.solverHits, m.solverMisses, m.solverEvictions)
+	s.sessions = newSessionStore(s.cfg.SessionCapacity, s.cfg.SessionTTL,
+		m.sessionsCreated, m.sessionsDeleted, m.sessionsEvictedLRU, m.sessionsEvictedTTL)
 	m.registerDerived(s)
 	if s.cfg.MaxConcurrentBatches > 0 {
 		s.batchGate = make(chan struct{}, s.cfg.MaxConcurrentBatches)
@@ -249,7 +226,6 @@ func New(cfg Config) *Server {
 		s.mux.Handle("GET /v1/debug/traces", s.flight.Handler())
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.Handle("GET /metrics", s.metrics.reg.Handler())
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/solve/batch", s.handleBatch)
@@ -420,10 +396,13 @@ type SlotJSON struct {
 	End   string `json:"end"`
 }
 
-func scheduleJSON(sc *sched.Schedule) *ScheduleJSON {
+// scheduleJSON builds the wire form of sc, whose makespan the caller
+// passes: a response's makespan, which Verify has compared with the
+// same slots.
+func scheduleJSON(sc *sched.Schedule, makespan string) *ScheduleJSON {
 	out := &ScheduleJSON{
 		Variant:  sc.Variant.Short(),
-		Makespan: sc.Makespan().String(),
+		Makespan: makespan,
 		Runs:     make([]RunJSON, len(sc.Runs)),
 	}
 	for i := range sc.Runs {
@@ -492,7 +471,7 @@ func (s *Server) solveContext(ctx context.Context, req *SolveRequest) (context.C
 // aliases cache memory.  Errors are reported inside the response (Error
 // field) so batch streams can carry per-item failures.
 func (s *Server) Solve(ctx context.Context, req *SolveRequest) *SolveResponse {
-	resp := s.handle(ctx, req)
+	resp := s.handle(ctx, req, nil)
 	resp.export()
 	return resp
 }
@@ -501,23 +480,31 @@ func (s *Server) Solve(ctx context.Context, req *SolveRequest) *SolveResponse {
 // probes the response keeps.
 func (resp *SolveResponse) export() {
 	if resp.schedule != nil {
-		resp.Schedule = scheduleJSON(resp.schedule)
+		resp.Schedule = scheduleJSON(resp.schedule, resp.Makespan)
 	}
 	resp.Trace = traceJSON(resp.probes)
 	resp.schedule, resp.probes = nil, nil
 }
 
-// handle is Solve without the exported Schedule and Trace, which the
-// routes never build: they append the response body from the schedule
-// and probes the response keeps.
-func (s *Server) handle(ctx context.Context, req *SolveRequest) *SolveResponse {
+// handle is the envelope of every solve route: the wire span and span
+// recorder, the elapsed time, the flight record, and the error, latency
+// and slow-solve bookkeeping around one solve.  It solves against the
+// session e, or statelessly when e is nil, and builds no exported
+// Schedule or Trace: the routes append the response body from the
+// schedule and probes the response keeps.
+func (s *Server) handle(ctx context.Context, req *SolveRequest, e *sessionEntry) *SolveResponse {
 	started := time.Now()
 	wt, traced := s.startWire(req)
 	rec := s.spanRecorder(req, traced)
 	if traced {
 		rec.Trace(s.childOf(wt.handler), wt.handler.SpanID)
 	}
-	resp := s.solve(ctx, req, rec)
+	var resp *SolveResponse
+	if e != nil {
+		resp = s.sessionSolve(ctx, e, req, rec)
+	} else {
+		resp = s.solve(ctx, req, rec)
+	}
 	elapsed := time.Since(started)
 	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
 	resp.ID = req.ID
@@ -528,17 +515,13 @@ func (s *Server) handle(ctx context.Context, req *SolveRequest) *SolveResponse {
 		}
 	}
 	if traced {
-		route := req.route
-		if route == "" {
-			route = "solve"
-		}
-		s.finishWire(wt, req, route, started, elapsed, resp)
+		s.finishWire(wt, req, cmp.Or(req.route, "solve"), started, elapsed, resp)
 	}
 	if resp.Error != "" {
 		s.metrics.errors.Inc()
 	} else {
 		s.metrics.observe(elapsed)
-		s.maybeLogSlow(elapsed, resp, "")
+		s.maybeLogSlow(elapsed, resp, e)
 	}
 	return resp
 }
@@ -556,15 +539,15 @@ func (s *Server) spanRecorder(req *SolveRequest, traced bool) *obs.SpanRecorder 
 }
 
 // maybeLogSlow emits the structured slow-solve line when the configured
-// threshold is exceeded.  fallbackFP labels solves that carry no
-// fingerprint in the response (session solves pass their session ID).
-func (s *Server) maybeLogSlow(elapsed time.Duration, resp *SolveResponse, fallbackFP string) {
+// threshold is exceeded.  Session solves carry no fingerprint in the
+// response; their line is labelled with the session id.
+func (s *Server) maybeLogSlow(elapsed time.Duration, resp *SolveResponse, e *sessionEntry) {
 	if s.cfg.SlowSolveThreshold <= 0 || elapsed < s.cfg.SlowSolveThreshold {
 		return
 	}
 	fp := resp.Fingerprint
-	if fp == "" {
-		fp = fallbackFP
+	if e != nil {
+		fp = e.id
 	}
 	// On traced requests finishWire has wrapped the solve tree in the
 	// "handler" wire span; the phase breakdown lives one level down.
@@ -575,25 +558,36 @@ func (s *Server) maybeLogSlow(elapsed time.Duration, resp *SolveResponse, fallba
 	obs.LogSlowSolve(s.logger, elapsed, resp.TraceID, fp, resp.Variant, resp.Algorithm, resp.Probes, root)
 }
 
-func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanRecorder) *SolveResponse {
+// parseSolve reads a request's variant, algorithm and epsilon, the same
+// way on every solve route.  An explicit epsilon outside (0, 1) is an
+// error only for the eps-search, the one algorithm that reads it.  The
+// stateless route checks it before the cache lookup, so a bad request is
+// rejected identically on hot and cold caches (cacheKey normalizes
+// epsilon and would otherwise serve a cached 200).
+func parseSolve(req *SolveRequest) (sched.Variant, setupsched.Algorithm, *SolveResponse) {
 	v, err := parseVariant(req.Variant)
 	if err != nil {
-		return errResponse(http.StatusBadRequest, err.Error())
+		return 0, 0, errResponse(http.StatusBadRequest, err.Error())
 	}
 	algo, err := parseAlgo(req.Algorithm)
 	if err != nil {
-		return errResponse(http.StatusBadRequest, err.Error())
+		return 0, 0, errResponse(http.StatusBadRequest, err.Error())
+	}
+	if algo == setupsched.EpsilonSearch && req.Epsilon != 0 &&
+		(req.Epsilon <= 0 || req.Epsilon >= 1) {
+		return 0, 0, errResponse(http.StatusBadRequest,
+			(&setupsched.EpsilonRangeError{Epsilon: req.Epsilon}).Error())
+	}
+	return v, algo, nil
+}
+
+func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanRecorder) *SolveResponse {
+	v, algo, bad := parseSolve(req)
+	if bad != nil {
+		return bad
 	}
 	if req.Instance == nil {
 		return errResponse(http.StatusBadRequest, "missing instance")
-	}
-	// Validate the explicit epsilon before the cache lookup, so a bad
-	// request is rejected identically on hot and cold caches (cacheKey
-	// normalizes epsilon and would otherwise serve a cached 200).
-	if algo == setupsched.EpsilonSearch && req.Epsilon != 0 &&
-		(req.Epsilon <= 0 || req.Epsilon >= 1) {
-		return errResponse(http.StatusBadRequest,
-			(&setupsched.EpsilonRangeError{Epsilon: req.Epsilon}).Error())
 	}
 	if err := req.Instance.Validate(); err != nil {
 		return errResponse(http.StatusBadRequest, err.Error())
@@ -755,13 +749,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, status, body)
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.buildStats())
-}
-
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	arrival := time.Now()
 	s.metrics.solveRequests.Inc()
+	s.serveSolve(w, r, arrival, nil)
+}
+
+// serveSolve answers one solve request body: statelessly, or against the
+// session e when it is non-nil.
+func (s *Server) serveSolve(w http.ResponseWriter, r *http.Request, arrival time.Time, e *sessionEntry) {
 	var req SolveRequest
 	if err := s.readRequest(w, r, &req); err != nil {
 		s.metrics.errors.Inc()
@@ -772,12 +768,11 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		req.TraceParent = r.Header.Get(obs.TraceParentHeader)
 	}
 	req.arrival = arrival
-	resp := s.handle(r.Context(), &req)
-	status := resp.status
-	if status == 0 {
-		status = http.StatusOK
+	if e != nil {
+		req.route = "session"
 	}
-	writeResponse(w, status, resp)
+	resp := s.handle(r.Context(), &req, e)
+	writeResponse(w, cmp.Or(resp.status, http.StatusOK), resp)
 }
 
 // batchItem carries one NDJSON line through the worker pool together with
@@ -850,7 +845,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				req.route = "batch-item"
 				// The request context cancels in-flight solves when the
 				// client disconnects mid-stream.
-				it.out <- s.handle(r.Context(), &req)
+				it.out <- s.handle(r.Context(), &req, nil)
 			}
 		}()
 	}

@@ -115,20 +115,6 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any) (*http.R
 	return resp, &out
 }
 
-func getStats(t *testing.T, ts *httptest.Server) *StatsResponse {
-	t.Helper()
-	resp, err := ts.Client().Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return &out
-}
-
 func TestHealthz(t *testing.T) {
 	ts := httptest.NewServer(New(Config{}))
 	defer ts.Close()
@@ -249,9 +235,8 @@ func TestCacheHitOnPermutedInstance(t *testing.T) {
 		}
 	}
 
-	stats := getStats(t, ts)
-	if stats.Cache.Hits == 0 || stats.Cache.HitRate <= 0 {
-		t.Fatalf("expected cache hits, got %+v", stats.Cache)
+	if hits := scrapeMetrics(t, ts)[`sched_cache_hits_total{cache="results"}`]; hits == 0 {
+		t.Fatal("expected result-cache hits, got none")
 	}
 }
 
@@ -398,18 +383,18 @@ func TestBatchEndpoint(t *testing.T) {
 		t.Fatalf("rerun: only %d/%d items served from cache", rerunCached, len(lines)-2)
 	}
 
-	stats := getStats(t, ts)
-	if stats.Requests.Batch != 2 || stats.Requests.BatchItems != uint64(2*len(lines)) {
-		t.Fatalf("batch counters: %+v", stats.Requests)
+	m := scrapeMetrics(t, ts)
+	if m[`sched_requests_total{kind="batch"}`] != 2 || m["sched_batch_items_total"] != float64(2*len(lines)) {
+		t.Fatalf("batch counters: requests %v items %v", m[`sched_requests_total{kind="batch"}`], m["sched_batch_items_total"])
 	}
-	if stats.Requests.Errors < 4 {
-		t.Fatalf("error counter %d, want >= 4", stats.Requests.Errors)
+	if errs := m["sched_request_errors_total"]; errs < 4 {
+		t.Fatalf("error counter %v, want >= 4", errs)
 	}
-	if stats.Cache.HitRate <= 0 {
-		t.Fatalf("cache hit rate not positive: %+v", stats.Cache)
+	if m[`sched_cache_hits_total{cache="results"}`] == 0 {
+		t.Fatal("no result-cache hits")
 	}
-	if stats.LatencyMS.Count == 0 || stats.LatencyMS.P99 < stats.LatencyMS.P50 {
-		t.Fatalf("latency stats: %+v", stats.LatencyMS)
+	if m["sched_solve_duration_seconds_count"] == 0 {
+		t.Fatal("no solve latency observed")
 	}
 	_ = cached // first pass may or may not hit depending on scheduling
 }
@@ -484,9 +469,8 @@ func TestSolveTimeoutReturns408(t *testing.T) {
 	if out.Error == "" {
 		t.Fatal("timeout response carries no error")
 	}
-	stats := getStats(t, ts)
-	if stats.Search.Timeouts == 0 {
-		t.Fatalf("timeout not counted: %+v", stats.Search)
+	if scrapeMetrics(t, ts)["sched_solve_timeouts_total"] == 0 {
+		t.Fatal("timeout not counted")
 	}
 
 	// The server-wide SolveTimeout must cap requests that ask for more.
@@ -556,9 +540,8 @@ func TestProbeStatsAndTrace(t *testing.T) {
 	if !last.Accepted {
 		t.Fatalf("search ended on a rejected probe: %+v", out.Trace)
 	}
-	stats := getStats(t, ts)
-	if stats.Search.Probes < uint64(out.Probes) {
-		t.Fatalf("server probe counter %d < solve probes %d", stats.Search.Probes, out.Probes)
+	if probes := scrapeMetrics(t, ts)["sched_probes_total"]; probes < float64(out.Probes) {
+		t.Fatalf("server probe counter %v < solve probes %d", probes, out.Probes)
 	}
 }
 
@@ -581,11 +564,11 @@ func TestSolverReuseAcrossPermutedRequests(t *testing.T) {
 			t.Fatalf("solve %d diverged: %s/%s vs %s/%s", i, out.Makespan, out.LowerBound, first.Makespan, first.LowerBound)
 		}
 	}
-	stats := getStats(t, ts)
-	if !stats.Solvers.Enabled || stats.Solvers.Hits < 5 {
-		t.Fatalf("prepared-solver reuse not happening: %+v", stats.Solvers)
+	m := scrapeMetrics(t, ts)
+	if hits := m[`sched_cache_hits_total{cache="solvers"}`]; hits < 5 {
+		t.Fatalf("prepared-solver reuse not happening: %v hits", hits)
 	}
-	if stats.Solvers.Size != 1 {
-		t.Fatalf("expected one prepared solver, have %d", stats.Solvers.Size)
+	if size := m[`sched_cache_size{cache="solvers"}`]; size != 1 {
+		t.Fatalf("expected one prepared solver, have %v", size)
 	}
 }

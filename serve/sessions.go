@@ -14,7 +14,6 @@ import (
 	"setupsched"
 	"setupsched/obs"
 	"setupsched/sched"
-	"setupsched/shard"
 	"setupsched/stream"
 )
 
@@ -26,22 +25,19 @@ type sessionEntry struct {
 	lastUsed time.Time // guarded by the store mutex
 }
 
-// sessionStore is a TTL+LRU registry of stream.Sessions behind the
-// pluggable shard.Store seam.  Eviction is two-pronged: entries idle
-// past the TTL are swept on every store access (the recency order keeps
-// them clustered at the back), and inserting past capacity evicts the
-// least recently used entry.  Each session serializes its own work
-// internally (stream.Session's lock), so the store only guards the
-// registry, never a solve; the mutex also serializes Store access per
-// the shard.Store contract.
+// sessionStore is a TTL+LRU registry of stream.Sessions.  Eviction is
+// two-pronged: entries idle past the TTL are swept on every store access
+// (the recency order keeps them clustered at the back), and inserting
+// past capacity evicts the least recently used entry.  Each session
+// serializes its own work internally (stream.Session's lock), so the
+// store's mutex only guards the registry, never a solve.
 type sessionStore struct {
-	mu       sync.Mutex
-	capacity int
-	ttl      time.Duration
-	st       shard.Store
+	mu      sync.Mutex
+	ttl     time.Duration
+	entries *lru[*sessionEntry]
 
 	// Churn counters live in the server's obs registry (injected at
-	// construction), shared by /metrics and /v1/stats.
+	// construction).
 	created    *obs.Counter
 	deleted    *obs.Counter
 	evictedLRU *obs.Counter
@@ -50,14 +46,13 @@ type sessionStore struct {
 	now func() time.Time // test hook
 }
 
-func newSessionStore(st shard.Store, capacity int, ttl time.Duration, created, deleted, evictedLRU, evictedTTL *obs.Counter) *sessionStore {
+func newSessionStore(capacity int, ttl time.Duration, created, deleted, evictedLRU, evictedTTL *obs.Counter) *sessionStore {
 	if capacity <= 0 {
 		return nil
 	}
 	return &sessionStore{
-		capacity:   capacity,
 		ttl:        ttl,
-		st:         st,
+		entries:    newLRU[*sessionEntry](capacity),
 		created:    created,
 		deleted:    deleted,
 		evictedLRU: evictedLRU,
@@ -74,11 +69,11 @@ func (st *sessionStore) sweepLocked() {
 	}
 	cutoff := st.now().Add(-st.ttl)
 	for {
-		id, v, ok := st.st.Oldest()
-		if !ok || !v.(*sessionEntry).lastUsed.Before(cutoff) {
+		e, ok := st.entries.oldest()
+		if !ok || !e.lastUsed.Before(cutoff) {
 			return
 		}
-		st.st.Delete(id)
+		st.entries.remove(e.id)
 		st.evictedTTL.Inc()
 	}
 }
@@ -106,19 +101,13 @@ func (st *sessionStore) create(id string, sess *stream.Session) (*sessionEntry, 
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.sweepLocked()
-	if _, ok := st.st.Get(id); ok {
+	if _, ok := st.entries.get(id); ok {
 		return nil, errSessionExists
 	}
 	e.created = st.now()
 	e.lastUsed = e.created
-	st.st.Put(e.id, e)
 	st.created.Inc()
-	for st.st.Len() > st.capacity {
-		if k, _, ok := st.st.Oldest(); ok {
-			st.st.Delete(k)
-		}
-		st.evictedLRU.Inc()
-	}
+	st.evictedLRU.Add(uint64(st.entries.put(e.id, e)))
 	return e, nil
 }
 
@@ -128,13 +117,12 @@ func (st *sessionStore) get(id string) *sessionEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.sweepLocked()
-	v, ok := st.st.Get(id)
+	e, ok := st.entries.get(id)
 	if !ok {
 		return nil
 	}
-	e := v.(*sessionEntry)
 	e.lastUsed = st.now()
-	st.st.Touch(id)
+	st.entries.touch(id)
 	return e
 }
 
@@ -143,36 +131,31 @@ func (st *sessionStore) delete(id string) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.sweepLocked()
-	if !st.st.Delete(id) {
+	if !st.entries.remove(id) {
 		return false
 	}
 	st.deleted.Inc()
 	return true
 }
 
-// entries snapshots the live session entries (most recently used first)
+// live returns the live session entries (most recently used first)
 // without touching recency; the drain/export path iterates the result
 // outside the store lock so a long-running solve on one session cannot
 // stall the registry.
-func (st *sessionStore) entries() []*sessionEntry {
+func (st *sessionStore) live() []*sessionEntry {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.sweepLocked()
-	out := make([]*sessionEntry, 0, st.st.Len())
-	st.st.Range(func(_ string, v any) bool {
-		out = append(out, v.(*sessionEntry))
-		return true
-	})
-	return out
+	return st.entries.values()
 }
 
-// size returns current occupancy for /v1/stats and the sessions gauge
-// (sweeping expired entries first, so the numbers reflect live state).
-func (st *sessionStore) size() (active, capacity int, ttl time.Duration) {
+// size returns the live session count for the sessions gauge (sweeping
+// expired entries first, so the number reflects live state).
+func (st *sessionStore) size() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	st.sweepLocked()
-	return st.st.Len(), st.capacity, st.ttl
+	return st.entries.len()
 }
 
 // SessionCreateRequest is the JSON body of POST /v1/sessions.
@@ -412,77 +395,26 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSessionSolve(w http.ResponseWriter, r *http.Request) {
 	arrival := time.Now()
 	s.metrics.sessionRequests.Inc()
-	e := s.sessionFor(w, r)
-	if e == nil {
-		return
+	if e := s.sessionFor(w, r); e != nil {
+		s.serveSolve(w, r, arrival, e)
 	}
-	var req SolveRequest
-	if err := s.readRequest(w, r, &req); err != nil {
-		s.metrics.errors.Inc()
-		writeResponse(w, http.StatusBadRequest, &SolveResponse{Error: "decoding request: " + err.Error()})
-		return
-	}
-	if req.TraceParent == "" {
-		req.TraceParent = r.Header.Get(obs.TraceParentHeader)
-	}
-	req.arrival = arrival
-	resp := s.sessionSolve(r, e, &req)
-	status := resp.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	writeResponse(w, status, resp)
 }
 
-// sessionSolve runs one solve against a session, mirroring Server.Solve's
-// validation, timeout and verification behavior.  The session itself is
-// the cache (unchanged revisions return the previous result), so the
-// global result cache is not consulted.
-func (s *Server) sessionSolve(r *http.Request, e *sessionEntry, req *SolveRequest) *SolveResponse {
-	started := time.Now()
-	wt, traced := s.startWire(req)
-	rec := s.spanRecorder(req, traced)
-	if traced {
-		rec.Trace(s.childOf(wt.handler), wt.handler.SpanID)
-	}
-	resp := s.sessionSolveInner(r, e, req, rec)
-	elapsed := time.Since(started)
-	resp.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-	resp.ID = req.ID
-	if rec != nil {
-		resp.spanRoot = rec.Root()
-		if req.IncludeSpans {
-			resp.Spans = resp.spanRoot
-		}
-	}
-	if traced {
-		s.finishWire(wt, req, "session", started, elapsed, resp)
-	}
-	if resp.Error != "" {
-		s.metrics.errors.Inc()
-	} else {
-		s.metrics.observe(elapsed)
-		s.maybeLogSlow(elapsed, resp, e.id)
-	}
-	return resp
-}
-
-func (s *Server) sessionSolveInner(r *http.Request, e *sessionEntry, req *SolveRequest, rec *obs.SpanRecorder) *SolveResponse {
+// sessionSolve runs one solve against a session, with Server.solve's
+// request parse, timeout and verification.  The session itself is the
+// cache (unchanged revisions return the previous result), so the global
+// result cache is not consulted.
+func (s *Server) sessionSolve(ctx context.Context, e *sessionEntry, req *SolveRequest, rec *obs.SpanRecorder) *SolveResponse {
 	if req.Instance != nil {
 		return errResponse(http.StatusBadRequest,
 			"the instance is fixed by the session; mutate it via the delta endpoint")
 	}
-	v, err := parseVariant(req.Variant)
-	if err != nil {
-		return errResponse(http.StatusBadRequest, err.Error())
+	v, algo, bad := parseSolve(req)
+	if bad != nil {
+		return bad
 	}
-	algo, err := parseAlgo(req.Algorithm)
-	if err != nil {
-		return errResponse(http.StatusBadRequest, err.Error())
-	}
-	if req.Epsilon != 0 && (req.Epsilon <= 0 || req.Epsilon >= 1) {
-		return errResponse(http.StatusBadRequest,
-			(&setupsched.EpsilonRangeError{Epsilon: req.Epsilon}).Error())
+	if algo == setupsched.RefExact {
+		return errResponse(http.StatusBadRequest, "sessions do not run refexact; solve it with /v1/solve")
 	}
 	opts := []stream.SolveOption{
 		stream.WithAlgorithm(algo),
@@ -497,7 +429,7 @@ func (s *Server) sessionSolveInner(r *http.Request, e *sessionEntry, req *SolveR
 	if req.NoCache {
 		opts = append(opts, stream.WithCold())
 	}
-	sctx, cancel := s.solveContext(r.Context(), req)
+	sctx, cancel := s.solveContext(ctx, req)
 	defer cancel()
 	res, err := e.sess.Solve(sctx, v, opts...)
 	if err != nil {
@@ -510,7 +442,7 @@ func (s *Server) sessionSolveInner(r *http.Request, e *sessionEntry, req *SolveR
 	case res.Warm:
 		s.metrics.sessionWarmHits.Inc()
 	}
-	// search.probes counts executed dual tests only: the live probe
+	// sched_probes_total counts executed dual tests only: the live probe
 	// observer attached above sees every executed probe, and a cache
 	// return emits no observer events — matching the stateless path.
 	// Fresh results are re-verified before they cross the trust boundary,
@@ -519,7 +451,7 @@ func (s *Server) sessionSolveInner(r *http.Request, e *sessionEntry, req *SolveR
 	// client raced its own deltas, in which case the result is still the
 	// verified answer for the revision it reports.
 	if !res.Cached {
-		if err := e.sess.Verify(r.Context(), v, res); err != nil && !errors.Is(err, stream.ErrStale) {
+		if err := e.sess.Verify(ctx, v, res); err != nil && !errors.Is(err, stream.ErrStale) {
 			return errResponse(http.StatusInternalServerError,
 				"internal error: session produced an invalid schedule: "+err.Error())
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -70,20 +71,7 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("first solve: cached=%v warm=%v", r1.Cached, r1.Warm)
 	}
 
-	statsProbes := func() uint64 {
-		t.Helper()
-		resp, err := client.Get(srv.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var st StatsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-			t.Fatal(err)
-		}
-		return st.Search.Probes
-	}
-	probesAfterCold := statsProbes()
+	probesAfterCold := scrapeMetrics(t, srv)["sched_probes_total"]
 
 	// Second solve: served from the session cache.
 	var r2 SolveResponse
@@ -92,9 +80,9 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("second solve: cached=%v makespan %s (want %s)", r2.Cached, r2.Makespan, r1.Makespan)
 	}
 	// A cache return runs no dual tests; the executed-probe counter must
-	// not move (search.probes is documented as executed probes only).
-	if got := statsProbes(); got != probesAfterCold {
-		t.Fatalf("cached solve moved search.probes from %d to %d", probesAfterCold, got)
+	// not move (sched_probes_total counts executed probes only).
+	if got := scrapeMetrics(t, srv)["sched_probes_total"]; got != probesAfterCold {
+		t.Fatalf("cached solve moved sched_probes_total from %v to %v", probesAfterCold, got)
 	}
 
 	// Delta, then a warm re-solve that matches a fresh stateless solve.
@@ -148,22 +136,19 @@ func TestSessionLifecycle(t *testing.T) {
 		t.Fatalf("info: %+v", got)
 	}
 
-	// Stats report the session activity.
-	resp, err = client.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats StatsResponse
-	json.NewDecoder(resp.Body).Decode(&stats)
-	resp.Body.Close()
-	if !stats.Sessions.Enabled || stats.Sessions.Active != 1 || stats.Sessions.Created != 1 {
-		t.Fatalf("session stats: %+v", stats.Sessions)
-	}
-	if stats.Sessions.Solves != 3 || stats.Sessions.CacheHits != 1 || stats.Sessions.WarmHits != 1 {
-		t.Fatalf("session solve stats: %+v", stats.Sessions)
-	}
-	if stats.Sessions.Deltas != 1 {
-		t.Fatalf("session delta stats: %+v", stats.Sessions)
+	// The metrics report the session activity.
+	m := scrapeMetrics(t, srv)
+	for series, want := range map[string]float64{
+		"sched_sessions_active":          1,
+		"sched_sessions_created_total":   1,
+		"sched_session_solves_total":     3,
+		"sched_session_cache_hits_total": 1,
+		"sched_session_warm_hits_total":  1,
+		"sched_session_deltas_total":     1,
+	} {
+		if m[series] != want {
+			t.Errorf("%s = %v, want %v", series, m[series], want)
+		}
 	}
 
 	// Delete, then everything 404s.
@@ -227,6 +212,47 @@ func TestSessionRejectsBadRequests(t *testing.T) {
 	bogus := srv.URL + "/v1/sessions/deadbeef"
 	if code := postSessionJSON(t, client, bogus+"/delta", &SessionDeltaRequest{Deltas: []sched.Delta{{Op: sched.DeltaSetMachines, M: 1}}}, &dr); code != http.StatusNotFound {
 		t.Fatalf("delta on unknown session: status %d", code)
+	}
+}
+
+// TestSessionSolveParsesLikeSolve posts the same variant, algorithm and
+// epsilon to /v1/solve and to a session's solve route: both answer with
+// the same status and error, except that sessions answer refexact with
+// 400.
+func TestSessionSolveParsesLikeSolve(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+	in := &sched.Instance{M: 3, Classes: []sched.Class{{Setup: 4, Jobs: []int64{7, 2, 5}}, {Setup: 1, Jobs: []int64{3, 3}}}}
+	var info SessionInfo
+	if code := postSessionJSON(t, srv.Client(), srv.URL+"/v1/sessions", &SessionCreateRequest{Instance: in}, &info); code != http.StatusCreated {
+		t.Fatalf("create: status %d (%s)", code, info.Error)
+	}
+	for _, tc := range []struct {
+		req            SolveRequest
+		solve, session int
+	}{
+		{SolveRequest{Algorithm: "exact", Epsilon: -3}, http.StatusOK, http.StatusOK},
+		{SolveRequest{Algorithm: "2approx", Epsilon: 7}, http.StatusOK, http.StatusOK},
+		{SolveRequest{Algorithm: "eps", Epsilon: 0.01}, http.StatusOK, http.StatusOK},
+		{SolveRequest{Algorithm: "eps", Epsilon: -0.5}, http.StatusBadRequest, http.StatusBadRequest},
+		{SolveRequest{Algorithm: "eps", Epsilon: 1}, http.StatusBadRequest, http.StatusBadRequest},
+		{SolveRequest{Variant: "bogus"}, http.StatusBadRequest, http.StatusBadRequest},
+		{SolveRequest{Algorithm: "bogus"}, http.StatusBadRequest, http.StatusBadRequest},
+		{SolveRequest{Algorithm: "refexact"}, http.StatusOK, http.StatusBadRequest},
+	} {
+		name := fmt.Sprintf("variant %q algorithm %q epsilon %v", tc.req.Variant, tc.req.Algorithm, tc.req.Epsilon)
+		sessReq := tc.req
+		hs, outS := postJSON(t, srv, "/v1/sessions/"+info.SessionID+"/solve", &sessReq)
+		solveReq := tc.req
+		solveReq.Instance = in
+		h, out := postJSON(t, srv, "/v1/solve", &solveReq)
+		if h.StatusCode != tc.solve || hs.StatusCode != tc.session {
+			t.Errorf("%s: /v1/solve %d (%q), session %d (%q); want %d and %d",
+				name, h.StatusCode, out.Error, hs.StatusCode, outS.Error, tc.solve, tc.session)
+		}
+		if tc.solve == tc.session && out.Error != outS.Error {
+			t.Errorf("%s: /v1/solve error %q, session error %q", name, out.Error, outS.Error)
+		}
 	}
 }
 
@@ -327,17 +353,11 @@ func TestBatchSaturationReturns429(t *testing.T) {
 	pw.Close()
 	wg.Wait()
 
-	var stats StatsResponse
-	sr, err := client.Get(srv.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
+	m := scrapeMetrics(t, srv)
+	if got := m["sched_batch_rejected_total"]; got != 1 {
+		t.Fatalf("rejected counter = %v, want 1", got)
 	}
-	json.NewDecoder(sr.Body).Decode(&stats)
-	sr.Body.Close()
-	if stats.Requests.Rejected != 1 {
-		t.Fatalf("rejected counter = %d, want 1", stats.Requests.Rejected)
-	}
-	if stats.Sessions.Enabled {
+	if _, ok := m["sched_sessions_active"]; ok {
 		t.Fatal("sessions enabled despite negative capacity")
 	}
 }

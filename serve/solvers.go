@@ -6,7 +6,6 @@ import (
 	"setupsched"
 	"setupsched/obs"
 	"setupsched/sched"
-	"setupsched/shard"
 )
 
 // solverEntry is one prepared setupsched.Solver, keyed by the fingerprint
@@ -14,35 +13,32 @@ import (
 // the canonical instance is kept so a fingerprint collision is detected
 // by exact comparison instead of silently solving the wrong instance.
 type solverEntry struct {
-	fp     string
 	canon  *sched.Instance
 	solver *setupsched.Solver
 }
 
-// solverCache is an LRU of prepared Solvers behind the pluggable
-// shard.Store seam.  Every request for a permutation-equivalent instance
-// reuses the same Solver, so the O(n) preparation pass runs once per
-// distinct instance instead of once per request — the serving layer's
-// answer to the Solver API's "prepare once, solve many" contract.  The
-// mutex serializes store access (the Store contract); preparation runs
-// outside it.
+// solverCache is an LRU of prepared Solvers.  Every request for a
+// permutation-equivalent instance reuses the same Solver, so the O(n)
+// preparation pass runs once per distinct instance instead of once per
+// request — the serving layer's answer to the Solver API's "prepare
+// once, solve many" contract.  The mutex guards the LRU; preparation
+// runs outside it.
 type solverCache struct {
-	mu       sync.Mutex
-	capacity int
-	st       shard.Store
+	mu      sync.Mutex
+	entries *lru[*solverEntry]
 
 	hits      *obs.Counter
 	misses    *obs.Counter
 	evictions *obs.Counter
 }
 
-func newSolverCache(st shard.Store, capacity int, hits, misses, evictions *obs.Counter) *solverCache {
+func newSolverCache(capacity int, hits, misses, evictions *obs.Counter) *solverCache {
 	if capacity <= 0 {
 		return nil
 	}
 	return &solverCache{
-		capacity: capacity, st: st,
-		hits: hits, misses: misses, evictions: evictions,
+		entries: newLRU[*solverEntry](capacity),
+		hits:    hits, misses: misses, evictions: evictions,
 	}
 }
 
@@ -52,10 +48,9 @@ func newSolverCache(st shard.Store, capacity int, hits, misses, evictions *obs.C
 // is not cached).
 func (c *solverCache) getOrCreate(fp string, canon *sched.Instance) (*setupsched.Solver, error) {
 	c.mu.Lock()
-	if v, ok := c.st.Get(fp); ok {
-		e := v.(*solverEntry)
+	if e, ok := c.entries.get(fp); ok {
 		if e.canon.Equal(canon) {
-			c.st.Touch(fp)
+			c.entries.touch(fp)
 			c.mu.Unlock()
 			c.hits.Inc()
 			return e.solver, nil
@@ -76,21 +71,15 @@ func (c *solverCache) getOrCreate(fp string, canon *sched.Instance) (*setupsched
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.st.Get(fp); !ok {
-		c.st.Put(fp, &solverEntry{fp: fp, canon: canon, solver: solver})
-		for c.st.Len() > c.capacity {
-			if k, _, ok := c.st.Oldest(); ok {
-				c.st.Delete(k)
-			}
-			c.evictions.Inc()
-		}
+	if _, ok := c.entries.get(fp); !ok {
+		c.evictions.Add(uint64(c.entries.put(fp, &solverEntry{canon: canon, solver: solver})))
 	}
 	return solver, nil
 }
 
-// size returns current occupancy for /v1/stats and the size gauge.
-func (c *solverCache) size() (size int, capacity int) {
+// size returns current occupancy for the size gauge.
+func (c *solverCache) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.st.Len(), c.capacity
+	return c.entries.len()
 }

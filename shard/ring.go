@@ -1,3 +1,29 @@
+// Package shard is the routing half of the serving stack's distributed
+// tier: a deterministic consistent-hash Ring that assigns every routing
+// key — instance fingerprints for solves, session ids for sessions — to
+// exactly one shard process.
+//
+// The split follows the paper's economics: Deppert & Jansen's
+// near-linear solvers (SPAA 2019) make one solve so cheap that a single
+// process stops being compute-bound; the ceiling is its in-memory state
+// (serve's result cache, prepared solvers and incremental sessions).
+// Because the serving layer keys all of that state by the instance's
+// canonical fingerprint (the batch-affinity structure of Mäcker et al.,
+// arXiv:1504.07066: permutation-equivalent workloads hit the same
+// entry), routing a key to a fixed owner keeps every cache exactly as
+// effective as it was on one box — shard-by-fingerprint is not just
+// load-spreading, it is cache-affinity-preserving.
+//
+// Ring is a classic consistent-hash ring with virtual nodes.  It is a
+// pure function of (replicas, shard set): every process that builds a
+// ring from the same topology — the schedlb front tier, a load-test
+// driver predicting owners, an operator's migration script — computes
+// identical ownership, with no coordination channel.  Topology changes
+// are deterministic rebalances: adding one shard to k moves roughly a
+// 1/(k+1) fraction of keys (only onto the new shard), removing one moves
+// only the removed shard's keys.  Rebalance enumerates exactly which
+// keys move, which is what session draining/migration executes (see
+// serve's drain endpoint and the README's "Scaling out" section).
 package shard
 
 import (
