@@ -60,8 +60,9 @@ perfbench-smoke:
 
 # Short fuzz sessions on the canonicalization/verification trust
 # boundaries, the incremental session engine, the solve-request
-# decoders of both serving tiers and Batch Wrapping against its Rat
-# oracle.  The native fuzzer allows one -fuzz target per invocation.
+# decoders of both serving tiers, the session delta route and Batch
+# Wrapping against its Rat oracle.  The native fuzzer allows one -fuzz
+# target per invocation.
 FUZZTIME ?= 20s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzFingerprintCanonicalRoundTrip -fuzztime=$(FUZZTIME) ./sched
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSessionDeltas -fuzztime=$(FUZZTIME) ./stream
 	$(GO) test -run='^$$' -fuzz=FuzzExactSandwich -fuzztime=$(FUZZTIME) ./internal/exact
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./serve
+	$(GO) test -run='^$$' -fuzz=FuzzDeltaJSON -fuzztime=$(FUZZTIME) ./serve
 	$(GO) test -run='^$$' -fuzz=FuzzRouteInstance -fuzztime=$(FUZZTIME) ./internal/lb
 	$(GO) test -run='^$$' -fuzz=FuzzWrap -fuzztime=$(FUZZTIME) ./internal/wrap
 	$(GO) test -run='^$$' -fuzz=FuzzSortKeys -fuzztime=$(FUZZTIME) ./internal/core

@@ -2,11 +2,13 @@
 //
 // Usage:
 //
-//	schedserve [-addr :8080] [-workers N] [-cache 4096] [-solvers 1024] \
-//	           [-timeout 0] [-max-batches 2*N] \
-//	           [-max-sessions 256] [-session-ttl 15m] \
+//	schedserve [-addr :8080] [-workers N] [-cache 4096] [-timeout 0] \
+//	           [-max-batches 2*N] [-max-sessions 256] [-session-ttl 15m] \
 //	           [-shard-id ID] [-session-snapshot FILE] \
 //	           [-pprof] [-slow-solve 0] [-flight 256]
+//
+// The startup log line echoes the configuration the server runs with,
+// defaults resolved (max-batches=0 prints as 2*workers).
 //
 // Endpoints (see package setupsched/serve for the wire formats):
 //
@@ -87,7 +89,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "batch worker pool size")
 	cacheSize := flag.Int("cache", 4096, "result cache capacity in entries (negative disables)")
-	solverCache := flag.Int("solvers", 1024, "prepared-solver cache capacity in entries (negative disables)")
 	timeout := flag.Duration("timeout", 0, "per-solve timeout (0 disables; requests may set a tighter timeout_ms)")
 	maxBatches := flag.Int("max-batches", 0, "concurrent batch requests before 429 (0 = 2*workers, negative = unlimited)")
 	maxSessions := flag.Int("max-sessions", 256, "live incremental solve sessions retained, LRU-evicted past this (negative disables sessions)")
@@ -106,7 +107,6 @@ func main() {
 	server := serve.New(serve.Config{
 		Workers:              *workers,
 		CacheSize:            *cacheSize,
-		SolverCacheSize:      *solverCache,
 		SolveTimeout:         *timeout,
 		MaxConcurrentBatches: *maxBatches,
 		SessionCapacity:      *maxSessions,
@@ -144,8 +144,9 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("schedserve: listening on %s (workers=%d, cache=%d, solvers=%d, timeout=%v, max-batches=%d, max-sessions=%d, session-ttl=%v)",
-			*addr, *workers, *cacheSize, *solverCache, *timeout, *maxBatches, *maxSessions, *sessionTTL)
+		cfg := server.Config()
+		log.Printf("schedserve: listening on %s (workers=%d, cache=%d, timeout=%v, max-batches=%d, max-sessions=%d, session-ttl=%v)",
+			*addr, cfg.Workers, cfg.CacheSize, cfg.SolveTimeout, cfg.MaxConcurrentBatches, cfg.SessionCapacity, cfg.SessionTTL)
 		errc <- srv.ListenAndServe()
 	}()
 

@@ -14,8 +14,9 @@
 // The trace format is one JSON object per line: first {"base": instance},
 // then {"delta": {"op": ...}} edits interleaved with {"solve": true}
 // solve points.  With -check every solve point is also solved by a fresh
-// cold Solver and compared bit-for-bit (the stream package's identity
-// contract); any mismatch fails the run.  Exit status: 0 ok, 1 mismatch
+// cold Solver and compared bit-for-bit, schedule included (the stream
+// package's identity contract, checked by diff.CheckSessionResult); any
+// mismatch fails the run.  Exit status: 0 ok, 1 mismatch
 // or replay failure, 2 usage error.
 package main
 
@@ -28,6 +29,7 @@ import (
 	"time"
 
 	"setupsched"
+	"setupsched/internal/diff"
 	"setupsched/obs"
 	"setupsched/schedgen"
 	"setupsched/stream"
@@ -144,14 +146,9 @@ func run() int {
 					fmt.Fprintf(os.Stderr, "schedstream: solve point %d: fresh solve: %v\n", solvePoints, err)
 					return 1
 				}
-				if !res.Fallback && !fres.Fallback &&
-					(!res.Makespan.Equal(fres.Makespan) || !res.LowerBound.Equal(fres.LowerBound) ||
-						!res.Guess.Equal(fres.Guess) || res.Algorithm != fres.Algorithm) {
+				if err := diff.CheckSessionResult(mirror, v, res.Result, fres); err != nil {
 					mismatches++
-					fmt.Fprintf(os.Stderr,
-						"schedstream: solve point %d MISMATCH: session (mk=%s lb=%s T=%s %s) != fresh (mk=%s lb=%s T=%s %s)\n",
-						solvePoints, res.Makespan, res.LowerBound, res.Guess, res.Algorithm,
-						fres.Makespan, fres.LowerBound, fres.Guess, fres.Algorithm)
+					fmt.Fprintf(os.Stderr, "schedstream: solve point %d MISMATCH: %v\n", solvePoints, err)
 				}
 			}
 		}

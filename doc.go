@@ -146,8 +146,8 @@
 // endpoints backed by a bounded worker pool, plus an LRU result cache
 // keyed by sched.Instance.Fingerprint, a canonical-form hash invariant
 // under permutation of classes and of jobs within a class.  Cached
-// results are re-checked with Verify before they are served.  The
-// service keeps one prepared Solver per fingerprint, honors per-request
+// results are re-checked with Verify before they are served.  A cache
+// miss prepares a fresh Solver; the service honors per-request
 // timeouts and client-disconnect cancellation, and reports probe-level
 // search metrics plus the Go runtime on /metrics.  Stateful delta
 // traffic goes through the /v1/sessions endpoints, which keep
@@ -162,7 +162,7 @@
 // service.  shard provides a consistent-hash Ring (1024 virtual nodes
 // per shard) that routes stateless solves by canonical instance
 // fingerprint and session traffic by session id, so each shard's
-// in-process result, solver and session LRUs see all traffic for their
+// in-process result cache and session LRU see all traffic for their
 // keys.  schedlb is the stateless front tier: it pins session ids at
 // create time, fans /v1/solve/batch lines across owning shards merging
 // responses in arrival order, retries idempotent requests once on

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 
 	"setupsched"
@@ -26,14 +27,8 @@ const defaultDriftSteps = 24
 //     (sched.Instance.Equal and fingerprints) and the delta-maintained
 //     preparation passes Session.SelfCheck;
 //   - every paper run solved through the session — warm, cached or cold
-//     — is bit-identical to a fresh NewSolver solve of the mirror:
-//     makespan, certified lower bound, accepted guess, algorithm name and
-//     fallback flag all match.  Probe counts are exempt (warm solves run
-//     fewer; that is the feature).  When either side lands on a
-//     documented bounded-round fallback the certified bound is
-//     trajectory-dependent, so the comparison relaxes to both-sides
-//     soundness (setupsched.Verify) — the same carve-out the guarantee
-//     checks apply.
+//     — is bit-identical to a fresh NewSolver solve of the mirror, as
+//     CheckSessionResult defines it.
 //
 // Mismatches come back as human-readable violations plus the session's
 // final stats; the error return is reserved for infrastructure failures.
@@ -119,43 +114,41 @@ func checkSolvePoint(ctx context.Context, sess *stream.Session, mirror *sched.In
 		if err != nil {
 			return violations, err
 		}
-		violations = append(violations, compareSessionRun(mirror, run, point, sr, fr)...)
+		if err := CheckSessionResult(mirror, run.Variant, sr.Result, fr); err != nil {
+			violations = append(violations, fmt.Sprintf("solve point %d %s (%s): %v",
+				point, run, sessionMode(sr), err))
+		}
 	}
 	return violations, nil
 }
 
-// compareSessionRun asserts one session result against the fresh
-// reference.
-func compareSessionRun(in *sched.Instance, run setupsched.Run, point int, sr *stream.Result, fr *setupsched.Result) []string {
-	tag := func(msg string, args ...any) string {
-		return fmt.Sprintf("solve point %d %s (%s): %s", point, run, sessionMode(sr), fmt.Sprintf(msg, args...))
+// CheckSessionResult reports how got, a session's result, differs from
+// want, a fresh NewSolver solve of the same instance in; nil when they
+// agree.  The whole setupsched.Result is compared, schedule included,
+// except Probes and Trace: a warm start runs fewer probes, and that is
+// the feature.  got must also pass setupsched.Verify.  When either side
+// lands on a documented bounded-round fallback the certified bound is
+// trajectory-dependent, so only got's soundness is checked — the same
+// carve-out the guarantee checks apply.
+func CheckSessionResult(in *sched.Instance, v sched.Variant, got, want *setupsched.Result) error {
+	if err := setupsched.Verify(in, v, got); err != nil {
+		return fmt.Errorf("failed Verify: %w", err)
 	}
-	if sr.Fallback || fr.Fallback {
-		// Trajectory-dependent conservative path: identity is not defined,
-		// soundness still is.
-		var out []string
-		if err := setupsched.Verify(in, run.Variant, sr.Result); err != nil {
-			out = append(out, tag("fallback result failed Verify: %v", err))
-		}
-		return out
+	if got.Fallback || want.Fallback {
+		return nil
 	}
-	var out []string
-	if !sr.Makespan.Equal(fr.Makespan) {
-		out = append(out, tag("makespan %s != fresh %s", sr.Makespan, fr.Makespan))
+	g, w := *got, *want
+	g.Probes, g.Trace, w.Probes, w.Trace = 0, nil, 0, nil
+	if reflect.DeepEqual(g, w) {
+		return nil
 	}
-	if !sr.LowerBound.Equal(fr.LowerBound) {
-		out = append(out, tag("lower bound %s != fresh %s", sr.LowerBound, fr.LowerBound))
+	what := "result"
+	if !reflect.DeepEqual(g.Schedule, w.Schedule) {
+		what = "schedule"
 	}
-	if !sr.Guess.Equal(fr.Guess) {
-		out = append(out, tag("accepted guess %s != fresh %s", sr.Guess, fr.Guess))
-	}
-	if sr.Algorithm != fr.Algorithm {
-		out = append(out, tag("algorithm %q != fresh %q", sr.Algorithm, fr.Algorithm))
-	}
-	if err := setupsched.Verify(in, run.Variant, sr.Result); err != nil {
-		out = append(out, tag("failed Verify: %v", err))
-	}
-	return out
+	return fmt.Errorf("%s differs from fresh: session mk=%s lb=%s T=%s ratio=%v %s, fresh mk=%s lb=%s T=%s ratio=%v %s",
+		what, g.Makespan, g.LowerBound, g.Guess, g.Ratio, g.Algorithm,
+		w.Makespan, w.LowerBound, w.Guess, w.Ratio, w.Algorithm)
 }
 
 func sessionMode(r *stream.Result) string {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"setupsched"
 	"setupsched/sched"
 	"setupsched/schedgen"
 )
@@ -97,4 +98,40 @@ func TestRunDriftSweep(t *testing.T) {
 	for _, v := range sum.Violations {
 		t.Error(v)
 	}
+}
+
+// TestCheckSessionResult pins what the identity check compares: every
+// field of the result but Probes and Trace, and for fallback results
+// soundness only.
+func TestCheckSessionResult(t *testing.T) {
+	in := schedgen.Uniform(schedgen.Params{M: 3, Classes: 5, JobsPer: 3, MaxSetup: 20, MaxJob: 30, Seed: 1})
+	solver, err := setupsched.NewSolver(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := solver.Solve(context.Background(), sched.NonPreemptive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, edit func(r *setupsched.Result), ok bool) {
+		t.Helper()
+		got := *want
+		edit(&got)
+		if err := CheckSessionResult(in, sched.NonPreemptive, &got, want); (err == nil) != ok {
+			t.Errorf("%s: CheckSessionResult = %v, want ok=%v", name, err, ok)
+		}
+	}
+	check("identical", func(*setupsched.Result) {}, true)
+	check("fewer probes", func(r *setupsched.Result) { r.Probes, r.Trace = 0, nil }, true)
+	check("ratio", func(r *setupsched.Result) { r.Ratio = 0 }, false)
+	check("algorithm", func(r *setupsched.Result) { r.Algorithm = "other" }, false)
+	check("schedule", func(r *setupsched.Result) {
+		sc := *r.Schedule
+		sc.T = sched.Rat{}
+		r.Schedule = &sc
+	}, false)
+	check("sound fallback", func(r *setupsched.Result) { r.Fallback, r.Ratio = true, 0 }, true)
+	check("unsound fallback", func(r *setupsched.Result) {
+		r.Fallback, r.Makespan = true, r.Makespan.AddInt(1)
+	}, false)
 }

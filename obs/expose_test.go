@@ -11,7 +11,7 @@ func buildTestRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("sched_requests_total", "Requests.").Add(5)
 	r.Counter(`sched_cache_hits_total{cache="results"}`, "Cache hits.").Add(2)
-	r.Counter(`sched_cache_hits_total{cache="solvers"}`, "Cache hits.").Add(3)
+	r.Counter(`sched_cache_hits_total{cache="other"}`, "Cache hits.").Add(3)
 	r.Gauge("sched_sessions_active", "Active sessions.").Set(4)
 	r.GaugeFunc("sched_cache_size", "Entries.", func() float64 { return 17 })
 	h := r.Histogram("sched_solve_duration_seconds", "Latency.", DefaultLatencyBuckets()...)
@@ -34,7 +34,7 @@ func TestWritePrometheusParsesAndMatches(t *testing.T) {
 	for name, want := range map[string]float64{
 		"sched_requests_total":                    5,
 		`sched_cache_hits_total{cache="results"}`: 2,
-		`sched_cache_hits_total{cache="solvers"}`: 3,
+		`sched_cache_hits_total{cache="other"}`:   3,
 		"sched_sessions_active":                   4,
 		"sched_cache_size":                        17,
 		"sched_solve_duration_seconds_count":      3,

@@ -162,7 +162,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 func TestRegistryLabeledSeriesShareFamily(t *testing.T) {
 	r := NewRegistry()
 	hits := r.Counter(`cache_hits_total{cache="results"}`, "Cache hits.")
-	hits2 := r.Counter(`cache_hits_total{cache="solvers"}`, "Cache hits.")
+	hits2 := r.Counter(`cache_hits_total{cache="other"}`, "Cache hits.")
 	if hits == hits2 {
 		t.Fatal("distinct label sets must get distinct counters")
 	}

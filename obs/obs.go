@@ -52,20 +52,3 @@
 // exceeded a latency threshold, with the phase breakdown attributed from
 // a recorded span tree; serve wires it behind Config.SlowSolveThreshold.
 package obs
-
-import "sync"
-
-// defaultRegistry is the process-global registry returned by Default.
-var (
-	defaultOnce     sync.Once
-	defaultRegistry *Registry
-)
-
-// Default returns the process-global Registry.  Long-running binaries
-// that embed several subsystems can share it; the serve.Server keeps its
-// own per-server Registry instead so two servers in one process never
-// collide.
-func Default() *Registry {
-	defaultOnce.Do(func() { defaultRegistry = NewRegistry() })
-	return defaultRegistry
-}

@@ -92,9 +92,11 @@ func plainRequest(rd *wire.Reader, data []byte, req *SolveRequest) bool {
 	return rd.End()
 }
 
-// readRequest reads a solve request body into a pooled buffer, under
-// the MaxBodyBytes limit, and decodes it into req.
-func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, req *SolveRequest) error {
+// readRequest reads a request body into a pooled buffer, under the
+// MaxBodyBytes limit, and decodes it into v: a solve request with
+// decodeRequest, a session request with json.Unmarshal.  Either way,
+// bytes after the JSON value are an error.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) error {
 	bp := bodyPool.Get().(*[]byte)
 	defer putBuf(&bodyPool, bp)
 	body, err := readAll((*bp)[:0], http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -102,7 +104,10 @@ func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, req *SolveR
 	if err != nil {
 		return err
 	}
-	return decodeRequest(body, req)
+	if req, ok := v.(*SolveRequest); ok {
+		return decodeRequest(body, req)
+	}
+	return json.Unmarshal(body, v)
 }
 
 // readAll is io.ReadAll appending to b.  Like json.Decoder's buffer, b

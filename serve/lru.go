@@ -1,8 +1,8 @@
 package serve
 
-// lru is the recency store under the result cache, the solver cache and
-// the session registry: a key index over a recency ring that evicts the
-// least recently used entries past its capacity.  It carries no lock and
+// lru is the recency store under the result cache and the session
+// registry: a key index over a recency ring that evicts the least
+// recently used entries past its capacity.  It carries no lock and
 // no policy of its own; each owner serializes access with its own mutex
 // and keeps its collision checks, TTL sweep and counters on top.
 type lru[V any] struct {

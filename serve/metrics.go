@@ -20,8 +20,8 @@ import (
 //	sched_probes_total                dual-test evaluations run
 //	sched_solve_timeouts_total        solves aborted by timeout/cancel
 //	sched_solve_duration_seconds      latency histogram (success only)
-//	sched_cache_*_total{cache}        hit/miss/eviction, results | solvers
-//	sched_cache_size{cache}           current LRU occupancy
+//	sched_cache_*_total{cache}        result-cache hit/miss/eviction
+//	sched_cache_size{cache}           current result-cache occupancy
 //	sched_sessions_active             live incremental sessions
 //	sched_sessions_created_total      session churn …
 //	sched_sessions_deleted_total
@@ -58,12 +58,9 @@ type serverMetrics struct {
 
 	latency *obs.Histogram
 
-	cacheHits       *obs.Counter
-	cacheMisses     *obs.Counter
-	cacheEvictions  *obs.Counter
-	solverHits      *obs.Counter
-	solverMisses    *obs.Counter
-	solverEvictions *obs.Counter
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	cacheEvictions *obs.Counter
 
 	sessionsCreated    *obs.Counter
 	sessionsDeleted    *obs.Counter
@@ -100,12 +97,9 @@ func newServerMetrics() *serverMetrics {
 			"Wall-clock latency of successful solves (stateless and session).",
 			obs.DefaultLatencyBuckets()...),
 
-		cacheHits:       reg.Counter(`sched_cache_hits_total{cache="results"}`, "Cache hits by cache."),
-		cacheMisses:     reg.Counter(`sched_cache_misses_total{cache="results"}`, "Cache misses by cache."),
-		cacheEvictions:  reg.Counter(`sched_cache_evictions_total{cache="results"}`, "Cache evictions by cache."),
-		solverHits:      reg.Counter(`sched_cache_hits_total{cache="solvers"}`, "Cache hits by cache."),
-		solverMisses:    reg.Counter(`sched_cache_misses_total{cache="solvers"}`, "Cache misses by cache."),
-		solverEvictions: reg.Counter(`sched_cache_evictions_total{cache="solvers"}`, "Cache evictions by cache."),
+		cacheHits:      reg.Counter(`sched_cache_hits_total{cache="results"}`, "Cache hits by cache."),
+		cacheMisses:    reg.Counter(`sched_cache_misses_total{cache="results"}`, "Cache misses by cache."),
+		cacheEvictions: reg.Counter(`sched_cache_evictions_total{cache="results"}`, "Cache evictions by cache."),
 
 		sessionsCreated:    reg.Counter("sched_sessions_created_total", "Incremental sessions created."),
 		sessionsDeleted:    reg.Counter("sched_sessions_deleted_total", "Incremental sessions deleted by clients."),
@@ -128,16 +122,12 @@ func newServerMetrics() *serverMetrics {
 }
 
 // registerDerived adds the gauge-func series that read live state off
-// the server's subsystems; called once the caches and session store
-// exist.
+// the server's subsystems; called once the result cache and session
+// store exist.
 func (m *serverMetrics) registerDerived(s *Server) {
 	if s.cache != nil {
 		m.reg.GaugeFunc(`sched_cache_size{cache="results"}`, "Current LRU occupancy by cache.",
 			func() float64 { return float64(s.cache.size()) })
-	}
-	if s.solvers != nil {
-		m.reg.GaugeFunc(`sched_cache_size{cache="solvers"}`, "Current LRU occupancy by cache.",
-			func() float64 { return float64(s.solvers.size()) })
 	}
 	if s.sessions != nil {
 		m.reg.GaugeFunc("sched_sessions_active", "Live incremental solve sessions.",

@@ -104,7 +104,6 @@ func TestMetricsEndpointExposition(t *testing.T) {
 	for _, series := range []string{
 		"sched_solve_duration_seconds_sum",
 		`sched_cache_size{cache="results"}`,
-		`sched_cache_size{cache="solvers"}`,
 		"sched_sessions_active",
 		"sched_uptime_seconds",
 		"go_goroutines",

@@ -41,16 +41,16 @@
 //
 // Repeated traffic is served from an LRU cache keyed by
 // (instance fingerprint, variant, algorithm, epsilon).  The fingerprint is
-// computed on the instance's canonical form (sched.Canonical), so any
+// computed on the instance's canonical form (sched.CanonicalView), so any
 // permutation of classes or of jobs within a class hits the same entry;
 // cached schedules are stored in canonical index space and translated back
 // into each request's indexing on the way out.  Every response — cached or
 // freshly solved — is re-checked with setupsched.Verify before it is
 // returned, so a cache can never weaken the approximation guarantee.
 //
-// Below the result cache, a second LRU keyed by fingerprint alone holds
-// prepared setupsched.Solvers, so a result-cache miss on a known instance
-// shape still reuses the instance's O(n) preparation.  Solves run under
+// A result-cache miss prepares a fresh setupsched.Solver for the
+// canonical instance: the preparation pass is near-linear and too small
+// to measure beside the search, so it is not cached.  Solves run under
 // the request's context tightened by the server's SolveTimeout and the
 // request's timeout_ms: client disconnects and deadline hits abort the
 // search mid-probe (HTTP 408) and are counted in /metrics along with
@@ -86,10 +86,6 @@ type Config struct {
 	// CacheSize is the LRU result-cache capacity in entries.
 	// Default 4096; negative disables caching.
 	CacheSize int
-	// SolverCacheSize is the LRU capacity of prepared per-fingerprint
-	// Solvers (instance preparation reuse).  Default 1024; negative
-	// disables reuse and prepares per request.
-	SolverCacheSize int
 	// SolveTimeout bounds each solve (per batch item on the NDJSON
 	// path).  Zero means no server-side limit; requests may still set a
 	// tighter timeout_ms of their own.
@@ -145,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
-	if c.SolverCacheSize == 0 {
-		c.SolverCacheSize = 1024
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
@@ -172,7 +165,6 @@ type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
 	cache    *resultCache  // nil when result caching is disabled
-	solvers  *solverCache  // nil when solver reuse is disabled
 	sessions *sessionStore // nil when sessions are disabled
 	// batchGate bounds concurrent batch requests; nil means unlimited.
 	batchGate chan struct{}
@@ -213,7 +205,6 @@ func New(cfg Config) *Server {
 	}
 	m := s.metrics
 	s.cache = newResultCache(s.cfg.CacheSize, m.cacheHits, m.cacheMisses, m.cacheEvictions)
-	s.solvers = newSolverCache(s.cfg.SolverCacheSize, m.solverHits, m.solverMisses, m.solverEvictions)
 	s.sessions = newSessionStore(s.cfg.SessionCapacity, s.cfg.SessionTTL,
 		m.sessionsCreated, m.sessionsDeleted, m.sessionsEvictedLRU, m.sessionsEvictedTTL)
 	m.registerDerived(s)
@@ -240,6 +231,12 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("POST /v1/admin/drain", s.handleDrain)
 	return s
 }
+
+// Config returns the configuration the server runs with: the one New
+// was given, with zero Workers, CacheSize, MaxConcurrentBatches,
+// SessionCapacity, SessionTTL, MaxBodyBytes and MaxLineBytes resolved to
+// their defaults.
+func (s *Server) Config() Config { return s.cfg }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -281,8 +278,8 @@ type SolveRequest struct {
 	IncludeTrace bool `json:"include_trace,omitempty"`
 	// IncludeSpans adds the solve's span tree to the response: phase-
 	// attributed timings (prepare/search/build) with one probe span per
-	// dual test.  A cache hit runs no search, so its tree holds only the
-	// (near-zero) prepare span.
+	// dual test.  A cache hit prepares and searches nothing, so its tree
+	// is the root span alone.
 	IncludeSpans bool `json:"include_spans,omitempty"`
 	// NoCache bypasses the result cache for this request.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -617,21 +614,19 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanReco
 		}
 	}
 
-	// A miss pays for the canonical deep copy after all: the solver cache
-	// and the result cache both store the canonical instance beyond this
-	// request's lifetime, which the borrowed view cannot provide.
+	// A miss pays for the canonical deep copy after all: the solver takes
+	// an instance, and the result cache keeps it beyond this request's
+	// lifetime, which the borrowed view cannot provide.
 	canonIn := view.CanonicalInstance()
 
-	// Solve the canonical form on the shared per-fingerprint Solver, so
-	// permutation-equivalent traffic reuses one O(n) preparation.  The
-	// schedule is translated back into the request's indexing below.
-	// The prepare span brackets the lookup: a solver-cache hit books a
-	// near-zero prepare, a miss books the real O(n) pass.
+	// Solve the canonical form, so the result can be cached for every
+	// permutation; the schedule is translated back into the request's
+	// indexing below.
 	var stopPrepare func()
 	if rec != nil {
 		stopPrepare = rec.StartPhase("prepare")
 	}
-	solver, err := s.solverFor(fp, canonIn)
+	solver, err := setupsched.NewSolver(canonIn)
 	if stopPrepare != nil {
 		stopPrepare()
 	}
@@ -672,15 +667,6 @@ func (s *Server) solve(ctx context.Context, req *SolveRequest, rec *obs.SpanReco
 		s.cache.put(&cacheEntry{key: key, canon: canonIn, result: &cached})
 	}
 	return s.respond(req, v, fp, &res, false)
-}
-
-// solverFor returns the shared Solver for the canonical instance, or a
-// fresh unshared one when solver reuse is disabled.
-func (s *Server) solverFor(fp string, canon *sched.Instance) (*setupsched.Solver, error) {
-	if s.solvers != nil {
-		return s.solvers.getOrCreate(fp, canon)
-	}
-	return setupsched.NewSolver(canon)
 }
 
 // solveError maps a Solver error to a response with the right HTTP

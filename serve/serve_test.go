@@ -545,8 +545,11 @@ func TestProbeStatsAndTrace(t *testing.T) {
 	}
 }
 
-func TestSolverReuseAcrossPermutedRequests(t *testing.T) {
-	ts := httptest.NewServer(New(Config{CacheSize: -1})) // no result cache: every request solves
+// TestPermutedColdSolvesAgree: with the result cache off every request
+// solves, and six permutations of one instance agree on makespan and
+// certified bound, because each solves the canonical form.
+func TestPermutedColdSolvesAgree(t *testing.T) {
+	ts := httptest.NewServer(New(Config{CacheSize: -1}))
 	defer ts.Close()
 	rng := rand.New(rand.NewSource(11))
 	in := testInstance(9)
@@ -564,11 +567,25 @@ func TestSolverReuseAcrossPermutedRequests(t *testing.T) {
 			t.Fatalf("solve %d diverged: %s/%s vs %s/%s", i, out.Makespan, out.LowerBound, first.Makespan, first.LowerBound)
 		}
 	}
-	m := scrapeMetrics(t, ts)
-	if hits := m[`sched_cache_hits_total{cache="solvers"}`]; hits < 5 {
-		t.Fatalf("prepared-solver reuse not happening: %v hits", hits)
+}
+
+// TestConfigResolvesDefaults pins the configuration a server reports:
+// zero fields take their defaults, the batch gate follows the worker
+// count, and set fields — negative ones included — are kept.
+func TestConfigResolvesDefaults(t *testing.T) {
+	want := Config{
+		Workers: 3, CacheSize: 4096, MaxConcurrentBatches: 6,
+		SessionCapacity: 256, SessionTTL: 15 * time.Minute,
+		MaxBodyBytes: 32 << 20, MaxLineBytes: 8 << 20,
 	}
-	if size := m[`sched_cache_size{cache="solvers"}`]; size != 1 {
-		t.Fatalf("expected one prepared solver, have %v", size)
+	if got := New(Config{Workers: 3}).Config(); got != want {
+		t.Errorf("Config() =\n%+v\nwant\n%+v", got, want)
+	}
+	set := Config{
+		Workers: 2, CacheSize: -1, MaxConcurrentBatches: -1, SessionCapacity: -1,
+		SessionTTL: -1, MaxBodyBytes: 1 << 10, MaxLineBytes: 1 << 10, SolveTimeout: time.Second,
+	}
+	if got := New(set).Config(); got != set {
+		t.Errorf("Config() =\n%+v\nwant\n%+v", got, set)
 	}
 }

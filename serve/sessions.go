@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -269,8 +268,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionCreateRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := s.readRequest(w, r, &req); err != nil {
 		s.metrics.errors.Inc()
 		writeJSON(w, http.StatusBadRequest, &SessionInfo{Error: "decoding request: " + err.Error()})
 		return
@@ -351,8 +349,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SessionDeltaRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	if err := s.readRequest(w, r, &req); err != nil {
 		s.metrics.errors.Inc()
 		writeJSON(w, http.StatusBadRequest, &SessionDeltaResponse{SessionID: e.id, Error: "decoding request: " + err.Error()})
 		return

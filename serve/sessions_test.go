@@ -361,3 +361,121 @@ func TestBatchSaturationReturns429(t *testing.T) {
 		t.Fatal("sessions enabled despite negative capacity")
 	}
 }
+
+// Session bodies on a small instance, for the strict-parsing checks.
+const (
+	smallCreateBody = `{"instance":{"m":3,"classes":[{"setup":4,"jobs":[7,2,5]},{"setup":1,"jobs":[3,3]}]}}`
+	addJobBody      = `{"deltas":[{"op":"add_jobs","class":0,"jobs":[6]}]}`
+)
+
+// withTrailing returns body followed by what no route accepts after a
+// JSON value: trailing bytes, and a second value.
+func withTrailing(body string) []string {
+	return []string{body + " trailing", body + body}
+}
+
+// TestSessionBodiesRejectTrailingBytes: the session routes parse their
+// bodies as strictly as /v1/solve, so a body with bytes after its value
+// answers 400, creates no session and applies no delta.
+func TestSessionBodiesRejectTrailingBytes(t *testing.T) {
+	s := New(Config{})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range withTrailing(smallCreateBody) {
+		if code := post("/v1/sessions", body); code != http.StatusBadRequest {
+			t.Errorf("create %q: status %d, want 400", body, code)
+		}
+	}
+	if n := s.sessions.size(); n != 0 {
+		t.Errorf("%d sessions created from rejected bodies", n)
+	}
+	var info SessionInfo
+	if code := postSessionJSON(t, srv.Client(), srv.URL+"/v1/sessions", json.RawMessage(smallCreateBody), &info); code != http.StatusCreated {
+		t.Fatalf("create: status %d (%s)", code, info.Error)
+	}
+	for _, body := range withTrailing(addJobBody) {
+		if code := post("/v1/sessions/"+info.SessionID+"/delta", body); code != http.StatusBadRequest {
+			t.Errorf("delta %q: status %d, want 400", body, code)
+		}
+	}
+	shape, err := s.sessions.get(info.SessionID).sess.Describe(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shape.Rev != 0 {
+		t.Fatalf("rejected delta bodies moved the session to rev %d", shape.Rev)
+	}
+}
+
+// FuzzDeltaJSON posts fuzzed bodies to one live session's delta route
+// through the real handler.  Every answer is 200 or 400; a body that
+// json.Unmarshal rejects as a SessionDeltaRequest answers 400 and leaves
+// the revision where it was; and the delta-maintained preparation passes
+// SelfCheck after every request.
+func FuzzDeltaJSON(f *testing.F) {
+	seeds := append(withTrailing(addJobBody),
+		addJobBody,
+		`{"deltas":[{"op":"set_setup","class":1,"setup":2},{"op":"add_class","setup":3,"jobs":[4,1]},{"op":"set_machines","m":4}]}`,
+		`{"deltas":[]}`,
+		`{"deltas":[{"op":"remove_job","class":9,"job":0}]}`,
+		`{"deltas":[{"op":"remove_job","class":0,"job":-1},{"op":"remove_class","class":2}]}`,
+	)
+	for _, body := range seeds {
+		f.Add([]byte(body))
+	}
+	s := New(Config{})
+	srv := httptest.NewServer(s)
+	f.Cleanup(srv.Close)
+	resp, err := srv.Client().Post(srv.URL+"/v1/sessions", "application/json", strings.NewReader(smallCreateBody))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var info SessionInfo
+	err = json.NewDecoder(resp.Body).Decode(&info)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusCreated {
+		f.Fatalf("create: status %d, %v (%s)", resp.StatusCode, err, info.Error)
+	}
+	sess := s.sessions.get(info.SessionID).sess
+	url := srv.URL + "/v1/sessions/" + info.SessionID + "/delta"
+	rev := func(t *testing.T) uint64 {
+		shape, err := sess.Describe(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return shape.Rev
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		before := rev(t)
+		resp, err := srv.Client().Post(url, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 200 or 400", body, resp.StatusCode)
+		}
+		if json.Unmarshal(body, new(SessionDeltaRequest)) != nil {
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%q: json.Unmarshal rejects it, status %d", body, resp.StatusCode)
+			}
+			if after := rev(t); after != before {
+				t.Fatalf("%q: rejected body moved the session from rev %d to %d", body, before, after)
+			}
+		}
+		if err := sess.SelfCheck(); err != nil {
+			t.Fatalf("%q: %v", body, err)
+		}
+	})
+}

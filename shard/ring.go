@@ -6,13 +6,13 @@
 // The split follows the paper's economics: Deppert & Jansen's
 // near-linear solvers (SPAA 2019) make one solve so cheap that a single
 // process stops being compute-bound; the ceiling is its in-memory state
-// (serve's result cache, prepared solvers and incremental sessions).
-// Because the serving layer keys all of that state by the instance's
-// canonical fingerprint (the batch-affinity structure of Mäcker et al.,
-// arXiv:1504.07066: permutation-equivalent workloads hit the same
-// entry), routing a key to a fixed owner keeps every cache exactly as
-// effective as it was on one box — shard-by-fingerprint is not just
-// load-spreading, it is cache-affinity-preserving.
+// (serve's result cache and incremental sessions).  Because the serving
+// layer keys all of that state by the instance's canonical fingerprint
+// (the batch-affinity structure of Mäcker et al., arXiv:1504.07066:
+// permutation-equivalent workloads hit the same entry), routing a key
+// to a fixed owner keeps every cache exactly as effective as it was on
+// one box — shard-by-fingerprint is not just load-spreading, it is
+// cache-affinity-preserving.
 //
 // Ring is a classic consistent-hash ring with virtual nodes.  It is a
 // pure function of (replicas, shard set): every process that builds a

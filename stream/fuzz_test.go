@@ -114,14 +114,8 @@ func FuzzSessionDeltas(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%v fresh: %v", v, err)
 			}
-			if got.Fallback || want.Fallback {
-				continue
-			}
-			if !got.Makespan.Equal(want.Makespan) || !got.LowerBound.Equal(want.LowerBound) ||
-				!got.Guess.Equal(want.Guess) || got.Algorithm != want.Algorithm {
-				t.Fatalf("%v: session (mk=%s lb=%s T=%s) != fresh (mk=%s lb=%s T=%s)", v,
-					got.Makespan, got.LowerBound, got.Guess,
-					want.Makespan, want.LowerBound, want.Guess)
+			if err := sameSchedule(got, want); err != nil {
+				t.Fatalf("%v: %v", v, err)
 			}
 		}
 	})
