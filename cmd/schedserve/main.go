@@ -2,11 +2,12 @@
 //
 // Usage:
 //
-//	schedserve [-addr :8080] [-workers N] [-cache 4096] [-timeout 0] \
-//	           [-max-batches 2*N] [-max-sessions 256] [-session-ttl 15m] \
+//	schedserve [-addr :8080] [-workers N] [-cache N] [-timeout 0] \
+//	           [-max-batches N] [-max-sessions N] [-session-ttl D] \
 //	           [-shard-id ID] [-session-snapshot FILE] \
-//	           [-pprof] [-slow-solve 0] [-flight 256]
+//	           [-pprof] [-slow-solve 0] [-flight N]
 //
+// The sizing flags default to 0, which takes serve.Config's default.
 // The startup log line echoes the configuration the server runs with,
 // defaults resolved (max-batches=0 prints as 2*workers).
 //
@@ -78,7 +79,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -87,12 +87,12 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "batch worker pool size")
-	cacheSize := flag.Int("cache", 4096, "result cache capacity in entries (negative disables)")
+	workers := flag.Int("workers", 0, "batch worker pool size (0 = GOMAXPROCS)")
+	cacheSize := flag.Int("cache", 0, "result cache capacity in entries (0 = serve's default, negative disables)")
 	timeout := flag.Duration("timeout", 0, "per-solve timeout (0 disables; requests may set a tighter timeout_ms)")
 	maxBatches := flag.Int("max-batches", 0, "concurrent batch requests before 429 (0 = 2*workers, negative = unlimited)")
-	maxSessions := flag.Int("max-sessions", 256, "live incremental solve sessions retained, LRU-evicted past this (negative disables sessions)")
-	sessionTTL := flag.Duration("session-ttl", 15*time.Minute, "idle session eviction deadline (negative disables the TTL)")
+	maxSessions := flag.Int("max-sessions", 0, "live incremental solve sessions retained, LRU-evicted past this (0 = serve's default, negative disables sessions)")
+	sessionTTL := flag.Duration("session-ttl", 0, "idle session eviction deadline (0 = serve's default, negative disables the TTL)")
 	shardID := flag.String("shard-id", "", "shard identity echoed in X-Sched-Shard responses (sharded deployments)")
 	snapshotFile := flag.String("session-snapshot", "", "session snapshot file: import+remove on start, export on shutdown")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

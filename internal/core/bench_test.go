@@ -168,8 +168,8 @@ func BenchmarkProbePmtn(b *testing.B) {
 
 // buildAtAccepted returns the variant's builder bound to the accepting
 // evaluation at the exact search's answer for p, the construction every
-// exact solve ends with.  The builder draws on the Ctl's lent scratch.
-func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(Ctl) (*sched.Schedule, sched.Rat, error) {
+// exact solve ends with.  The builder draws on the scratch it is passed.
+func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(*BuildScratch) (*sched.Schedule, sched.Rat, error) {
 	tb.Helper()
 	switch v {
 	case sched.Splittable:
@@ -178,21 +178,21 @@ func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(Ctl) (*sched.
 			tb.Fatal(err)
 		}
 		ev := p.EvalSplit(r.T, nil)
-		return func(c Ctl) (*sched.Schedule, sched.Rat, error) { return p.BuildSplitScratch(ev, c.runs()) }
+		return func(sc *BuildScratch) (*sched.Schedule, sched.Rat, error) { return p.BuildSplitScratch(ev, &sc.Run) }
 	case sched.Preemptive:
 		r, err := p.SolvePmtnJump(Ctl{})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		ev := p.EvalPmtn(r.T, nil)
-		return func(c Ctl) (*sched.Schedule, sched.Rat, error) { return p.BuildPmtnScratch(ev, c.runs()) }
+		return func(sc *BuildScratch) (*sched.Schedule, sched.Rat, error) { return p.BuildPmtnScratch(ev, &sc.Run) }
 	default:
 		r, err := p.SolveNonpSearch(Ctl{})
 		if err != nil {
 			tb.Fatal(err)
 		}
 		ev := p.EvalNonp(r.T)
-		return func(c Ctl) (*sched.Schedule, sched.Rat, error) { return p.BuildNonpScratch(ev, c.nonp()) }
+		return func(sc *BuildScratch) (*sched.Schedule, sched.Rat, error) { return p.BuildNonpScratch(ev, sc) }
 	}
 }
 
@@ -201,32 +201,34 @@ func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(Ctl) (*sched.
 // classes of about 8 jobs, setups <= 500 and jobs <= 60.  Its accepted
 // guesses, 663817/1000 splittable and 311181/500 preemptive, put the
 // builds on fine grids, unlike core-cold's denominators 1 and 3.
-func churnPrep() *Prep {
+func churnPrep() *Prep { return Prepare(churnInstance()) }
+
+func churnInstance() *sched.Instance {
 	trace := schedgen.Churn(schedgen.Params{M: 1000, Classes: 1250, JobsPer: 8, MaxSetup: 500, MaxJob: 60, Seed: 3}, 0)
-	return Prepare(trace[0].Base)
+	return trace[0].Base
 }
 
 // benchBuild times one construction on the core-cold and the churn
-// shape: fresh allocates its working memory per build (Solver, serve),
-// scratch reuses one warm BuildScratch (stream.Session re-solves).
+// shape: fresh allocates its working memory per build, scratch reuses one
+// warm BuildScratch, as a solve does that draws one from ScratchPool.
 func benchBuild(b *testing.B, v sched.Variant) {
 	for _, shape := range []struct {
 		name string
 		p    *Prep
 	}{{"corecold", coreColdPrep(20_000)}, {"churn", churnPrep()}} {
 		build := buildAtAccepted(b, shape.p, v)
-		warm := Ctl{Scratch: &BuildScratch{}}
+		warm := &BuildScratch{}
 		if _, _, err := build(warm); err != nil {
 			b.Fatal(err)
 		}
 		for _, bc := range []struct {
-			name string
-			ctl  Ctl
-		}{{"fresh", Ctl{}}, {"scratch", warm}} {
+			name    string
+			scratch func() *BuildScratch
+		}{{"fresh", func() *BuildScratch { return new(BuildScratch) }}, {"scratch", func() *BuildScratch { return warm }}} {
 			b.Run(shape.name+"/"+bc.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for b.Loop() {
-					if _, _, err := build(bc.ctl); err != nil {
+					if _, _, err := build(bc.scratch()); err != nil {
 						b.Fatal(err)
 					}
 				}

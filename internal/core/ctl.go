@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"time"
 
 	"setupsched/sched"
@@ -54,7 +55,7 @@ type BracketSeed struct {
 
 // Ctl carries the per-solve control surface through the searches: a
 // cancellation context, an optional probe observer, an optional probe
-// budget, a warm-start seed and lent scratch memory.  The zero value means
+// budget, a warm-start seed and scratch memory.  The zero value means
 // "run to completion, unobserved".
 type Ctl struct {
 	// Ctx cancels the search between probes; nil means never cancel.
@@ -71,15 +72,15 @@ type Ctl struct {
 	// change the reported bound (see ALGORITHMS.md, "Warm-started
 	// re-solves").
 	Seed *BracketSeed
-	// Scratch lends every schedule builder (non-preemptive, preemptive,
-	// splittable and the 2-approximations) and the non-preemptive dual
-	// test reusable working memory; nil allocates per call.  Output is
-	// identical either way, and no result aliases the scratch: each build
-	// ends by copying its slots into one exactly sized array.  Setting it
-	// is only sound when the caller serializes all solves sharing the
-	// scratch (stream.Session holds its lock across the whole solve);
-	// the concurrent paths (Solver, SolveAll fan-out, serve) must leave
-	// it nil.
+	// Scratch is the working memory of every schedule builder
+	// (non-preemptive, preemptive, splittable and the 2-approximations)
+	// and of the non-preemptive dual test.  Nil, what production callers
+	// pass, makes each search borrow one scratch from ScratchPool for its
+	// whole run and return it before it returns.  Tests set it to pin a
+	// scratch; doing so is only sound when the caller serializes all
+	// solves sharing it.  Output is identical either way, and no result
+	// aliases the scratch: each build ends by copying its slots into one
+	// exactly sized array.
 	Scratch *BuildScratch
 }
 
@@ -89,28 +90,51 @@ type Ctl struct {
 type BuildScratch struct {
 	Nonp NonpScratch
 	// Run backs the preemptive, splittable and 2-approximation builders:
-	// their slot arena, run table, wrap sequence and working lists.
+	// their slot arena, run table, wrap sequence and working lists.  The
+	// non-preemptive builder emits its slots into the same arena.
 	Run RunScratch
 	// Eval backs the non-preemptive dual test's per-probe arrays, so a
 	// warm re-solve's probes allocate nothing.
 	Eval NonpEvalScratch
 }
 
-// runs returns the lent run-builder scratch, or nil (the builders then
-// allocate per call).
-func (c Ctl) runs() *RunScratch {
-	if c.Scratch == nil {
+// ScratchPool holds the scratches of finished solves for the next solve
+// whose Ctl lends none, so cold solves reuse warm builder memory across
+// instances and goroutines.  Tests that count allocations swap in a pool
+// whose New hands out one already-grown scratch.
+var ScratchPool = &sync.Pool{New: func() any { return new(BuildScratch) }}
+
+// scratchSlack is how many times the items a build of the returning
+// solve's instance needs a scratch may hold and still go back to
+// ScratchPool.  A larger one is dropped, the way fmt drops oversized
+// printer buffers, so one huge solve cannot pin its working memory under
+// later small traffic.
+const scratchSlack = 4
+
+// borrow points c.Scratch at a scratch from ScratchPool unless c lends
+// one, and returns what it borrowed, or nil.  A search calls it first,
+// as defer p.release(ctl.borrow()).
+func (c *Ctl) borrow() *BuildScratch {
+	if c.Scratch != nil {
 		return nil
 	}
-	return &c.Scratch.Run
+	c.Scratch = ScratchPool.Get().(*BuildScratch)
+	return c.Scratch
 }
 
-// nonp returns the lent non-preemptive builder scratch, or nil.
-func (c Ctl) nonp() *NonpScratch {
-	if c.Scratch == nil {
-		return nil
+// release returns a borrowed scratch to ScratchPool if it fits p.
+func (p *Prep) release(sc *BuildScratch) {
+	if sc != nil && p.fits(sc) {
+		ScratchPool.Put(sc)
 	}
-	return &c.Scratch.Nonp
+}
+
+// fits reports whether sc's largest lists, the slot arena, the
+// non-preemptive item array and the eval arrays, each hold at most
+// scratchSlack times the n + c + 4 min(m, n) items of a non-preemptive
+// build of p, the largest list any build of p sizes.
+func (p *Prep) fits(sc *BuildScratch) bool {
+	return max(cap(sc.Run.arena), cap(sc.Nonp.b.items), cap(sc.Eval.mi)) <= scratchSlack*p.nonpItems()
 }
 
 // interrupted reports the context error, if any.  The deadline is also

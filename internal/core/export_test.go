@@ -14,3 +14,12 @@ func SplitBreakpoints(p *Prep, lo, hi sched.Rat) ([]int64, int64) {
 }
 
 var SortKeys = sortKeys
+
+// The arena instances, the core-cold and churn shapes and the schedule
+// clone of the package's own tests.
+var (
+	ArenaInstances   = arenaInstances
+	CoreColdInstance = coreColdInstance
+	ChurnInstance    = churnInstance
+	CloneSchedule    = cloneSchedule
+)

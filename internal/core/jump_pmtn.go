@@ -29,16 +29,17 @@ import (
 // falling back to a sound conservative answer after a bounded number of
 // rounds (see ALGORITHMS.md, "Knapsack constancy").
 func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
+	defer p.release(ctl.borrow())
 	if err := ctl.interrupted(); err != nil {
 		return nil, err
 	}
 	if p.M >= int64(p.NJob) {
-		s, mk := p.oneJobPerMachine(sched.Preemptive, ctl.runs())
+		s, mk := p.oneJobPerMachine(sched.Preemptive, &ctl.Scratch.Run)
 		return &Result{Schedule: s, Makespan: mk, T: s.T, LowerBound: s.T, Algorithm: "pmtn/jump"}, nil
 	}
 	test := p.pmtnOK
 	build := func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
-		return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs())
+		return p.BuildPmtnScratch(p.EvalPmtn(T, nil), &ctl.Scratch.Run)
 	}
 	tmin := p.TMin(sched.Preemptive)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
@@ -131,7 +132,7 @@ func (p *Prep) SolvePmtnJump(ctl Ctl) (*Result, error) {
 		evPoint := p.EvalPmtn(tNew, nil)
 		br.end(tNew, evPoint.OK)
 		if evPoint.OK && evPoint.L == evInt.L {
-			s, mk, err := p.BuildPmtnScratch(evPoint, ctl.runs())
+			s, mk, err := p.BuildPmtnScratch(evPoint, &ctl.Scratch.Run)
 			if err != nil {
 				return nil, err
 			}

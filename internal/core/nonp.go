@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"setupsched/internal/wrap"
 	"setupsched/sched"
 )
@@ -261,6 +263,7 @@ type nonpMachine struct {
 	seg      [nonpSegs]wrap.Span // ranges of nonpBuild.items
 	load     int64               // length put so far; steps 2 and 3 fill up to T by it
 	crossing int                 // items index of the border-reaching step-3 item, or -1
+	out      wrap.Span           // its emitted slots, a range of the slot arena
 }
 
 // nonpParent is a job split into pieces.  Its pieces form a list through
@@ -310,7 +313,7 @@ type nonpBuild struct {
 // grow on demand.
 func (b *nonpBuild) reset(p *Prep) {
 	mach := int(min(p.M, int64(p.NJob)))
-	b.items = grown(b.items, p.NJob+p.C+4*mach)
+	b.items = grown(b.items, p.nonpItems())
 	b.machines = grown(b.machines, mach)
 	b.parents = b.parents[:0]
 	b.pieces = b.pieces[:0]
@@ -322,10 +325,19 @@ func (b *nonpBuild) reset(p *Prep) {
 	b.states = b.states[:p.C]
 }
 
-// grown returns s emptied, with capacity for at least n elements.
+// nonpItems is the item count a non-preemptive build of p sizes its item
+// array for (see reset).
+func (p *Prep) nonpItems() int {
+	return p.NJob + p.C + 4*int(min(p.M, int64(p.NJob)))
+}
+
+// grown returns s emptied, with capacity for at least n elements.  A
+// list that must grow gets at least a quarter more than it had, as
+// append would, so a scratch that serves a slowly growing instance (a
+// session under churn) is not reallocated on every build.
 func grown[E any](s []E, n int) []E {
 	if cap(s) < n {
-		return make([]E, 0, n)
+		return make([]E, 0, max(n, cap(s)+cap(s)/4))
 	}
 	return s[:0]
 }
@@ -459,10 +471,9 @@ func (jc *jobCursor) fill(b *nonpBuild, mi int, cap int64) {
 // NonpScratch carries the non-preemptive builder's reusable working
 // memory across solves: the item array, the machine, candidate, parent
 // and piece lists and the class states, each sized once for the largest
-// instance it served.  A build with a warm scratch allocates only its
-// output (the Schedule, its slot array and its run array), so a
-// serialized caller that rebuilds after every change (stream.Session)
-// passes one scratch via Ctl.Scratch.  The emitted Schedule never aliases
+// instance it served.  With a warm BuildScratch, whose slot arena takes
+// the emitted slots, a build allocates only its output (the Schedule,
+// its slot array and its run array).  The emitted Schedule never aliases
 // scratch memory, so results stay valid after the scratch is reused.  A
 // scratch must not be used by two builds concurrently.
 type NonpScratch struct {
@@ -476,18 +487,20 @@ func (p *Prep) BuildNonp(ev *NonpEval) (*sched.Schedule, error) {
 	return s, err
 }
 
-// BuildNonpScratch is BuildNonp drawing its working memory from sc; a nil
-// sc allocates fresh memory (identical output either way).  It also
-// returns the schedule's makespan, the latest slot end it emitted.
-func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule, sched.Rat, error) {
+// BuildNonpScratch is BuildNonp drawing its working memory from sc: the
+// builder's own lists from sc.Nonp, and the run builders' slot arena in
+// sc.Run for the slots it emits.  A nil sc allocates fresh memory
+// (identical output either way).  It also returns the schedule's
+// makespan, the latest slot end it emitted.
+func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *BuildScratch) (*sched.Schedule, sched.Rat, error) {
 	if !ev.OK {
 		return nil, sched.Rat{}, errInternal("BuildNonp on rejected evaluation (%s)", ev.Reason)
 	}
 	T := ev.T
 	if sc == nil {
-		sc = &NonpScratch{}
+		sc = &BuildScratch{}
 	}
-	b := &sc.b
+	b := &sc.Nonp.b
 	b.reset(p)
 
 	// Step 1: big jobs on machines of their own, then the wrapped jobs.
@@ -675,14 +688,11 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 		b.put(recv, it, -1)
 	}
 
-	// Emit every machine's live items in range order into one slot array
-	// (AddMachine aliases, never copies), dropping each setup that no job
-	// of its class directly follows.  All times are integral here, so the
-	// running top stays in int64.  The slot and run arrays escape into the
-	// result, so they must never come from the scratch.
-	out := &sched.Schedule{Variant: sched.NonPreemptive, T: sched.R(T)}
-	slots := make([]sched.Slot, 0, len(b.items))
-	out.Runs = make([]sched.MachineRun, 0, len(b.machines))
+	// Emit every machine's live items in range order into the slot
+	// arena, dropping each setup that no job of its class directly
+	// follows.  All times are integral here, so the running top stays in
+	// int64.
+	arena := grown(sc.Run.arena, len(b.items))
 	var top, peak int64
 	emit := func(it *nonpItem) {
 		if it.length == 0 {
@@ -692,17 +702,18 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 		if it.isSetup {
 			kind, job = sched.SlotSetup, -1
 		}
-		slots = append(slots, sched.Slot{
+		arena = append(arena, sched.Slot{
 			Kind: kind, Class: it.class, Job: job,
 			Start: sched.R(top), End: sched.R(top + it.length),
 		})
 		top += it.length
 	}
 	for mi := range b.machines {
-		start := len(slots)
+		m := &b.machines[mi]
+		start := len(arena)
 		top = 0
 		setup := -1 // items index of a live setup awaiting its job
-		seg := &b.machines[mi].seg
+		seg := &m.seg
 		for s := range seg {
 			for k := seg[s].Lo; k < seg[s].Hi; k++ {
 				it := &b.items[k]
@@ -724,7 +735,17 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 			}
 		}
 		peak = max(peak, top)
-		out.AddMachine(slots[start:len(slots):len(slots)])
+		m.out = wrap.Span{Lo: start, Hi: len(arena)}
+	}
+	sc.Run.arena = arena
+	// Copy the slots once into an exactly sized array (Slot holds no
+	// pointers, so the clone skips zeroing what it copies) that every
+	// machine's run slices with cap == len: the result never aliases the
+	// scratch.
+	slots := slices.Clone(arena)
+	out := &sched.Schedule{Variant: sched.NonPreemptive, T: sched.R(T), Runs: make([]sched.MachineRun, len(b.machines))}
+	for mi := range b.machines {
+		out.Runs[mi] = sched.MachineRun{Count: 1, Slots: b.machines[mi].out.Slots(slots)}
 	}
 	if peak == 0 {
 		return out, sched.Rat{}, nil

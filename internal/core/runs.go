@@ -7,7 +7,8 @@ import (
 
 // RunScratch is the working memory of the splittable, preemptive and
 // 2-approximation builders: the slot arena every machine of one build is
-// emitted into, the run table addressing it, and the builders' working
+// emitted into (the non-preemptive builder emits into it too), the run
+// table addressing it, and the builders' working
 // lists (wrap sequence and placement, gaps, K items, run indices).  Each
 // build ends by copying its slots into one exactly sized array (see
 // emit), so no schedule aliases the scratch and reusing it cannot change
@@ -51,13 +52,10 @@ func runsFor(p *Prep, sc *RunScratch, den int64) *RunScratch {
 	if sc == nil {
 		sc = &RunScratch{}
 	}
-	if cap(sc.arena) == 0 {
-		// A build emits one slot per job and class setup, plus at most a
-		// split piece and a continuation setup per machine run.
-		n := p.NJob + p.C
-		sc.arena = make([]sched.Slot, 0, n+2*int(min(p.M, int64(n))))
-	}
-	sc.arena = sc.arena[:0]
+	// A build emits one slot per job and class setup, plus at most a
+	// split piece and a continuation setup per machine run.
+	n := p.NJob + p.C
+	sc.arena = grown(sc.arena, n+2*int(min(p.M, int64(n))))
 	sc.runs = sc.runs[:0]
 	sc.den = den
 	sc.peak = 0

@@ -2,8 +2,12 @@ package core
 
 import (
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"setupsched/sched"
 	"setupsched/schedgen"
@@ -189,7 +193,7 @@ func TestArenaAllocsFlat(t *testing.T) {
 		var allocs []float64
 		for _, n := range []int{2_000, 20_000} {
 			build := buildAtAccepted(t, coreColdPrep(n), v)
-			warm := Ctl{Scratch: &BuildScratch{}}
+			warm := &BuildScratch{}
 			if _, _, err := build(warm); err != nil {
 				t.Fatal(err)
 			}
@@ -203,5 +207,68 @@ func TestArenaAllocsFlat(t *testing.T) {
 		if allocs[1] > allocs[0] {
 			t.Errorf("%v: warm build allocates %v at n=2e4 vs %v at n=2e3", v, allocs[1], allocs[0])
 		}
+	}
+}
+
+// TestNonpExactSlotBytes pins that a warm non-preemptive build allocates
+// its output at the exact slot count, as the arena builders do: the
+// bytes it allocates, measured with GC paused, may exceed the bytes of
+// its slots, runs and Schedule only by the rounding of its allocations,
+// less than one 8 KiB page each, so deleted pieces, moved border items
+// and dropped setups leave no spare capacity in a result.
+func TestNonpExactSlotBytes(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, shape := range []struct {
+		name string
+		p    *Prep
+	}{{"corecold", coreColdPrep(20_000)}, {"churn", churnPrep()}} {
+		build := buildAtAccepted(t, shape.p, sched.NonPreemptive)
+		warm := &BuildScratch{}
+		s, _, err := build(warm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const reps = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range reps {
+			if _, _, err := build(warm); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / reps
+		allocs := (after.Mallocs - before.Mallocs) / reps
+		exact := uint64(s.NumSlots())*uint64(unsafe.Sizeof(sched.Slot{})) +
+			uint64(len(s.Runs))*uint64(unsafe.Sizeof(sched.MachineRun{})) + uint64(unsafe.Sizeof(sched.Schedule{}))
+		t.Logf("%s: %d slots, %d bytes in %d allocs per warm build, exact output %d bytes", shape.name, s.NumSlots(), bytes, allocs, exact)
+		if bytes >= exact+allocs*8192 {
+			t.Errorf("%s: warm build allocates %d bytes in %d allocs for %d bytes of output", shape.name, bytes, allocs, exact)
+		}
+	}
+}
+
+// TestScratchPoolDropsOversized pins the pool's size rule: a scratch
+// grown by a solve fits that solve's instance, and a solve of an instance
+// more than scratchSlack times smaller does not put it back in the pool.
+func TestScratchPoolDropsOversized(t *testing.T) {
+	big, small := coreColdPrep(20_000), coreColdPrep(2_000)
+	sc := &BuildScratch{}
+	for _, as := range arenaSolves {
+		if _, err := as.solve(big, Ctl{Scratch: sc}); err != nil {
+			t.Fatalf("%s: %v", as.name, err)
+		}
+	}
+	if !big.fits(sc) {
+		t.Fatal("a scratch does not fit the instance that grew it")
+	}
+	if small.fits(sc) {
+		t.Fatalf("a scratch grown for %d items fits an instance of %d", big.nonpItems(), small.nonpItems())
+	}
+	defer func(p *sync.Pool) { ScratchPool = p }(ScratchPool)
+	ScratchPool = &sync.Pool{}
+	small.release(sc)
+	if got := ScratchPool.Get(); got != nil {
+		t.Fatal("an oversized scratch went back to the pool")
 	}
 }

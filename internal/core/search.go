@@ -307,10 +307,11 @@ func sortKeys(keys []int64, kLo int64) []int64 {
 
 // SolveSplit2 runs the splittable 2-approximation (Theorem 1).
 func (p *Prep) SolveSplit2(ctl Ctl) (*Result, error) {
+	defer p.release(ctl.borrow())
 	if err := ctl.interrupted(); err != nil {
 		return nil, err
 	}
-	s, mk, err := p.TwoApproxSplit(ctl.runs())
+	s, mk, err := p.TwoApproxSplit(&ctl.Scratch.Run)
 	if err != nil {
 		return nil, err
 	}
@@ -319,10 +320,11 @@ func (p *Prep) SolveSplit2(ctl Ctl) (*Result, error) {
 
 // SolveNonp2 runs the non-preemptive (or preemptive) 2-approximation.
 func (p *Prep) SolveNonp2(ctl Ctl, v sched.Variant) (*Result, error) {
+	defer p.release(ctl.borrow())
 	if err := ctl.interrupted(); err != nil {
 		return nil, err
 	}
-	s, mk, err := p.TwoApproxNonPreemptive(v, ctl.runs())
+	s, mk, err := p.TwoApproxNonPreemptive(v, &ctl.Scratch.Run)
 	if err != nil {
 		return nil, err
 	}
@@ -355,6 +357,7 @@ func epsToRat(eps float64) sched.Rat {
 // the 3/2-dual test over [T_min, N] until the bracket's relative width is
 // below eps, then build at the accepted end.
 func (p *Prep) SolveEps(ctl Ctl, v sched.Variant, eps float64) (*Result, error) {
+	defer p.release(ctl.borrow())
 	test, build, name := p.dualFor(ctl, v)
 	tmin := p.TMin(v)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
@@ -392,43 +395,32 @@ func (p *Prep) SolveEps(ctl Ctl, v sched.Variant, eps float64) (*Result, error) 
 	return br.annotate(&Result{Schedule: s, Makespan: mk, T: br.hi, LowerBound: br.lo, Algorithm: name + "/eps", Probes: br.probes}, true), nil
 }
 
-// evalScratchFor returns the Ctl's lent eval scratch, or a fresh
-// per-solve one.  Either way the scratch is only ever used from the
-// solve's own goroutine, so a lent scratch needs the same caller-side
-// serialization as the build scratch it rides in.
-func (p *Prep) evalScratchFor(ctl Ctl) *NonpEvalScratch {
-	if ctl.Scratch != nil {
-		return &ctl.Scratch.Eval
-	}
-	return &NonpEvalScratch{}
-}
-
 // buildFunc builds the schedule for an accepted guess T and returns it
 // with the makespan the builder emitted.
 type buildFunc func(T sched.Rat) (*sched.Schedule, sched.Rat, error)
 
 // dualFor returns the dual test and builder for a variant; the builders
-// draw on the Ctl's scratch when one is lent.
+// and the non-preemptive test draw on the Ctl's scratch.
 func (p *Prep) dualFor(ctl Ctl, v sched.Variant) (func(sched.Rat) bool, buildFunc, string) {
 	switch v {
 	case sched.Splittable:
 		return p.splitOK,
 			func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
-				return p.BuildSplitScratch(p.EvalSplit(T, nil), ctl.runs())
+				return p.BuildSplitScratch(p.EvalSplit(T, nil), &ctl.Scratch.Run)
 			},
 			"split"
 	case sched.Preemptive:
 		return p.pmtnOK,
 			func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
-				return p.BuildPmtnScratch(p.EvalPmtn(T, nil), ctl.runs())
+				return p.BuildPmtnScratch(p.EvalPmtn(T, nil), &ctl.Scratch.Run)
 			},
 			"pmtn"
 	default:
 		// Non-preemptive probes route through the reusable eval scratch.
-		sc := p.evalScratchFor(ctl)
+		sc := &ctl.Scratch.Eval
 		return func(T sched.Rat) bool { return p.EvalNonpScratch(T, sc).OK },
 			func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
-				return p.BuildNonpScratch(p.EvalNonpScratch(T, sc), ctl.nonp())
+				return p.BuildNonpScratch(p.EvalNonpScratch(T, sc), ctl.Scratch)
 			},
 			"nonp"
 	}
@@ -447,6 +439,7 @@ func (p *Prep) dualFor(ctl Ctl, v sched.Variant) (func(sched.Rat) bool, buildFun
 // machine count m_exp are constant, so the smallest acceptable makespan is
 // either hi or L/m, decided in O(1) (step 9 of Algorithm 1).
 func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
+	defer p.release(ctl.borrow())
 	test := p.splitOK
 	tmin := p.TMin(sched.Splittable)
 	br := &bracket{lo: tmin, hi: sched.R(p.N), ctl: ctl}
@@ -454,7 +447,7 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 		if err := br.checkpoint(); err != nil {
 			return nil, err
 		}
-		s, mk, err := p.BuildSplitScratch(p.EvalSplit(tmin, nil), ctl.runs())
+		s, mk, err := p.BuildSplitScratch(p.EvalSplit(tmin, nil), &ctl.Scratch.Run)
 		if err != nil {
 			return nil, err
 		}
@@ -519,7 +512,7 @@ func (p *Prep) SolveSplitJump(ctl Ctl) (*Result, error) {
 	// Closing step (Algorithm 1, step 9).
 	return p.closeJump(br, p.EvalSplit(br.lo, &br.hi).machineData(), test,
 		func(T sched.Rat) (*sched.Schedule, sched.Rat, error) {
-			return p.BuildSplitScratch(p.EvalSplit(T, nil), ctl.runs())
+			return p.BuildSplitScratch(p.EvalSplit(T, nil), &ctl.Scratch.Run)
 		},
 		"split/jump")
 }
@@ -607,18 +600,19 @@ func (p *Prep) closeJump(br *bracket, data intervalData, test func(sched.Rat) bo
 // [T_min, 2 T_min] with the 3/2-dual test of Theorem 9 is exact and runs
 // in O(n log T_min) = O(n log(n + Delta)).
 func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
+	defer p.release(ctl.borrow())
 	if err := ctl.interrupted(); err != nil {
 		return nil, err
 	}
 	if p.M >= int64(p.NJob) {
-		s, mk := p.oneJobPerMachine(sched.NonPreemptive, ctl.runs())
+		s, mk := p.oneJobPerMachine(sched.NonPreemptive, &ctl.Scratch.Run)
 		return &Result{Schedule: s, Makespan: mk, T: s.T, LowerBound: s.T, Algorithm: "nonp/binsearch"}, nil
 	}
 	// Every probe runs through the reusable eval scratch, so a warm
 	// re-solve's probes allocate nothing.  lastEv aliases the scratch's
 	// current eval; it is consumed (built from, or reported on) before
 	// the next probe overwrites it.
-	sc := p.evalScratchFor(ctl)
+	sc := &ctl.Scratch.Eval
 	var lastEv *NonpEval
 	test := func(T sched.Rat) bool { lastEv = p.EvalNonpScratch(T, sc); return lastEv.OK }
 	tmin := p.TMin(sched.NonPreemptive).Num()
@@ -627,7 +621,7 @@ func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
 		if err := br.checkpoint(); err != nil {
 			return nil, err
 		}
-		s, mk, err := p.BuildNonpScratch(lastEv, ctl.nonp())
+		s, mk, err := p.BuildNonpScratch(lastEv, ctl.Scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -693,7 +687,7 @@ func (p *Prep) SolveNonpSearch(ctl Ctl) (*Result, error) {
 		return nil, err
 	}
 	// lo rejected => OPT >= lo+1 = hi: the result is a true 3/2-approximation.
-	s, mk, err := p.BuildNonpScratch(p.EvalNonpScratch(sched.R(hi), sc), ctl.nonp())
+	s, mk, err := p.BuildNonpScratch(p.EvalNonpScratch(sched.R(hi), sc), ctl.Scratch)
 	if err != nil {
 		return nil, err
 	}

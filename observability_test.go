@@ -3,9 +3,11 @@ package setupsched_test
 import (
 	"context"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"setupsched"
+	"setupsched/internal/core"
 	"setupsched/obs"
 	"setupsched/schedgen"
 )
@@ -29,9 +31,18 @@ func allocInstance() *setupsched.Solver {
 // allocate more than a bare solve.  The option slice is built once, as
 // the server does, so the per-solve cost is pure observer fan-out —
 // which the solveConfig's inline buffers keep allocation-free.
+//
+// Both measured solves draw one pinned scratch from a pool whose New
+// hands it out: race builds drop a random quarter of sync.Pool Puts, and
+// a dropped scratch is reallocated and regrown on the next solve, so
+// counts through core.ScratchPool would depend on pool hits rather than
+// on the observer.
 func TestObservedSolveAllocsNoMoreThanBare(t *testing.T) {
 	s := allocInstance()
 	ctx := context.Background()
+	pinned := new(core.BuildScratch)
+	defer func(p *sync.Pool) { core.ScratchPool = p }(core.ScratchPool)
+	core.ScratchPool = &sync.Pool{New: func() any { return pinned }}
 	var probes obs.Counter
 	pc := &obs.ProbeCounter{C: &probes}
 	metered := []setupsched.Option{setupsched.WithObserver(pc)}

@@ -264,6 +264,44 @@ func TestValidateCatchesParallelSelfExecution(t *testing.T) {
 	}
 }
 
+// TestValidatePreemptiveAllocs pins that the preemptive overlap check
+// buckets the job pieces in one flat array: on 560 jobs, each split into
+// two pieces on two machines, it allocates twice (bucket bounds and
+// pieces) beyond the splittable check, not once per job.
+func TestValidatePreemptiveAllocs(t *testing.T) {
+	in := &Instance{M: 2}
+	for range 70 {
+		in.Classes = append(in.Classes, Class{Setup: 3, Jobs: []int64{4, 4, 4, 4, 4, 4, 4, 4}})
+	}
+	// Machine 0 runs the first half of every job, machine 1 the second
+	// half once machine 0 is done.
+	s := &Schedule{Variant: Preemptive}
+	var top int64
+	for range 2 {
+		var slots []Slot
+		for i, c := range in.Classes {
+			slots = append(slots, Slot{Kind: SlotSetup, Class: i, Job: -1, Start: R(top), End: R(top + c.Setup)})
+			top += c.Setup
+			for j, tj := range c.Jobs {
+				slots = append(slots, Slot{Kind: SlotJob, Class: i, Job: j, Start: R(top), End: R(top + tj/2)})
+				top += tj / 2
+			}
+		}
+		s.AddMachine(slots)
+	}
+	allocs := func(v Variant) float64 {
+		s.Variant = v
+		if err := s.Validate(in); err != nil {
+			t.Fatalf("%v: %v", v, err)
+		}
+		return testing.AllocsPerRun(20, func() { _ = s.Validate(in) })
+	}
+	split, pmtn := allocs(Splittable), allocs(Preemptive)
+	if pmtn > split+2 {
+		t.Fatalf("preemptive Validate allocates %v times, the splittable check %v", pmtn, split)
+	}
+}
+
 func TestValidateMultiMachineRuns(t *testing.T) {
 	// 4 machines, one class, 4 jobs of length 5: a run of count 4 with one
 	// job slot each would multiply a single job's work; instead use a run

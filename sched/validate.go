@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ValidationError describes a feasibility violation found by Validate.
@@ -54,12 +54,6 @@ func (s *Schedule) Validate(in *Instance) error {
 	}
 	n := offsets[len(in.Classes)]
 	done := make([]Rat, n)
-
-	type interval struct{ start, end Rat }
-	var pieces [][]interval
-	if s.Variant == Preemptive {
-		pieces = make([][]interval, n)
-	}
 	slotCount := make([]int64, n)
 
 	for ri := range s.Runs {
@@ -111,9 +105,6 @@ func (s *Schedule) Validate(in *Instance) error {
 				add := sl.Len().MulInt(run.Count)
 				done[g] = done[g].Add(add)
 				slotCount[g] += run.Count
-				if pieces != nil {
-					pieces[g] = append(pieces[g], interval{sl.Start, sl.End})
-				}
 			default:
 				return vErr(ri, si, "unknown slot kind %d", sl.Kind)
 			}
@@ -137,19 +128,44 @@ func (s *Schedule) Validate(in *Instance) error {
 		}
 	}
 
-	// Preemptive: no two pieces of a job may overlap in time.
-	if pieces != nil {
-		for g := range pieces {
-			ivs := pieces[g]
-			if len(ivs) < 2 {
-				continue
+	if s.Variant == Preemptive {
+		return s.checkSelfOverlap(offsets, slotCount)
+	}
+	return nil
+}
+
+// checkSelfOverlap reports a preemptive job whose pieces overlap in time.
+// Every job slot lies in a run of one machine here, so slotCount[g] is
+// job g's piece count: a counting pass turns the counts into the bounds
+// of one flat array holding each job's pieces as one bucket (filling the
+// buckets counts slotCount down to zero), and a bucket of two or more
+// pieces is sorted by start and checked pairwise.
+func (s *Schedule) checkSelfOverlap(offsets []int, slotCount []int64) error {
+	type interval struct{ start, end Rat }
+	bound := make([]int, len(slotCount)+1)
+	for g, c := range slotCount {
+		bound[g+1] = bound[g] + int(c)
+	}
+	pieces := make([]interval, bound[len(slotCount)])
+	for ri := range s.Runs {
+		for _, sl := range s.Runs[ri].Slots {
+			if sl.Kind == SlotJob {
+				g := offsets[sl.Class] + sl.Job
+				slotCount[g]--
+				pieces[bound[g]+int(slotCount[g])] = interval{sl.Start, sl.End}
 			}
-			sort.Slice(ivs, func(a, b int) bool { return ivs[a].start.Less(ivs[b].start) })
-			for k := 1; k < len(ivs); k++ {
-				if ivs[k].start.Less(ivs[k-1].end) {
-					return vErr(-1, -1, "preemptive job %d runs in parallel with itself: [%s,%s) overlaps [%s,%s)",
-						g, ivs[k-1].start, ivs[k-1].end, ivs[k].start, ivs[k].end)
-				}
+		}
+	}
+	for g := range slotCount {
+		ivs := pieces[bound[g]:bound[g+1]]
+		if len(ivs) < 2 {
+			continue
+		}
+		slices.SortFunc(ivs, func(a, b interval) int { return a.start.Cmp(b.start) })
+		for k := 1; k < len(ivs); k++ {
+			if ivs[k].start.Less(ivs[k-1].end) {
+				return vErr(-1, -1, "preemptive job %d runs in parallel with itself: [%s,%s) overlaps [%s,%s)",
+					g, ivs[k-1].start, ivs[k-1].end, ivs[k].start, ivs[k].end)
 			}
 		}
 	}

@@ -198,10 +198,10 @@ func sameSchedule(got *Result, want *setupsched.Result) error {
 }
 
 // TestSessionsResolveBesideSolveAll runs a shared Solver's concurrent
-// SolveAll while two sessions re-solve under churn.  Each session lends
-// its own build scratch to every solve and the Solver lends none, so the
-// race detector must stay quiet and every answer must match its serial
-// or fresh-solver reference bit for bit.
+// SolveAll while two sessions re-solve under churn.  Every solve borrows
+// its build scratch from core.ScratchPool, so the race detector must stay
+// quiet and every answer must match its serial or fresh-solver reference
+// bit for bit.
 func TestSessionsResolveBesideSolveAll(t *testing.T) {
 	ctx := context.Background()
 	solver, err := setupsched.NewSolver(testInstance(8))

@@ -115,11 +115,10 @@ type entry struct {
 // state.  Create one with NewSession; all methods are safe for concurrent
 // use (serialized internally).
 type Session struct {
-	mu      chanMutex
-	in      *sched.Instance // owned private copy
-	inc     *core.Inc
-	scratch core.BuildScratch   // reusable builder memory (guarded by mu)
-	fpView  sched.CanonicalView // reusable fingerprint view (guarded by mu)
+	mu     chanMutex
+	in     *sched.Instance // owned private copy
+	inc    *core.Inc
+	fpView sched.CanonicalView // reusable fingerprint view (guarded by mu)
 
 	rev        uint64
 	machEpoch  uint64
@@ -639,13 +638,9 @@ func (s *Session) solveLocked(ctx context.Context, v sched.Variant, algo setupsc
 	return &Result{Result: res, Warm: r.SeedUsed, Rev: s.rev}, nil
 }
 
-// runCore dispatches one algorithm run against the maintained Prep.  The
-// session's build scratch is lent to every run — the session lock
-// serializes them, which is exactly the soundness condition Ctl.Scratch
-// demands — so steady-state re-solves stop paying the schedule builder's
-// allocations.
+// runCore dispatches one algorithm run against the maintained Prep.
 func (s *Session) runCore(ctx context.Context, v sched.Variant, algo setupsched.Algorithm, eps float64, seed *core.BracketSeed, obs core.Observer) (*core.Result, error) {
-	ctl := core.Ctl{Ctx: ctx, Obs: obs, Seed: seed, Scratch: &s.scratch}
+	ctl := core.Ctl{Ctx: ctx, Obs: obs, Seed: seed}
 	p := s.inc.Prep()
 	switch algo {
 	case setupsched.TwoApprox:
