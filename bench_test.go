@@ -196,10 +196,9 @@ func BenchmarkFigure10_NonpBuild(b *testing.B) {
 // --- Per-family datapoints over the schedgen catalog ---
 //
 // One sub-benchmark per adversarial family at a fixed mid size, for each
-// exact 3/2 search.  These are the BENCH trajectory's per-family series:
-// a regression in one structural regime (say nearhalf's J+ churn or
-// msweep's run compression) shows up as that family's datapoint moving
-// while the others hold still.
+// exact 3/2 search, so a regression in one structural regime (say
+// nearhalf's J+ churn or msweep's run compression) shows up as that
+// family's datapoint moving while the others hold still.
 
 func benchFamilyInstance(f schedgen.Family) *Instance {
 	return f.Make(schedgen.Params{
@@ -279,12 +278,11 @@ func BenchmarkAblation_JumpVsEps_Eps(b *testing.B) {
 
 // --- Parallel engine: SolveAll fan-out ---
 //
-// The serial/parallel pairs below are the wall-clock datapoints behind
-// the solveall/paper rows of BENCH_core.json (see cmd/schedbench -json).
-// The instance shape is machine-rich and setup-dominated so every search
-// genuinely probes (~10-24 dual tests); on a single-core box the fan-out
-// pays goroutine overhead without a win — compare the pairs on
-// GOMAXPROCS > 1.
+// The serial/parallel pairs below time the nine-run fan-out against its
+// serial path.  The instance shape is machine-rich and setup-dominated
+// so every search genuinely probes (~10-24 dual tests); on a single-core
+// box the fan-out pays goroutine overhead without a win — compare the
+// pairs on GOMAXPROCS > 1.
 
 func benchSearchyInstance(n int) *Instance {
 	classes := n / 8

@@ -5,49 +5,30 @@
 // Usage:
 //
 //	schedbench [-instances 40] [-sizes 1000,10000,100000] [-reps 3] [-skip-scaling]
-//	schedbench -json [-o BENCH_core.json] [-parallelism N]
-//	schedbench -validate BENCH_core.json
 //
-// By default the command prints those tables as text.  With -json it
-// instead measures each paper search serially, the
-// SolveAll nine-run fan-out against its serial path, and the incremental
-// session engine against stateless re-solving (warm re-solve after a
-// delta vs cold NewSolver+Solve), and
-// records the run into the machine-readable BENCH_core.json report
-// tracking the repo's performance trajectory.  The report holds one run
-// per environment (go version / OS / arch / GOMAXPROCS): regenerating
-// into an existing file replaces the matching environment's run and
-// keeps the others, so single-core and multi-core baselines coexist and
-// comparisons never mix environments.  -validate checks an existing
-// report's schema, for CI smoke tests and pre-commit sanity.
+// It prints as text the measured ratios, the baseline comparison, the
+// variant crossover and, unless -skip-scaling, the running-time scaling.
+// The repo's performance record is the end-to-end benchmark declared in
+// BENCHMARK.json (perfbench/) together with the go test -bench
+// benchmarks; see README "Performance tracking".
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
-	"setupsched/internal/benchjson"
 	"setupsched/internal/expt"
 )
 
 func main() {
 	instances := flag.Int("instances", 40, "instances per generator family for ratio/compare tables")
-	sizesFlag := flag.String("sizes", "1000,10000,100000", "comma-separated job counts for the scaling table / -json datapoints")
+	sizesFlag := flag.String("sizes", "1000,10000,100000", "comma-separated job counts for the scaling table")
 	reps := flag.Int("reps", 3, "repetitions per timing measurement")
 	skipScaling := flag.Bool("skip-scaling", false, "skip the (slower) scaling table")
-	jsonMode := flag.Bool("json", false, "emit the machine-readable BENCH_core.json report instead of tables")
-	out := flag.String("o", "", "with -json: write the report to this file instead of stdout")
-	parallelism := flag.Int("parallelism", 0, "with -json: SolveAll fan-out width of the parallel datapoints (default GOMAXPROCS)")
-	validate := flag.String("validate", "", "validate an existing BENCH_core.json report and exit")
 	flag.Parse()
-
-	if *validate != "" {
-		os.Exit(runValidate(*validate))
-	}
 
 	var sizes []int
 	for _, part := range strings.Split(*sizesFlag, ",") {
@@ -57,10 +38,6 @@ func main() {
 			os.Exit(2)
 		}
 		sizes = append(sizes, v)
-	}
-
-	if *jsonMode {
-		os.Exit(runJSON(sizes, *reps, *parallelism, *out))
 	}
 
 	fmt.Println("## Measured approximation ratios (Table 1 reproduction)")
@@ -96,73 +73,6 @@ func main() {
 		}
 		fmt.Println(expt.FormatScalingTable(sc))
 	}
-}
-
-// runJSON measures the solve engines and writes the BENCH_core report,
-// merging the run into an existing env-keyed report at -o if present.
-func runJSON(sizes []int, reps, parallelism int, out string) int {
-	run, err := benchjson.BenchCore(sizes, reps, parallelism)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedbench:", err)
-		return 1
-	}
-	rep := &benchjson.BenchReport{}
-	if out != "" {
-		if prev, err := os.ReadFile(out); err == nil {
-			var existing benchjson.BenchReport
-			// A stale or pre-v2 file is replaced wholesale rather than
-			// merged into.
-			if json.Unmarshal(prev, &existing) == nil && existing.Schema == benchjson.BenchCoreSchema {
-				rep = &existing
-			}
-		}
-	}
-	benchjson.MergeRun(rep, *run)
-	if err := benchjson.ValidateBenchReport(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "schedbench: self-check failed:", err)
-		return 1
-	}
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedbench:", err)
-		return 1
-	}
-	buf = append(buf, '\n')
-	if out == "" {
-		_, err = os.Stdout.Write(buf)
-	} else {
-		err = os.WriteFile(out, buf, 0o644)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedbench:", err)
-		return 1
-	}
-	return 0
-}
-
-// runValidate parses and validates a report file.
-func runValidate(path string) int {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "schedbench:", err)
-		return 1
-	}
-	var rep benchjson.BenchReport
-	dec := json.NewDecoder(strings.NewReader(string(buf)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&rep); err != nil {
-		fmt.Fprintf(os.Stderr, "schedbench: %s: %v\n", path, err)
-		return 1
-	}
-	if err := benchjson.ValidateBenchReport(&rep); err != nil {
-		fmt.Fprintf(os.Stderr, "schedbench: %s: %v\n", path, err)
-		return 1
-	}
-	fmt.Printf("%s: valid %s report (%d runs)\n", path, rep.Schema, len(rep.Runs))
-	for i := range rep.Runs {
-		fmt.Printf("  %s: %d results (num_cpu=%d)\n", rep.Runs[i].EnvKey(), len(rep.Runs[i].Results), rep.Runs[i].NumCPU)
-	}
-	return 0
 }
 
 func fail(err error) {

@@ -3,15 +3,15 @@
 // requested shard count — k schedserve processes behind one schedlb —
 // drives a mixed solve/session workload through the proxy at a target
 // request rate, verifies every response's X-Sched-Shard echo against
-// the consistent-hash ring (zero tolerance), and merges the measured
-// latency trajectory into BENCH_serve.json.
+// the consistent-hash ring (zero tolerance), and logs one latency line
+// per fleet.  It exits non-zero on any routing error, and when a fleet
+// completes no solve or no session request.
 //
 // Usage:
 //
 //	schedload [-shards 1,3] [-duration 5s] [-rps 50] [-workers 8] \
 //	          [-session-frac 0.25] [-instances 64] [-seed 1] \
 //	          [-serve-bin path] [-lb-bin path] \
-//	          [-out BENCH_serve.json] [-validate file] \
 //	          [-trace-report] [-trace-requests 120]
 //
 // -trace-report switches the harness into tracing mode: it mints one
@@ -25,18 +25,11 @@
 //
 // With -serve-bin/-lb-bin the fleet runs those real binaries (CI builds
 // them first); without, schedload re-execs itself in child mode, so
-// `go run ./cmd/schedload` needs nothing prebuilt.  -validate checks an
-// existing report's structural invariants and exits.
-//
-// The report keeps one run per environment (go version / OS / arch /
-// GOMAXPROCS), each holding solve and session rows for every measured
-// shard count — always at least two counts, so the file answers "what
-// did scaling out change" (see internal/loadtest for the schema).
+// `go run ./cmd/schedload` needs nothing prebuilt.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -60,26 +53,12 @@ func main() {
 	seed := flag.Int64("seed", 1, "workload op-sequence seed")
 	serveBin := flag.String("serve-bin", "", "path to a real schedserve binary (default: re-exec self)")
 	lbBin := flag.String("lb-bin", "", "path to a real schedlb binary (default: re-exec self)")
-	out := flag.String("out", "", "merge results into this BENCH_serve.json (empty: print to stdout only)")
-	validate := flag.String("validate", "", "validate this BENCH_serve.json and exit")
 	traceReport := flag.Bool("trace-report", false, "drive traced solves and print the per-segment latency attribution instead of the workload")
 	traceRequests := flag.Int("trace-requests", 120, "traced solves per fleet in -trace-report mode")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fmt.Fprintln(os.Stderr, "schedload: unexpected arguments:", flag.Args())
 		os.Exit(2)
-	}
-
-	if *validate != "" {
-		rep, err := readReport(*validate)
-		if err != nil {
-			log.Fatalf("schedload: %v", err)
-		}
-		if err := loadtest.ValidateServeReport(rep); err != nil {
-			log.Fatalf("schedload: %s: %v", *validate, err)
-		}
-		fmt.Printf("schedload: %s ok (%d runs)\n", *validate, len(rep.Runs))
-		return
 	}
 
 	var counts []int
@@ -100,7 +79,6 @@ func main() {
 		}
 		return
 	}
-	run := loadtest.NewServeRun(*duration, *workers)
 	totalRouting := 0
 	for _, k := range counts {
 		res, err := measure(ctx, loadtest.ClusterConfig{
@@ -116,35 +94,10 @@ func main() {
 			k, res.AchievedRPS, *rps, res.Solve.P50Ms, res.Solve.P99Ms,
 			res.Session.P50Ms, res.Session.P99Ms, res.RoutingErrors, res.ShardHits)
 		totalRouting += res.RoutingErrors
-		run.AppendWorkload(res)
 	}
 	if totalRouting > 0 {
 		log.Fatalf("schedload: %d routing errors (want zero) — ring and fleet disagree", totalRouting)
 	}
-
-	if *out != "" {
-		rep, err := readReport(*out)
-		if err != nil && !os.IsNotExist(err) {
-			log.Fatalf("schedload: %v", err)
-		}
-		if rep == nil {
-			rep = &loadtest.ServeReport{}
-		}
-		loadtest.MergeServeRun(rep, run)
-		if err := loadtest.ValidateServeReport(rep); err != nil {
-			log.Fatalf("schedload: refusing to write invalid report: %v", err)
-		}
-		if err := writeReport(*out, rep); err != nil {
-			log.Fatalf("schedload: %v", err)
-		}
-		log.Printf("schedload: merged run into %s", *out)
-		return
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	rep := &loadtest.ServeReport{}
-	loadtest.MergeServeRun(rep, run)
-	enc.Encode(rep)
 }
 
 // runTraceReport spawns one fleet, drives the traced solves, joins the
@@ -183,30 +136,4 @@ func measure(ctx context.Context, cc loadtest.ClusterConfig, wc loadtest.Workloa
 	}
 	defer cluster.Stop()
 	return loadtest.RunWorkload(ctx, cluster.LBURL, cluster.Shards, wc)
-}
-
-func readReport(path string) (*loadtest.ServeReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep loadtest.ServeReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
-	}
-	return &rep, nil
-}
-
-// writeReport writes atomically (tmp + rename) so a crashed run never
-// truncates the committed trajectory.
-func writeReport(path string, rep *loadtest.ServeReport) error {
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -171,7 +171,7 @@
 // Topology changes migrate sessions by drain + snapshot import with
 // solves bit-identical to fresh solves of the moved instances.
 // cmd/schedload is the multi-process load-test harness proving the
-// contract and recording the latency/RPS trajectory in BENCH_serve.json.
+// contract: it fails on any misroute and logs per-fleet latency.
 //
 // # Testing
 //

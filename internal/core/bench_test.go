@@ -7,9 +7,9 @@ import (
 	"setupsched/schedgen"
 )
 
-// benchEvalPrep builds the n-job setup-heavy shape the BENCH_core
-// trajectory rows use, plus a probe ladder spanning the searches'
-// decision regions — the workload of one dual search's worth of guesses.
+// benchEvalPrep builds an n-job setup-heavy shape plus a probe ladder
+// spanning the searches' decision regions — the workload of one dual
+// search's worth of guesses.
 func benchEvalPrep(n int) (*Prep, []sched.Rat) {
 	in := schedgen.ExpensiveSetups(schedgen.Params{
 		M: int64(n/10 + 1), Classes: n / 8, JobsPer: 8,
@@ -166,10 +166,14 @@ func BenchmarkProbePmtn(b *testing.B) {
 		func(p *Prep, T sched.Rat) bool { return p.EvalPmtn(T, nil).OK }, (*Prep).pmtnOK)
 }
 
+// scratchBuild is one schedule construction drawing on the scratch it
+// is passed.
+type scratchBuild = func(*BuildScratch) (*sched.Schedule, sched.Rat, error)
+
 // buildAtAccepted returns the variant's builder bound to the accepting
 // evaluation at the exact search's answer for p, the construction every
-// exact solve ends with.  The builder draws on the scratch it is passed.
-func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(*BuildScratch) (*sched.Schedule, sched.Rat, error) {
+// exact solve ends with.
+func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) scratchBuild {
 	tb.Helper()
 	switch v {
 	case sched.Splittable:
@@ -193,6 +197,16 @@ func buildAtAccepted(tb testing.TB, p *Prep, v sched.Variant) func(*BuildScratch
 		}
 		ev := p.EvalNonp(r.T)
 		return func(sc *BuildScratch) (*sched.Schedule, sched.Rat, error) { return p.BuildNonpScratch(ev, sc) }
+	}
+}
+
+// twoApprox returns the variant's 2-approximation for p.
+func twoApprox(p *Prep, v sched.Variant) scratchBuild {
+	if v == sched.Splittable {
+		return func(sc *BuildScratch) (*sched.Schedule, sched.Rat, error) { return p.TwoApproxSplit(&sc.Run) }
+	}
+	return func(sc *BuildScratch) (*sched.Schedule, sched.Rat, error) {
+		return p.TwoApproxNonPreemptive(v, &sc.Run)
 	}
 }
 

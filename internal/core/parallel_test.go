@@ -154,3 +154,37 @@ func TestSerialObserverOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestNarrowOnKeysRoundsNeverReprobe pins the round loop of
+// SolvePmtnJump, which narrows on one breakpoint key list once per round:
+// a later narrowOnKeys call on the bracket an earlier one left probes
+// nothing, since no key lies strictly inside it, and no guess is probed
+// twice (the Observer contract).  The keys 1..8 stand for the guesses
+// k/3, and the dual test accepts from a/3 on, for every threshold a from
+// the first key to past the last.
+func TestNarrowOnKeysRoundsNeverReprobe(t *testing.T) {
+	keys := []int64{1, 2, 3, 4, 5, 6, 7, 8}
+	for a := int64(1); a <= 9; a++ {
+		threshold := sched.RatOf(a, 3)
+		test := func(T sched.Rat) bool { return !T.Less(threshold) }
+		obs := &orderObserver{}
+		br := &bracket{lo: sched.R(0), hi: sched.R(3), ctl: Ctl{Obs: obs}}
+		br.narrowOnKeys(test, keys, 3)
+		first := len(obs.started)
+		br.narrowOnKeys(test, keys, 3)
+		if again := obs.started[first:]; len(again) > 0 {
+			t.Errorf("accept from %s: the second round probed %v", threshold, again)
+		}
+		seen := map[sched.Rat]bool{}
+		for _, T := range obs.started {
+			if seen[T] {
+				t.Errorf("accept from %s: guess %s probed twice", threshold, T)
+			}
+			seen[T] = true
+		}
+		wantLo, wantHi := sched.RatOf(a-1, 3), threshold
+		if !br.lo.Equal(wantLo) || !br.hi.Equal(wantHi) {
+			t.Errorf("accept from %s: bracket (%s, %s], want (%s, %s]", threshold, br.lo, br.hi, wantLo, wantHi)
+		}
+	}
+}

@@ -34,6 +34,7 @@ type RunScratch struct {
 	kMinus    []kItem
 	inStar    []bool // BuildPmtn: I*chp membership per class
 	rest      []int  // BuildPmtn case B: I-chp classes outside I*chp
+	starts    []int  // TwoApproxNonPreemptive: first item of each machine
 }
 
 // slotRun is one schedule run under construction: count machines sharing

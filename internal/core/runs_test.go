@@ -185,27 +185,36 @@ func TestResultMakespan(t *testing.T) {
 }
 
 // TestArenaAllocsFlat pins that a warm scratch makes construction's
-// allocation count independent of the instance size: the n = 2e4
-// core-cold shape may allocate no more per build than the n = 2e3 one
-// (the schedule, its slot array and its run array remain).
+// allocation count independent of the instance size, for the exact
+// searches' builds and the 2-approximations: the n = 2e4 core-cold shape
+// may allocate no more per build than the n = 2e3 one (the schedule, its
+// slot array and its run array remain).
 func TestArenaAllocsFlat(t *testing.T) {
 	for _, v := range []sched.Variant{sched.Preemptive, sched.Splittable, sched.NonPreemptive} {
-		var allocs []float64
-		for _, n := range []int{2_000, 20_000} {
-			build := buildAtAccepted(t, coreColdPrep(n), v)
-			warm := &BuildScratch{}
-			if _, _, err := build(warm); err != nil {
-				t.Fatal(err)
-			}
-			allocs = append(allocs, testing.AllocsPerRun(5, func() {
+		for _, bc := range []struct {
+			name  string
+			build func(*Prep) scratchBuild
+		}{
+			{"exact", func(p *Prep) scratchBuild { return buildAtAccepted(t, p, v) }},
+			{"2approx", func(p *Prep) scratchBuild { return twoApprox(p, v) }},
+		} {
+			var allocs []float64
+			for _, n := range []int{2_000, 20_000} {
+				build := bc.build(coreColdPrep(n))
+				warm := &BuildScratch{}
 				if _, _, err := build(warm); err != nil {
 					t.Fatal(err)
 				}
-			}))
-		}
-		t.Logf("%v: %v allocs per warm build at n=2e3, %v at n=2e4", v, allocs[0], allocs[1])
-		if allocs[1] > allocs[0] {
-			t.Errorf("%v: warm build allocates %v at n=2e4 vs %v at n=2e3", v, allocs[1], allocs[0])
+				allocs = append(allocs, testing.AllocsPerRun(5, func() {
+					if _, _, err := build(warm); err != nil {
+						t.Fatal(err)
+					}
+				}))
+			}
+			t.Logf("%v %s: %v allocs per warm build at n=2e3, %v at n=2e4", v, bc.name, allocs[0], allocs[1])
+			if allocs[1] > allocs[0] {
+				t.Errorf("%v %s: warm build allocates %v at n=2e4 vs %v at n=2e3", v, bc.name, allocs[1], allocs[0])
+			}
 		}
 	}
 }

@@ -26,21 +26,12 @@ func (p *Prep) TwoApproxSplit(sc *RunScratch) (*sched.Schedule, sched.Rat, error
 	return s, mk, nil
 }
 
-// nfItem is one next-fit sequence element for the non-preemptive/preemptive
-// 2-approximation.
-type nfItem struct {
-	isSetup bool
-	class   int
-	job     int
-	length  int64
-}
-
 // TwoApproxNonPreemptive is the O(n) 2-approximation for the
 // non-preemptive (and hence also preemptive) case (Lemma 9): next-fit by
 // class with threshold T_min, then move every T_min-crossing item to the
 // beginning of the next machine, paying one extra setup for moved jobs.
-// It emits through sc; nil allocates fresh memory.  It also returns the
-// schedule's makespan.
+// It draws its working memory from sc; nil allocates fresh memory.  It
+// also returns the schedule's makespan.
 func (p *Prep) TwoApproxNonPreemptive(v sched.Variant, sc *RunScratch) (*sched.Schedule, sched.Rat, error) {
 	if v == sched.Splittable {
 		return nil, sched.Rat{}, errInternal("TwoApproxNonPreemptive called with splittable variant")
@@ -54,89 +45,66 @@ func (p *Prep) TwoApproxNonPreemptive(v sched.Variant, sc *RunScratch) (*sched.S
 	// Work on the scaled threshold exactly: compare load*den vs num.
 	tn, td := tmin.Num(), tmin.Den()
 
-	// Pass 1: next-fit with threshold, keeping the crossing item.
-	machines := make([][]nfItem, 1, p.M)
-	load := make([]int64, 1, p.M)
-	cur := 0
-	push := func(it nfItem) {
-		machines[cur] = append(machines[cur], it)
-		load[cur] += it.length
-		if cmpProd(load[cur], td, tn, 1) > 0 { // load > T_min: close machine
-			machines = append(machines, nil)
-			load = append(load, 0)
-			cur++
-		}
-	}
-	for i := range p.In.Classes {
-		c := &p.In.Classes[i]
-		if c.Setup > 0 {
-			push(nfItem{isSetup: true, class: i, job: -1, length: c.Setup})
-		}
-		for j, t := range c.Jobs {
-			push(nfItem{class: i, job: j, length: t})
-		}
-	}
-	if int64(len(machines)) > p.M {
-		if len(machines[len(machines)-1]) == 0 {
-			machines = machines[:len(machines)-1]
-		}
-		if int64(len(machines)) > p.M {
-			return nil, sched.Rat{}, errInternal("2-approx next-fit used %d > m = %d machines", len(machines), p.M)
-		}
-	}
-
-	// Pass 2: move crossing items (the last item of every machine whose
-	// load exceeds T_min) to the beginning of the next machine, with an
-	// extra setup for moved jobs.
-	type incoming struct {
-		items []nfItem
-	}
-	in := make([]incoming, len(machines))
-	for u := 0; u < len(machines)-1; u++ {
-		if cmpProd(load[u], td, tn, 1) <= 0 {
-			continue
-		}
-		last := machines[u][len(machines[u])-1]
-		machines[u] = machines[u][:len(machines[u])-1]
-		if !last.isSetup {
-			s := p.In.Classes[last.class].Setup
-			if s > 0 {
-				in[u+1].items = append(in[u+1].items, nfItem{isSetup: true, class: last.class, job: -1, length: s})
-			}
-		}
-		in[u+1].items = append(in[u+1].items, last)
-	}
-
+	// Pass 1: next-fit over the classes' setups and jobs in order.  A
+	// machine closes on the item that takes its load above T_min, its
+	// crossing item, and machine u holds the items from starts[u] up to
+	// the next machine's start.
 	b := runsFor(p, sc, 1) // integer times: the grid is 1
-	for u := range machines {
-		items := append(in[u].items, machines[u]...)
-		items = dropUselessSetups(items)
+	for i := range p.In.Classes {
+		b.seq.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs, 1)
+	}
+	items := b.seq.Items
+	starts := append(b.starts[:0], 0)
+	var load int64
+	for k, it := range items {
+		load += it.Len
+		if cmpProd(load, td, tn, 1) > 0 {
+			starts = append(starts, k+1)
+			load = 0
+		}
+	}
+	b.starts = starts
+	// Every closed machine carries more than T_min >= N/m, so fewer than m
+	// close and next-fit opens at most m machines.
+	if int64(len(starts)) > p.M {
+		return nil, sched.Rat{}, errInternal("2-approx next-fit used %d > m = %d machines", len(starts), p.M)
+	}
+
+	// Pass 2: every machine but the last gives its crossing item to the
+	// next machine, which places it first, after an extra setup if it is
+	// a job.  A setup is placed only when a job of its class directly
+	// follows, so a setup stranded at the top of a machine is dropped.
+	pending := -1 // class of the setup waiting for the next item, or -1
+	put := func(it wrap.Item) {
+		if it.Kind == sched.SlotSetup {
+			pending = it.Class
+			return
+		}
+		if pending == it.Class {
+			b.place(sched.SlotSetup, it.Class, -1, p.Setups[it.Class])
+		}
+		pending = -1
+		b.place(sched.SlotJob, it.Class, it.Job, it.Len)
+	}
+	for u, lo := range starts {
+		hi := len(items)
+		if u+1 < len(starts) {
+			hi = starts[u+1] - 1 // the crossing item moves on
+		}
 		b.begin()
-		for _, it := range items {
-			if it.isSetup {
-				b.place(sched.SlotSetup, it.class, -1, it.length)
-			} else {
-				b.place(sched.SlotJob, it.class, it.job, it.length)
-			}
+		pending = -1
+		if u > 0 {
+			moved := items[lo-1]
+			pending = moved.Class // a moved job pays its class setup again
+			put(moved)
+		}
+		for _, it := range items[lo:hi] {
+			put(it)
 		}
 		b.end(1)
 	}
 	s, mk := b.emit(&sched.Schedule{Variant: v, T: tmin})
 	return s, mk, nil
-}
-
-// dropUselessSetups removes setup items that are not directly followed by
-// a job of their class (e.g. setups stranded at the top of a machine).
-func dropUselessSetups(items []nfItem) []nfItem {
-	keep := items[:0]
-	for k := 0; k < len(items); k++ {
-		it := items[k]
-		if it.isSetup && (k+1 >= len(items) || items[k+1].isSetup || items[k+1].class != it.class) {
-			continue
-		}
-		keep = append(keep, it)
-	}
-	return keep
 }
 
 // oneJobPerMachine returns the trivial optimal schedule for m >= n: every

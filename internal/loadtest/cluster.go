@@ -3,8 +3,8 @@
 // schedlb front tier on the local box, drives a mixed solve/session
 // workload through the proxy at a target request rate, verifies every
 // response against the consistent-hash ring's prediction (the
-// X-Sched-Shard echo), and reports exact latency percentiles in the
-// committed BENCH_serve.json trajectory format (see bench.go).
+// X-Sched-Shard echo), and reports exact latency percentiles per
+// operation class.
 //
 // The harness runs real OS processes, not in-process handlers, so the
 // measurement includes everything a deployment pays for: TCP, JSON

@@ -68,25 +68,24 @@ func (c *WorkloadConfig) withDefaults() WorkloadConfig {
 	return out
 }
 
-// OpStats aggregates one operation class.
+// OpStats aggregates one operation class: its requests, how many of
+// them failed, and exact latency percentiles in milliseconds (nearest
+// rank over every request).
 type OpStats struct {
-	Requests int     `json:"requests"`
-	Errors   int     `json:"errors"`
-	P50Ms    float64 `json:"p50_ms"`
-	P99Ms    float64 `json:"p99_ms"`
-	MaxMs    float64 `json:"max_ms"`
+	Requests int
+	Errors   int
+	P50Ms    float64
+	P99Ms    float64
 }
 
-// WorkloadResult is one drive's outcome.
+// WorkloadResult is one drive's outcome.  AchievedRPS counts requests,
+// not operations (see WorkloadConfig.RPS).
 type WorkloadResult struct {
-	Shards        int            `json:"shards"`
-	TargetRPS     int            `json:"target_rps"`
-	AchievedRPS   float64        `json:"achieved_rps"`
-	Elapsed       time.Duration  `json:"-"`
-	Solve         OpStats        `json:"solve"`
-	Session       OpStats        `json:"session"`
-	RoutingErrors int            `json:"routing_errors"`
-	ShardHits     map[string]int `json:"shard_hits"`
+	AchievedRPS   float64
+	Solve         OpStats
+	Session       OpStats
+	RoutingErrors int
+	ShardHits     map[string]int
 }
 
 // collector gathers per-request observations behind one lock.
@@ -149,13 +148,7 @@ func percentile(sorted []float64, q float64) float64 {
 
 func opStats(ms []float64, errs int) OpStats {
 	sort.Float64s(ms)
-	st := OpStats{Requests: len(ms), Errors: errs}
-	if len(ms) > 0 {
-		st.P50Ms = percentile(ms, 0.50)
-		st.P99Ms = percentile(ms, 0.99)
-		st.MaxMs = ms[len(ms)-1]
-	}
-	return st
+	return OpStats{Requests: len(ms), Errors: errs, P50Ms: percentile(ms, 0.50), P99Ms: percentile(ms, 0.99)}
 }
 
 // workloadInstance builds the i-th pool instance: small enough that a
@@ -170,9 +163,11 @@ func workloadInstance(i int) *sched.Instance {
 
 // RunWorkload drives the mixed workload against baseURL (normally the
 // lb) and verifies every response's X-Sched-Shard echo against the
-// harness's own ring over the shard ids — the zero-misroute proof the
-// acceptance criteria ask for.  Shards lists the deployed topology;
-// pass the cluster's.
+// harness's own ring over the shard ids, counting each mismatch as a
+// routing error.  Shards lists the deployed topology; pass the
+// cluster's.  It fails unless the drive completed at least one solve
+// and at least one session request, so a fleet that drops an operation
+// class cannot pass as a measured one.
 func RunWorkload(ctx context.Context, baseURL string, shards []lb.Shard, cfg WorkloadConfig) (*WorkloadResult, error) {
 	cfg = cfg.withDefaults()
 	ids := make([]string, len(shards))
@@ -239,23 +234,20 @@ func RunWorkload(ctx context.Context, baseURL string, shards []lb.Shard, cfg Wor
 	elapsed := time.Since(start)
 
 	res := &WorkloadResult{
-		Shards:        len(shards),
-		TargetRPS:     cfg.RPS,
-		Elapsed:       elapsed,
 		Solve:         opStats(col.solveMs, col.solveErrs),
 		Session:       opStats(col.sessionMs, col.sessionErrs),
 		RoutingErrors: len(col.routingErrors),
 		ShardHits:     col.shardHits,
 	}
-	total := res.Solve.Requests + res.Session.Requests
 	if sec := elapsed.Seconds(); sec > 0 {
-		res.AchievedRPS = float64(total) / sec
-	}
-	if total == 0 {
-		return res, fmt.Errorf("loadtest: workload issued no requests")
+		res.AchievedRPS = float64(res.Solve.Requests+res.Session.Requests) / sec
 	}
 	for _, desc := range col.routingErrors[:min(3, len(col.routingErrors))] {
 		fmt.Printf("loadtest: routing error: %s\n", desc)
+	}
+	solved, sessioned := res.Solve.Requests-res.Solve.Errors, res.Session.Requests-res.Session.Errors
+	if solved < 1 || sessioned < 1 {
+		return res, fmt.Errorf("loadtest: %d-shard workload completed %d solve and %d session requests, want at least one of each", len(shards), solved, sessioned)
 	}
 	return res, nil
 }

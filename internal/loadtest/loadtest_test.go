@@ -2,9 +2,14 @@ package loadtest
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"testing"
 	"time"
+
+	"setupsched/internal/lb"
 )
 
 // TestMain installs the child-mode hook: when StartCluster re-execs
@@ -50,19 +55,36 @@ func TestClusterWorkload(t *testing.T) {
 	if res.Solve.P50Ms <= 0 || res.Solve.P99Ms < res.Solve.P50Ms {
 		t.Errorf("implausible solve latencies: %+v", res.Solve)
 	}
+}
 
-	// The outcome must survive the report's own validator when paired
-	// with a second topology row (here: synthesize by re-using the same
-	// drive at a fake second count — the validator checks structure, the
-	// real pairing is exercised by cmd/schedload and CI).
-	run := NewServeRun(time.Second, 4)
-	run.AppendWorkload(res)
-	res.Shards = 1
-	run.AppendWorkload(res)
-	rep := &ServeReport{}
-	MergeServeRun(rep, run)
-	if err := ValidateServeReport(rep); err != nil {
-		t.Fatalf("report validation: %v", err)
+// TestRunWorkloadNeedsBothClasses pins that a drive fails unless it
+// completes at least one solve and one session request.  A one-shard
+// fake fleet answers every request; with its solve or its session
+// routes failing, RunWorkload must return an error, and with neither
+// failing it must not.
+func TestRunWorkloadNeedsBothClasses(t *testing.T) {
+	for _, failing := range []string{"", "/v1/solve", "/v1/sessions"} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("X-Sched-Shard", "s0")
+			switch {
+			case failing != "" && strings.HasPrefix(r.URL.Path, failing):
+				http.Error(w, `{"error":"unavailable"}`, http.StatusServiceUnavailable)
+			case r.URL.Path == "/v1/sessions":
+				w.Write([]byte(`{"session_id":"s0-1"}`))
+			default:
+				w.Write([]byte(`{}`))
+			}
+		}))
+		_, err := RunWorkload(context.Background(), srv.URL, []lb.Shard{{ID: "s0", URL: srv.URL}}, WorkloadConfig{
+			Duration: 300 * time.Millisecond, RPS: 200, Workers: 2,
+		})
+		srv.Close()
+		if failing == "" && err != nil {
+			t.Errorf("healthy fleet: %v", err)
+		}
+		if failing != "" && err == nil {
+			t.Errorf("fleet failing %s: RunWorkload returned no error", failing)
+		}
 	}
 }
 
@@ -107,55 +129,4 @@ func TestTraceReport(t *testing.T) {
 	}
 	t.Logf("trace report: joined=%d/%d maxSumErr=%.2f%% e2e p50=%.2fms",
 		rep.Joined, rep.Requests, rep.MaxSumErrPct, rep.E2E.P50Ms)
-}
-
-// TestValidateServeReport exercises the validator's rejections.
-func TestValidateServeReport(t *testing.T) {
-	mk := func() *ServeReport {
-		run := NewServeRun(time.Second, 4)
-		for _, shards := range []int{1, 3} {
-			for _, name := range []string{"solve", "session"} {
-				run.Results = append(run.Results, ServeResult{
-					Name: name, Shards: shards, TargetRPS: 50, AchievedRPS: 48,
-					Requests: 100, P50Ms: 1, P99Ms: 2, MaxMs: 3,
-				})
-			}
-		}
-		rep := &ServeReport{}
-		MergeServeRun(rep, run)
-		return rep
-	}
-	if err := ValidateServeReport(mk()); err != nil {
-		t.Fatalf("valid report rejected: %v", err)
-	}
-
-	rep := mk()
-	rep.Schema = "nope"
-	if err := ValidateServeReport(rep); err == nil {
-		t.Error("wrong schema accepted")
-	}
-
-	rep = mk()
-	rep.Runs[0].Results[0].RoutingErrors = 1
-	if err := ValidateServeReport(rep); err == nil {
-		t.Error("routing errors accepted")
-	}
-
-	rep = mk()
-	rep.Runs[0].Results = rep.Runs[0].Results[:2] // only the 1-shard rows
-	if err := ValidateServeReport(rep); err == nil {
-		t.Error("single-topology report accepted")
-	}
-
-	rep = mk()
-	rep.Runs = append(rep.Runs, rep.Runs[0])
-	if err := ValidateServeReport(rep); err == nil {
-		t.Error("duplicate environment accepted")
-	}
-
-	rep = mk()
-	rep.Runs[0].Results[0].P99Ms = 0.5 // below p50
-	if err := ValidateServeReport(rep); err == nil {
-		t.Error("inconsistent latencies accepted")
-	}
 }

@@ -59,8 +59,7 @@ func (s *Span) Child(name string) *Span {
 }
 
 // PhaseDurations extracts the prepare/search/build phase durations from
-// a recorded root span — the breakdown the slow-solve log and schedbench
-// phase columns report.
+// a recorded root span — the breakdown the slow-solve log reports.
 func PhaseDurations(root *Span) map[string]time.Duration {
 	out := map[string]time.Duration{}
 	if root == nil {

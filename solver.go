@@ -359,8 +359,8 @@ type Run struct {
 }
 
 // String renders the run's spec name, the row name the differential
-// harness, the quality and benchmark reports and schedbench's ratio table
-// print: "split", "pmtn" or "nonp", a slash, and "2approx", "eps" or
+// harness, the quality report and schedbench's ratio table print:
+// "split", "pmtn" or "nonp", a slash, and "2approx", "eps" or
 // "exact32".  Other algorithms render with Algorithm.String.  Both halves
 // of a Run's spec name parse back (ParseVariant, ParseAlgorithm) to the
 // Run for every Algorithm other than Auto.

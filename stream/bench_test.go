@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"setupsched"
@@ -9,19 +10,25 @@ import (
 	"setupsched/schedgen"
 )
 
-// benchInstance mirrors internal/benchjson.BenchCoreInstance: machine-rich,
-// setup-dominated and value-heavy, so every exact search genuinely pays
-// its Theta(log T) probes.  (Duplicated here because benchjson imports
-// stream — the session datapoints of BENCH_core.json — so this test
-// cannot import it back.)
+// benchInstance builds the setup-heavy shape of the session benchmarks:
+// machine-rich, setup-dominated and value-heavy, so every exact search
+// genuinely pays its Theta(log T) probes.  Setup and job magnitudes are
+// large (~2e9 resp. ~2e8): the searches' probe counts scale with log T,
+// the paper's O(n log(n + Delta)), so value-heavy instances are where
+// search cost, and therefore warm starts, genuinely matter.
 func benchInstance(n int) *sched.Instance {
 	classes := n / 8
 	if classes < 1 {
 		classes = 1
 	}
+	// Magnitudes are capped so m*N stays safely inside the instance
+	// limits at every size: N <= ~0.225*n*maxSetup for this shape and
+	// m ~ n/10, so maxSetup <= ~1.6e18/n^2 keeps m*N below half of
+	// sched.MaxMachineLoadProduct.
+	maxSetup := max(min(2_000_000_000, int64(1.6e18)/int64(n)/int64(n)), 500)
 	return schedgen.ExpensiveSetups(schedgen.Params{
 		M: int64(n/10 + 1), Classes: classes, JobsPer: 8,
-		MaxSetup: 2_000_000_000, MaxJob: 200_000_000, Seed: int64(n),
+		MaxSetup: maxSetup, MaxJob: max(maxSetup/10, 60), Seed: int64(n),
 	})
 }
 
@@ -34,52 +41,65 @@ func benchDelta(i int, jobs0 int) sched.Delta {
 	return sched.Delta{Op: sched.DeltaRemoveJob, Class: 0, Job: jobs0}
 }
 
+// benchResolve runs resolve as one sub-benchmark per variant and size,
+// named <variant>/n=<jobs>, at n = 1e4 and n = 1e5.
+func benchResolve(b *testing.B, resolve func(b *testing.B, in *sched.Instance, v sched.Variant)) {
+	for _, n := range []int{10_000, 100_000} {
+		in := benchInstance(n)
+		for _, v := range sched.Variants {
+			b.Run(fmt.Sprintf("%s/n=%d", v.Short(), n), func(b *testing.B) { resolve(b, in, v) })
+		}
+	}
+}
+
 // BenchmarkSession_WarmResolve measures the session's amortized cost per
-// change: one small delta plus a warm re-solve at n=1e4.  Compare with
+// change: one small delta plus a warm re-solve.  Compare with
 // BenchmarkSession_ColdResolve — the acceptance bar is warm >= 2x faster.
 func BenchmarkSession_WarmResolve(b *testing.B) {
-	in := benchInstance(10000)
-	jobs0 := len(in.Classes[0].Jobs)
-	s, err := NewSession(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := s.Solve(ctx, sched.NonPreemptive); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := s.Apply(ctx, benchDelta(i, jobs0)); err != nil {
+	benchResolve(b, func(b *testing.B, in *sched.Instance, v sched.Variant) {
+		jobs0 := len(in.Classes[0].Jobs)
+		s, err := NewSession(in)
+		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.Solve(ctx, sched.NonPreemptive); err != nil {
+		ctx := context.Background()
+		if _, err := s.Solve(ctx, v); err != nil {
 			b.Fatal(err)
 		}
-	}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.Apply(ctx, benchDelta(i, jobs0)); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := s.Solve(ctx, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSession_ColdResolve is the stateless baseline the session
 // amortizes: the same delta stream, but every change pays a fresh
 // NewSolver (O(n) preparation) and a cold search.
 func BenchmarkSession_ColdResolve(b *testing.B) {
-	in := benchInstance(10000)
-	jobs0 := len(in.Classes[0].Jobs)
-	work := in.Clone()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := benchDelta(i, jobs0).Apply(work); err != nil {
-			b.Fatal(err)
+	benchResolve(b, func(b *testing.B, in *sched.Instance, v sched.Variant) {
+		jobs0 := len(in.Classes[0].Jobs)
+		work := in.Clone()
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := benchDelta(i, jobs0).Apply(work); err != nil {
+				b.Fatal(err)
+			}
+			solver, err := setupsched.NewSolver(work)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := solver.Solve(ctx, v); err != nil {
+				b.Fatal(err)
+			}
 		}
-		solver, err := setupsched.NewSolver(work)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := solver.Solve(ctx, sched.NonPreemptive); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 // BenchmarkSession_CachedResolve measures the unchanged-instance fast
