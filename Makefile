@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test test-race vet bench bench-smoke perfbench-smoke fuzz-smoke stress-smoke stream-smoke metrics-smoke loadtest-smoke trace-smoke quality-smoke quality-json serve clean
+.PHONY: all build test test-race vet loc bench bench-smoke perfbench-smoke fuzz-smoke stress-smoke stream-smoke metrics-smoke loadtest-smoke trace-smoke quality-smoke quality-json serve clean
 
 all: vet build test
 
@@ -17,6 +17,15 @@ test-race:
 
 vet:
 	$(GO) vet ./...
+
+# Size of the program: non-blank lines of the non-test Go files outside
+# perfbench/ and perfbench's .bench_build/ cache, then the same count
+# without the lines that are only a // comment.
+loc:
+	@files=$$(find . \( -path ./perfbench -o -name .bench_build \) -prune -o -name '*.go' ! -name '*_test.go' -print); \
+	all=$$(cat $$files | grep -cv '^[[:space:]]*$$'); \
+	code=$$(cat $$files | grep -v '^[[:space:]]*$$' | grep -cv '^[[:space:]]*//'); \
+	echo "$$all non-blank lines, $$code without // comment lines"
 
 # Root benchmarks reproduce the paper's Table 1 / figure measurements;
 # ./serve benchmarks track the serving layer's hot path (cache hit vs

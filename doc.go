@@ -74,6 +74,11 @@
 // with WithObserver sees every probe live, and Result.Trace records the
 // full sequence after the fact.
 //
+// Instance, Schedule, Rat, Variant, Algorithm, Result and Probe are the
+// model types of package sched, re-exported here under the same names:
+// the one solve that a Solver and a stream.Session share lives below
+// this package and builds the Result itself.
+//
 // Errors are typed: ErrNilInstance, *ValidationError (bad instance),
 // *EpsilonRangeError (epsilon outside (0, 1)), ErrCanceled (context),
 // ErrProbeLimit (budget from WithProbeLimit exhausted).
@@ -128,16 +133,18 @@
 // warm: the exact searches are seeded with the previous certified
 // [reject, accept] bracket — the previous threshold probed first, the
 // delta-shifted bound second — so a stream of small edits re-certifies
-// in O(1)-ish probes per change.  The contract is bit-identity: at
-// every revision a session solve returns exactly what a fresh
-// NewSolver + Solve of the current instance returns (probe counts and
-// traces excepted — warm solves run fewer probes).  The eps-search
-// always re-solves cold, because its certified pair is a function of
-// the full bisection trajectory; warm solves that land on a documented
-// bounded-round fallback are discarded and re-run cold for the same
-// reason.  internal/diff replays generated drift traces through
-// sessions and fresh solvers side by side to enforce all of this
-// (tier-1, schedstress -drift, FuzzSessionDeltas).
+// in O(1)-ish probes per change.  Both a Solver and a Session solve
+// through the same internal dispatch, so a session Result is built the
+// same way and carries the same Trace, one entry per probe.  The
+// contract is bit-identity: at every revision a session solve returns
+// exactly what a fresh NewSolver + Solve of the current instance returns
+// (probe counts and traces excepted — warm solves run fewer probes).
+// The eps-search always re-solves cold, because its certified pair is a
+// function of the full bisection trajectory; warm solves that land on a
+// documented bounded-round fallback are discarded and re-run cold for
+// the same reason.  internal/diff replays generated drift traces
+// through sessions and fresh solvers side by side to enforce all of
+// this (tier-1, schedstress -drift, FuzzSessionDeltas).
 //
 // # Serving
 //

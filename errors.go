@@ -1,7 +1,6 @@
 package setupsched
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -15,7 +14,7 @@ var ErrNilInstance = errors.New("setupsched: nil instance")
 // was aborted by its context.  The returned error also unwraps to the
 // context's own error, so errors.Is(err, context.Canceled) and
 // errors.Is(err, context.DeadlineExceeded) keep working.
-var ErrCanceled = errors.New("setupsched: solve canceled")
+var ErrCanceled = core.ErrCanceled
 
 // ErrProbeLimit is returned when a search exhausts the probe budget set
 // with WithProbeLimit before converging.
@@ -74,27 +73,4 @@ type EpsilonRangeError struct {
 
 func (e *EpsilonRangeError) Error() string {
 	return fmt.Sprintf("setupsched: epsilon %g out of range (need 0 < eps < 1)", e.Epsilon)
-}
-
-// canceledError ties a context error to the ErrCanceled sentinel: it
-// matches ErrCanceled via Is and unwraps to the context's error.
-type canceledError struct {
-	cause error
-}
-
-func (e *canceledError) Error() string {
-	return "setupsched: solve canceled: " + e.cause.Error()
-}
-
-func (e *canceledError) Unwrap() error { return e.cause }
-
-func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
-
-// wrapSolveErr normalizes an error escaping a solve: context errors gain
-// the ErrCanceled identity, everything else passes through.
-func wrapSolveErr(err error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return &canceledError{cause: err}
-	}
-	return err
 }

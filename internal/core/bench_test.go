@@ -134,7 +134,7 @@ func BenchmarkSolveSplitJump(b *testing.B) { benchJump(b, (*Prep).SolveSplitJump
 func benchProbe(b *testing.B, solve func(*Prep, Ctl) (*Result, error), record, decision func(*Prep, sched.Rat) bool) {
 	p := coreColdPrep(20_000)
 	var obs orderObserver
-	if _, err := solve(p, Ctl{Obs: &obs}); err != nil {
+	if _, err := solve(p, Ctl{Obs: Observers{&obs}}); err != nil {
 		b.Fatal(err)
 	}
 	for _, bc := range []struct {

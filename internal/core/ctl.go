@@ -13,6 +13,36 @@ import (
 // budget before converging.
 var ErrProbeLimit = errors.New("probe limit reached")
 
+// ErrCanceled matches (via errors.Is) any error returned because a solve
+// was aborted by its context; WrapCanceled gives context errors this
+// identity.
+var ErrCanceled = errors.New("setupsched: solve canceled")
+
+// canceledError ties a context error to ErrCanceled: it matches
+// ErrCanceled via Is and unwraps to the context's error.
+type canceledError struct {
+	cause error
+}
+
+func (e *canceledError) Error() string {
+	return "setupsched: solve canceled: " + e.cause.Error()
+}
+
+func (e *canceledError) Unwrap() error { return e.cause }
+
+func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
+
+// WrapCanceled normalizes an error escaping a solve or a wait for one:
+// context errors gain the ErrCanceled identity while still matching
+// context.Canceled or context.DeadlineExceeded, everything else passes
+// through.
+func WrapCanceled(err error) error {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return &canceledError{cause: err}
+	}
+	return err
+}
+
 // Observer receives probe-level events from the dual-approximation
 // searches.
 //
@@ -29,6 +59,32 @@ type Observer interface {
 	ProbeFinished(T sched.Rat, accepted bool)
 	// SearchFinished fires once after a solve completes successfully.
 	SearchFinished(algorithm string, probes int)
+}
+
+// Observers fans every event out to each of its observers in order; an
+// empty list observes nothing.  It is the one fan-out of the module's
+// solve paths: Ctl.Obs, and the Solver's RefExact and DualTest events.
+type Observers []Observer
+
+// ProbeStarted forwards the event to each observer in order.
+func (os Observers) ProbeStarted(T sched.Rat) {
+	for _, o := range os {
+		o.ProbeStarted(T)
+	}
+}
+
+// ProbeFinished forwards the event to each observer in order.
+func (os Observers) ProbeFinished(T sched.Rat, accepted bool) {
+	for _, o := range os {
+		o.ProbeFinished(T, accepted)
+	}
+}
+
+// SearchFinished forwards the event to each observer in order.
+func (os Observers) SearchFinished(algorithm string, probes int) {
+	for _, o := range os {
+		o.SearchFinished(algorithm, probes)
+	}
 }
 
 // BracketSeed warm-starts a dual search from a previously certified
@@ -60,8 +116,9 @@ type BracketSeed struct {
 type Ctl struct {
 	// Ctx cancels the search between probes; nil means never cancel.
 	Ctx context.Context
-	// Obs receives probe events; nil means no observation.
-	Obs Observer
+	// Obs are notified of every probe event, in order; empty means no
+	// observation.
+	Obs Observers
 	// ProbeLimit aborts the search with ErrProbeLimit once this many
 	// probes have run; zero or negative means unlimited.
 	ProbeLimit int
@@ -82,6 +139,9 @@ type Ctl struct {
 	// aliases the scratch: each build ends by copying its slots into one
 	// exactly sized array.
 	Scratch *BuildScratch
+	// trace, set by Prep.Solve, collects one Probe per probe for
+	// Result.Trace.
+	trace *[]sched.Probe
 }
 
 // BuildScratch aggregates the builders' and dual tests' reusable working

@@ -127,7 +127,7 @@ func TestSerialObserverOrdering(t *testing.T) {
 					for name, run := range allSearches(v) {
 						tag := fmt.Sprintf("%s/regime %d/seed %d/%s/%v", fam.Name, ri, seed, name, v)
 						obs := &orderObserver{}
-						res, err := run(prep, Ctl{Obs: obs})
+						res, err := run(prep, Ctl{Obs: Observers{obs}})
 						if err != nil {
 							t.Fatalf("%s: %v", tag, err)
 						}
@@ -168,7 +168,7 @@ func TestNarrowOnKeysRoundsNeverReprobe(t *testing.T) {
 		threshold := sched.RatOf(a, 3)
 		test := func(T sched.Rat) bool { return !T.Less(threshold) }
 		obs := &orderObserver{}
-		br := &bracket{lo: sched.R(0), hi: sched.R(3), ctl: Ctl{Obs: obs}}
+		br := &bracket{lo: sched.R(0), hi: sched.R(3), ctl: Ctl{Obs: Observers{obs}}}
 		br.narrowOnKeys(test, keys, 3)
 		first := len(obs.started)
 		br.narrowOnKeys(test, keys, 3)

@@ -93,17 +93,13 @@ func TestPooledScratchKeepsResults(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				rrs, err := sess.SolveAll(ctx, nil)
-				if err != nil {
-					t.Errorf("%s: %v", d, err)
-					return
-				}
-				for _, rr := range rrs {
-					if rr.Err != nil {
-						t.Errorf("%s %s: %v", d, rr.Run, rr.Err)
+				for _, run := range setupsched.PaperRuns() {
+					res, err := sess.Solve(ctx, run.Variant, stream.WithAlgorithm(run.Algorithm))
+					if err != nil {
+						t.Errorf("%s %s: %v", d, run, err)
 						return
 					}
-					keep("session", in, rr.Run, rr.Result.Result)
+					keep("session", in, run, res.Result)
 				}
 			}
 		}()
@@ -128,18 +124,5 @@ func TestPooledScratchKeepsResults(t *testing.T) {
 // freshSolve runs one of the paper's runs on p serially, on a scratch of
 // its own.
 func freshSolve(p *Prep, run setupsched.Run) (*Result, error) {
-	ctl := Ctl{Scratch: new(BuildScratch)}
-	switch {
-	case run.Algorithm == setupsched.TwoApprox && run.Variant == sched.Splittable:
-		return p.SolveSplit2(ctl)
-	case run.Algorithm == setupsched.TwoApprox:
-		return p.SolveNonp2(ctl, run.Variant)
-	case run.Algorithm == setupsched.EpsilonSearch:
-		return p.SolveEps(ctl, run.Variant, setupsched.DefaultEpsilon)
-	case run.Variant == sched.Splittable:
-		return p.SolveSplitJump(ctl)
-	case run.Variant == sched.Preemptive:
-		return p.SolvePmtnJump(ctl)
-	}
-	return p.SolveNonpSearch(ctl)
+	return p.Solve(Ctl{Scratch: new(BuildScratch)}, run.Variant, run.Algorithm, setupsched.DefaultEpsilon)
 }

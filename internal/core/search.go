@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -40,12 +41,81 @@ type Result struct {
 	// SeedUsed reports that a Ctl.Seed guess was validated by its probe
 	// and narrowed the bracket (a warm hit).
 	SeedUsed bool
+	// Trace holds one entry per probe, in execution order, for a result
+	// of Prep.Solve; the searches leave it nil.
+	Trace []sched.Probe
 }
 
-// Ratio returns makespan/lowerBound as a float, an upper bound on the
+// Solve runs algorithm a for variant v on p.  It is the one solve every
+// path of the module shares: setupsched.Solver (all but RefExact) and
+// stream.Session call it.  It dispatches to the searches of the paper's
+// Table 1 (eps configures EpsilonSearch only), records the probe trace
+// into Result.Trace, and ends with one SearchFinished to ctl.Obs.  A
+// seeded search that lands on a bounded-round fallback, whose certified
+// bound depends on the search's trajectory, is discarded and re-run
+// cold, so a warm answer matches a cold one exactly; the observers see
+// both runs' probes, and Probes and Trace describe the cold one.
+// Context errors gain the ErrCanceled identity.
+func (p *Prep) Solve(ctl Ctl, v sched.Variant, a sched.Algorithm, eps float64) (*Result, error) {
+	var trace []sched.Probe
+	ctl.trace = &trace
+	r, err := p.search(ctl, v, a, eps)
+	if err == nil && r.Fallback && ctl.Seed != nil {
+		trace, ctl.Seed = trace[:0], nil
+		r, err = p.search(ctl, v, a, eps)
+	}
+	if err != nil {
+		return nil, WrapCanceled(err)
+	}
+	r.Trace = trace
+	ctl.Obs.SearchFinished(r.Algorithm, r.Probes)
+	return r, nil
+}
+
+// search dispatches one run of Solve.
+func (p *Prep) search(ctl Ctl, v sched.Variant, a sched.Algorithm, eps float64) (*Result, error) {
+	switch a {
+	case sched.TwoApprox:
+		if v == sched.Splittable {
+			return p.SolveSplit2(ctl)
+		}
+		return p.SolveNonp2(ctl, v)
+	case sched.EpsilonSearch:
+		return p.SolveEps(ctl, v, eps)
+	case sched.Auto, sched.Exact32:
+		switch v {
+		case sched.Splittable:
+			return p.SolveSplitJump(ctl)
+		case sched.Preemptive:
+			return p.SolvePmtnJump(ctl)
+		default:
+			return p.SolveNonpSearch(ctl)
+		}
+	}
+	return nil, fmt.Errorf("core: algorithm %v has no dual search", a)
+}
+
+// Public converts r into the module's public result, the one place a
+// core result becomes a sched.Result.  The makespan is the one the
+// builder emitted; setupsched.Verify recomputes it from the slots.
+func (r *Result) Public() *sched.Result {
+	return &sched.Result{
+		Schedule:   r.Schedule,
+		Makespan:   r.Makespan,
+		Guess:      r.T,
+		LowerBound: r.LowerBound,
+		Ratio:      ratio(r.Makespan, r.LowerBound),
+		Algorithm:  r.Algorithm,
+		Probes:     r.Probes,
+		Fallback:   r.Fallback,
+		Trace:      r.Trace,
+	}
+}
+
+// ratio returns makespan/lowerBound as a float, an upper bound on the
 // realized approximation ratio of a result with that makespan and
 // certified lower bound.
-func Ratio(makespan, lowerBound sched.Rat) float64 {
+func ratio(makespan, lowerBound sched.Rat) float64 {
 	lb := lowerBound.Float64()
 	if lb <= 0 {
 		return math.Inf(1)
@@ -150,17 +220,16 @@ func (br *bracket) begin(T sched.Rat) bool {
 		return false
 	}
 	br.probes++
-	if br.ctl.Obs != nil {
-		br.ctl.Obs.ProbeStarted(T)
-	}
+	br.ctl.Obs.ProbeStarted(T)
 	return true
 }
 
-// end performs the post-probe observer notification.
+// end records the probe in the trace and notifies the observers.
 func (br *bracket) end(T sched.Rat, accepted bool) {
-	if br.ctl.Obs != nil {
-		br.ctl.Obs.ProbeFinished(T, accepted)
+	if br.ctl.trace != nil {
+		*br.ctl.trace = append(*br.ctl.trace, sched.Probe{T: T, Accepted: accepted})
 	}
+	br.ctl.Obs.ProbeFinished(T, accepted)
 }
 
 // checkpoint reports any pending abort condition (set error, canceled

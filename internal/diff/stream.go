@@ -126,13 +126,18 @@ func checkSolvePoint(ctx context.Context, sess *stream.Session, mirror *sched.In
 // want, a fresh NewSolver solve of the same instance in; nil when they
 // agree.  The whole setupsched.Result is compared, schedule included,
 // except Probes and Trace: a warm start runs fewer probes, and that is
-// the feature.  got must also pass setupsched.Verify.  When either side
-// lands on a documented bounded-round fallback the certified bound is
+// the feature.  Each side must still carry one trace entry per probe.
+// got must also pass setupsched.Verify.  When either side lands on a
+// documented bounded-round fallback the certified bound is
 // trajectory-dependent, so only got's soundness is checked — the same
 // carve-out the guarantee checks apply.
 func CheckSessionResult(in *sched.Instance, v sched.Variant, got, want *setupsched.Result) error {
 	if err := setupsched.Verify(in, v, got); err != nil {
 		return fmt.Errorf("failed Verify: %w", err)
+	}
+	if len(got.Trace) != got.Probes || len(want.Trace) != want.Probes {
+		return fmt.Errorf("trace is not one entry per probe: session %d entries for %d probes, fresh %d for %d",
+			len(got.Trace), got.Probes, len(want.Trace), want.Probes)
 	}
 	if got.Fallback || want.Fallback {
 		return nil

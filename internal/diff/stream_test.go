@@ -101,8 +101,8 @@ func TestRunDriftSweep(t *testing.T) {
 }
 
 // TestCheckSessionResult pins what the identity check compares: every
-// field of the result but Probes and Trace, and for fallback results
-// soundness only.
+// field of the result but Probes and Trace, a trace as long as Probes,
+// and for fallback results soundness only.
 func TestCheckSessionResult(t *testing.T) {
 	in := schedgen.Uniform(schedgen.Params{M: 3, Classes: 5, JobsPer: 3, MaxSetup: 20, MaxJob: 30, Seed: 1})
 	solver, err := setupsched.NewSolver(in)
@@ -123,6 +123,7 @@ func TestCheckSessionResult(t *testing.T) {
 	}
 	check("identical", func(*setupsched.Result) {}, true)
 	check("fewer probes", func(r *setupsched.Result) { r.Probes, r.Trace = 0, nil }, true)
+	check("no trace", func(r *setupsched.Result) { r.Trace = nil }, false)
 	check("ratio", func(r *setupsched.Result) { r.Ratio = 0 }, false)
 	check("algorithm", func(r *setupsched.Result) { r.Algorithm = "other" }, false)
 	check("schedule", func(r *setupsched.Result) {

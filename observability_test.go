@@ -30,7 +30,7 @@ func allocInstance() *setupsched.Solver {
 // (the shared obs.ProbeCounter a server hangs on every solve) must not
 // allocate more than a bare solve.  The option slice is built once, as
 // the server does, so the per-solve cost is pure observer fan-out —
-// which the solveConfig's inline buffers keep allocation-free.
+// which the solveConfig's inline observer buffer keeps allocation-free.
 //
 // Both measured solves draw one pinned scratch from a pool whose New
 // hands it out: race builds drop a random quarter of sync.Pool Puts, and

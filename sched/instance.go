@@ -1,7 +1,8 @@
 // Package sched defines the problem model for scheduling with batch setup
 // times: instances (machines, job classes, setup times), schedules with
-// exact rational time stamps, per-variant feasibility validation, and the
-// exact rational arithmetic they are built on.
+// exact rational time stamps, per-variant feasibility validation, the
+// exact rational arithmetic they are built on, and the outcome of a solve
+// (Algorithm, Result, Probe).
 //
 // The model follows Deppert & Jansen, "Near-Linear Approximation Algorithms
 // for Scheduling Problems with Batch Setup Times" (SPAA 2019): n jobs are

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +166,55 @@ func TestSessionLifecycle(t *testing.T) {
 	var gone SolveResponse
 	if code := postSessionJSON(t, client, base+"/solve", &SolveRequest{Variant: "nonp"}, &gone); code != http.StatusNotFound {
 		t.Fatalf("solve after delete: status %d", code)
+	}
+}
+
+// TestSessionSolveTraceAndNoCache drives two session solve options end
+// to end.  include_trace answers one trace entry per probe on fresh,
+// cached and warm solves alike.  no_cache, sent after a solve the
+// session cached, runs the search again, cold, to the same answer.
+func TestSessionSolveTraceAndNoCache(t *testing.T) {
+	srv := httptest.NewServer(New(Config{}))
+	defer srv.Close()
+	client := srv.Client()
+	var info SessionInfo
+	if code := postSessionJSON(t, client, srv.URL+"/v1/sessions", &SessionCreateRequest{Instance: sessionTestInstance(2)}, &info); code != http.StatusCreated {
+		t.Fatalf("create: status %d (%s)", code, info.Error)
+	}
+	base := srv.URL + "/v1/sessions/" + info.SessionID
+	solve := func(tag string, req *SolveRequest) SolveResponse {
+		t.Helper()
+		var r SolveResponse
+		if code := postSessionJSON(t, client, base+"/solve", req, &r); code != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", tag, code, r.Error)
+		}
+		if req.IncludeTrace && (r.Probes == 0 || len(r.Trace) != r.Probes) {
+			t.Fatalf("%s (cached=%v warm=%v): %d trace entries for %d probes",
+				tag, r.Cached, r.Warm, len(r.Trace), r.Probes)
+		}
+		return r
+	}
+	traced := &SolveRequest{Variant: "nonp", IncludeTrace: true, IncludeSchedule: true}
+
+	cold := solve("cold", traced)
+	if cached := solve("cached", traced); !cached.Cached {
+		t.Fatal("second solve was not cached")
+	}
+	nc := solve("no_cache", &SolveRequest{Variant: "nonp", IncludeSchedule: true, NoCache: true})
+	if nc.Cached || nc.Warm {
+		t.Fatalf("no_cache solve: cached=%v warm=%v", nc.Cached, nc.Warm)
+	}
+	if nc.Makespan != cold.Makespan || !reflect.DeepEqual(nc.Schedule, cold.Schedule) {
+		t.Fatalf("no_cache solve (mk=%s) differs from the cold solve (mk=%s)", nc.Makespan, cold.Makespan)
+	}
+
+	if code := postSessionJSON(t, client, base+"/delta", &SessionDeltaRequest{Deltas: []sched.Delta{
+		{Op: sched.DeltaAddJobs, Class: 0, Jobs: []int64{9, 4}},
+	}}, nil); code != http.StatusOK {
+		t.Fatalf("delta: status %d", code)
+	}
+	if warm := solve("warm", traced); !warm.Warm {
+		t.Fatal("post-delta solve did not warm-start")
 	}
 }
 

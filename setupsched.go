@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"setupsched/internal/core"
 	"setupsched/sched"
 )
 
@@ -24,6 +23,12 @@ type (
 	Rat = sched.Rat
 	// Variant selects the problem flavor.
 	Variant = sched.Variant
+	// Algorithm selects the approximation algorithm used by Solver.Solve.
+	Algorithm = sched.Algorithm
+	// Result is the outcome of a solve.
+	Result = sched.Result
+	// Probe records one dual-test evaluation of a search (see Result.Trace).
+	Probe = sched.Probe
 )
 
 // Problem variants.
@@ -33,88 +38,14 @@ const (
 	NonPreemptive = sched.NonPreemptive
 )
 
-// Algorithm selects the approximation algorithm used by Solver.Solve.
-type Algorithm int
-
+// Algorithms; see sched.Algorithm for their documentation.
 const (
-	// Auto picks the strongest guarantee: the exact 3/2-approximation.
-	Auto Algorithm = iota
-	// TwoApprox is the linear-time 2-approximation (Theorem 1).
-	TwoApprox
-	// EpsilonSearch is the (3/2+eps)-approximation (Theorem 2).
-	EpsilonSearch
-	// Exact32 is the exact 3/2-approximation (Theorems 3, 6 and 8).
-	Exact32
-	// RefExact is the exact reference backend: a branch-and-bound over
-	// the threshold/batch structure that computes the true optimum (ratio
-	// exactly 1) for the non-preemptive variant, bounded by a node budget
-	// (WithNodeBudget).  It exists to measure the approximation quality of
-	// the paper's algorithms, not to replace them: budget exhaustion is a
-	// normal outcome on adversarial instances and surfaces as an
-	// *ExactBudgetError carrying a certified bracket on OPT.
-	RefExact
+	Auto          = sched.Auto
+	TwoApprox     = sched.TwoApprox
+	EpsilonSearch = sched.EpsilonSearch
+	Exact32       = sched.Exact32
+	RefExact      = sched.RefExact
 )
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Auto:
-		return "auto"
-	case TwoApprox:
-		return "2-approximation"
-	case EpsilonSearch:
-		return "(3/2+eps)-approximation"
-	case Exact32:
-		return "3/2-approximation"
-	case RefExact:
-		return "refexact"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
-// Result is the outcome of a solve.
-type Result struct {
-	// Schedule is the feasible schedule found.
-	Schedule *Schedule
-	// Makespan is the schedule's makespan.
-	Makespan Rat
-	// Guess is the accepted dual makespan guess T; the approximation
-	// guarantee bounds Makespan by 3/2*Guess (2*Guess for TwoApprox).
-	Guess Rat
-	// LowerBound is a certified lower bound on the optimal makespan.
-	LowerBound Rat
-	// Ratio is Makespan/LowerBound, an upper bound on the realized
-	// approximation ratio (reported as float for convenience).
-	Ratio float64
-	// Algorithm names the algorithm that produced the schedule.
-	Algorithm string
-	// Probes is the number of dual-test evaluations performed.
-	Probes int
-	// Fallback marks results from a search's documented bounded-round
-	// conservative path: the schedule is still feasible and within 3/2 of
-	// the accepted guess, but the certified LowerBound is conservative,
-	// so Ratio may exceed the algorithm's usual guarantee.
-	Fallback bool
-	// Trace records the dual-test evaluations of the search in execution
-	// order, one entry per probe, so len(Trace) == Probes.  Nil for
-	// results that predate the Solver API (e.g. deserialized ones).
-	Trace []Probe
-}
-
-// finish converts a core result.  The makespan is the one the builder
-// emitted; Verify recomputes it from the slots.
-func finish(r *core.Result) *Result {
-	return &Result{
-		Schedule:   r.Schedule,
-		Makespan:   r.Makespan,
-		Guess:      r.T,
-		LowerBound: r.LowerBound,
-		Ratio:      core.Ratio(r.Makespan, r.LowerBound),
-		Algorithm:  r.Algorithm,
-		Probes:     r.Probes,
-		Fallback:   r.Fallback,
-	}
-}
 
 // maxDualDen bounds the denominator of user-supplied dual guesses so the
 // internal exact arithmetic cannot overflow.

@@ -18,7 +18,8 @@ const DefaultEpsilon = 1e-4
 // Observer receives probe-level events from a running solve.  The dual
 // approximation searches are sequences of probe evaluations at makespan
 // guesses T; an Observer sees each one as it happens, which powers live
-// metrics, progress reporting and Result.Trace.
+// metrics and progress reporting (Result.Trace records the same sequence
+// after the fact).
 //
 // A single solve emits events sequentially from its own goroutine, but an
 // Observer shared between concurrent solves (for example one Solver used
@@ -31,15 +32,6 @@ type Observer interface {
 	// SearchFinished fires once after a successful solve with the
 	// algorithm's name and its total probe count.
 	SearchFinished(algorithm string, probes int)
-}
-
-// Probe records one dual-test evaluation of a search (see Result.Trace).
-type Probe struct {
-	// T is the makespan guess that was tested.
-	T Rat
-	// Accepted reports the dual test's decision: true means a schedule
-	// with makespan at most 3/2*T exists, false certifies T < OPT.
-	Accepted bool
 }
 
 // Solver solves one instance repeatedly without redoing the per-instance
@@ -78,22 +70,20 @@ type Option func(*solveConfig) error
 
 // solveConfig is the resolved option set of one call.
 //
-// The two inline arrays keep observer wiring allocation-neutral: the
-// observers slice appends into obsBuf and solveRun fans out through
-// fanBuf, so attaching up to three observers adds zero heap allocations
-// beyond the config itself — a solve with live metrics costs exactly as
-// many allocations as a bare one (asserted by a regression test).
+// The observers slice appends into the inline obsBuf, so attaching up to
+// three observers adds zero heap allocations beyond the config itself —
+// a solve with live metrics costs exactly as many allocations as a bare
+// one (asserted by a regression test).
 type solveConfig struct {
 	algorithm   Algorithm
 	epsilon     float64
-	observers   []Observer
+	observers   core.Observers
 	probeLimit  int
 	parallelism int
 	nodeBudget  int64
 	runs        []Run
 
-	obsBuf [3]Observer // backing array for observers
-	fanBuf [4]Observer // backing array for solveRun's fan-out (trace + obsBuf)
+	obsBuf [3]core.Observer // backing array for observers
 }
 
 // WithAlgorithm selects the approximation algorithm (default Auto, the
@@ -220,39 +210,6 @@ func resolveOptions(opts []Option) (*solveConfig, error) {
 	return cfg, nil
 }
 
-// traceObserver collects the probe sequence for Result.Trace, one entry
-// per probe in execution order.
-type traceObserver struct {
-	trace []Probe
-}
-
-func (t *traceObserver) ProbeStarted(Rat) {}
-func (t *traceObserver) ProbeFinished(T Rat, accepted bool) {
-	t.trace = append(t.trace, Probe{T: T, Accepted: accepted})
-}
-func (t *traceObserver) SearchFinished(string, int) {}
-
-// multiObserver fans events out to several observers in order.
-type multiObserver []Observer
-
-func (m multiObserver) ProbeStarted(T Rat) {
-	for _, o := range m {
-		o.ProbeStarted(T)
-	}
-}
-
-func (m multiObserver) ProbeFinished(T Rat, accepted bool) {
-	for _, o := range m {
-		o.ProbeFinished(T, accepted)
-	}
-}
-
-func (m multiObserver) SearchFinished(algorithm string, probes int) {
-	for _, o := range m {
-		o.SearchFinished(algorithm, probes)
-	}
-}
-
 // Solve computes an approximate schedule for the Solver's instance under
 // the given variant.  The context cancels the search between probes: a
 // canceled or expired ctx aborts promptly with an error matching both
@@ -266,57 +223,26 @@ func (s *Solver) Solve(ctx context.Context, v Variant, opts ...Option) (*Result,
 	if cfg.runs != nil || cfg.parallelism != 1 {
 		return nil, errors.New("setupsched: WithRuns and WithParallelism only apply to SolveAll")
 	}
-	return s.solveRun(ctx, v, cfg.algorithm, cfg, cfg.fanBuf[:0])
+	return s.solveRun(ctx, v, cfg.algorithm, cfg)
 }
 
 // solveRun executes one (variant, algorithm) solve under the resolved
-// configuration.  fan is the backing storage for the observer fan-out:
-// Solve passes the config's inline buffer (zero extra allocations);
-// SolveAll passes nil because its concurrent runs must not share one
-// buffer.
-func (s *Solver) solveRun(ctx context.Context, v Variant, algorithm Algorithm, cfg *solveConfig, fan []Observer) (*Result, error) {
-	tr := &traceObserver{}
-	fan = append(fan, tr)
-	fan = append(fan, cfg.observers...)
-	obs := multiObserver(fan)
+// configuration: RefExact here, every other algorithm through the
+// shared preparation's one solve, core.Prep.Solve.
+func (s *Solver) solveRun(ctx context.Context, v Variant, algorithm Algorithm, cfg *solveConfig) (*Result, error) {
 	if algorithm == RefExact {
 		res, err := s.solveExact(ctx, v, cfg)
 		if err != nil {
 			return nil, err
 		}
-		obs.SearchFinished(res.Algorithm, res.Probes)
+		cfg.observers.SearchFinished(res.Algorithm, res.Probes)
 		return res, nil
 	}
-	ctl := core.Ctl{Ctx: ctx, Obs: obs, ProbeLimit: cfg.probeLimit}
-
-	var r *core.Result
-	var err error
-	switch algorithm {
-	case TwoApprox:
-		if v == Splittable {
-			r, err = s.prep.SolveSplit2(ctl)
-		} else {
-			r, err = s.prep.SolveNonp2(ctl, v)
-		}
-	case EpsilonSearch:
-		r, err = s.prep.SolveEps(ctl, v, cfg.epsilon)
-	default: // Auto, Exact32
-		switch v {
-		case Splittable:
-			r, err = s.prep.SolveSplitJump(ctl)
-		case Preemptive:
-			r, err = s.prep.SolvePmtnJump(ctl)
-		default:
-			r, err = s.prep.SolveNonpSearch(ctl)
-		}
-	}
+	r, err := s.prep.Solve(core.Ctl{Ctx: ctx, Obs: cfg.observers, ProbeLimit: cfg.probeLimit}, v, algorithm, cfg.epsilon)
 	if err != nil {
-		return nil, wrapSolveErr(err)
+		return nil, err
 	}
-	res := finish(r)
-	res.Trace = tr.trace
-	obs.SearchFinished(res.Algorithm, res.Probes)
-	return res, nil
+	return r.Public(), nil
 }
 
 // solveExact runs the RefExact branch-and-bound reference backend.  It
@@ -338,7 +264,7 @@ func (s *Solver) solveExact(ctx context.Context, v Variant, cfg *solveConfig) (*
 		if errors.As(err, &be) {
 			return nil, &ExactBudgetError{Budget: be.Budget, Nodes: be.Nodes, Lo: be.Lo, Hi: be.Hi}
 		}
-		return nil, wrapSolveErr(err)
+		return nil, core.WrapCanceled(err)
 	}
 	opt := sched.R(res.Opt)
 	return &Result{
@@ -506,7 +432,7 @@ func (s *Solver) SolveAll(ctx context.Context, opts ...Option) ([]RunResult, err
 			defer wg.Done()
 			for i := range next {
 				r := runs[i]
-				res, err := s.solveRun(ctx, r.Variant, r.Algorithm, cfg, nil)
+				res, err := s.solveRun(ctx, r.Variant, r.Algorithm, cfg)
 				out[i] = RunResult{Run: r, Result: res, Err: err}
 			}
 		}()
@@ -543,13 +469,12 @@ func (s *Solver) DualTest(ctx context.Context, v Variant, T Rat, opts ...Option)
 	}
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
-			return false, nil, wrapSolveErr(err)
+			return false, nil, core.WrapCanceled(err)
 		}
 	}
-	obs := multiObserver(cfg.observers)
-	obs.ProbeStarted(T)
+	cfg.observers.ProbeStarted(T)
 	accepted, sc, err = s.dualTest(v, T)
-	obs.ProbeFinished(T, accepted)
+	cfg.observers.ProbeFinished(T, accepted)
 	return accepted, sc, err
 }
 

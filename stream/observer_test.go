@@ -62,7 +62,7 @@ func TestSessionObserverSeesSolvesNotCacheHits(t *testing.T) {
 
 	// After a delta the solve executes (warm or cold) and the observer
 	// sees exactly the probes it ran.
-	if err := s.AddJobs(0, 17); err != nil {
+	if err := s.Apply(ctx, sched.Delta{Op: sched.DeltaAddJobs, Class: 0, Jobs: []int64{17}}); err != nil {
 		t.Fatal(err)
 	}
 	obs = countingObserver{}

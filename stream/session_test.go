@@ -73,11 +73,12 @@ func TestSessionColdCachedWarm(t *testing.T) {
 
 	// A small delta: the re-solve must warm-start yet stay bit-identical
 	// to a fresh cold solve of the new instance.
-	if err := s.AddJobs(0, 7, 3); err != nil {
+	d := sched.Delta{Op: sched.DeltaAddJobs, Class: 0, Jobs: []int64{7, 3}}
+	if err := s.Apply(ctx, d); err != nil {
 		t.Fatal(err)
 	}
 	mirror := in.Clone()
-	if _, err := (sched.Delta{Op: sched.DeltaAddJobs, Class: 0, Jobs: []int64{7, 3}}).Apply(mirror); err != nil {
+	if _, err := d.Apply(mirror); err != nil {
 		t.Fatal(err)
 	}
 	r3, err := s.Solve(ctx, sched.NonPreemptive)
@@ -143,36 +144,62 @@ func TestSessionIdentityAcrossAlgorithms(t *testing.T) {
 	}
 }
 
+// TestSessionSolveAll solves every paper run on one session twice: the
+// second pass is at the same revision, so every answer must come from
+// the session cache.
 func TestSessionSolveAll(t *testing.T) {
 	ctx := context.Background()
 	s, err := NewSession(testInstance(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rrs, err := s.SolveAll(ctx, nil)
+	for pass := 0; pass < 2; pass++ {
+		for _, run := range setupsched.PaperRuns() {
+			r, err := s.Solve(ctx, run.Variant, WithAlgorithm(run.Algorithm))
+			if err != nil {
+				t.Fatalf("pass %d %s: %v", pass, run, err)
+			}
+			if r.Cached != (pass == 1) {
+				t.Fatalf("pass %d %s: cached=%v", pass, run, r.Cached)
+			}
+		}
+	}
+}
+
+// TestSessionTraceMatchesProbes pins the trace contract on every session
+// answer, as on a Solver's: fresh, cached and warm results of every
+// paper run carry one trace entry per probe.
+func TestSessionTraceMatchesProbes(t *testing.T) {
+	ctx := context.Background()
+	s, err := NewSession(testInstance(14))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rrs) != 9 {
-		t.Fatalf("SolveAll returned %d runs, want 9", len(rrs))
-	}
-	for _, rr := range rrs {
-		if rr.Err != nil {
-			t.Fatalf("%s: %v", rr.Run, rr.Err)
+	warm := 0
+	check := func(tag string) {
+		t.Helper()
+		for _, run := range setupsched.PaperRuns() {
+			r, err := s.Solve(ctx, run.Variant, WithAlgorithm(run.Algorithm))
+			if err != nil {
+				t.Fatalf("%s %s: %v", tag, run, err)
+			}
+			if len(r.Trace) != r.Probes {
+				t.Fatalf("%s %s (cached=%v warm=%v): %d trace entries for %d probes",
+					tag, run, r.Cached, r.Warm, len(r.Trace), r.Probes)
+			}
+			if r.Warm {
+				warm++
+			}
 		}
 	}
-	// Same revision: everything must now be cached.
-	rrs2, err := s.SolveAll(ctx, nil)
-	if err != nil {
+	check("fresh")
+	check("cached")
+	if err := s.Apply(ctx, sched.Delta{Op: sched.DeltaAddJobs, Class: 0, Jobs: []int64{17}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, rr := range rrs2 {
-		if !rr.Result.Cached {
-			t.Fatalf("%s: second SolveAll not cached", rr.Run)
-		}
-	}
-	if _, err := s.SolveAll(ctx, nil, WithAlgorithm(setupsched.Exact32)); err == nil {
-		t.Fatal("SolveAll accepted WithAlgorithm")
+	check("after delta")
+	if warm == 0 {
+		t.Fatal("no solve after the delta warm-started")
 	}
 }
 
@@ -295,7 +322,7 @@ func TestSessionMachineScalingDropsSeeds(t *testing.T) {
 	if _, err := s.Solve(ctx, sched.Splittable); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetMachines(in.M * 2); err != nil {
+	if err := s.Apply(ctx, sched.Delta{Op: sched.DeltaSetMachines, M: in.M * 2}); err != nil {
 		t.Fatal(err)
 	}
 	mirror := in.Clone()
@@ -309,10 +336,11 @@ func TestSessionMachineScalingDropsSeeds(t *testing.T) {
 	}
 	assertSame(t, "scaled", r, freshResult(t, mirror, sched.Splittable))
 	// The next edit re-establishes seeds at the new machine count.
-	if err := s.AddJobs(0, 5); err != nil {
+	d := sched.Delta{Op: sched.DeltaAddJobs, Class: 0, Jobs: []int64{5}}
+	if err := s.Apply(ctx, d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (sched.Delta{Op: sched.DeltaAddJobs, Class: 0, Jobs: []int64{5}}).Apply(mirror); err != nil {
+	if _, err := d.Apply(mirror); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := s.Solve(ctx, sched.Splittable)
@@ -335,11 +363,11 @@ func TestSessionRejectsInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rev := s.Rev()
-	if err := s.AddJobs(999, 1); err == nil {
+	rev := s.Stats().Rev
+	if err := s.Apply(context.Background(), sched.Delta{Op: sched.DeltaAddJobs, Class: 999, Jobs: []int64{1}}); err == nil {
 		t.Fatal("out-of-range delta accepted")
 	}
-	if s.Rev() != rev {
+	if s.Stats().Rev != rev {
 		t.Fatal("rejected delta bumped the revision")
 	}
 	if _, err := s.Solve(context.Background(), sched.NonPreemptive, WithEpsilon(2)); err == nil {

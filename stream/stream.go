@@ -10,7 +10,7 @@
 // job churn, setup drift, class add/remove, machine scaling) are applied
 // through the session, which patches the per-instance preparation
 // (internal/core's incremental Prep maintenance) instead of re-running
-// the O(n) cold pass.  Solve and SolveAll then reuse two levels of state:
+// the O(n) cold pass.  Solve then reuses two levels of state:
 //
 //   - unchanged instance: the previous Result is returned outright
 //     (Result.Cached);
@@ -36,12 +36,15 @@
 //     re-run cold.
 //
 // Probe counts and traces are NOT part of the contract — a warm solve
-// runs fewer probes; that is the point.  The eps-search's certified pair
-// is a function of its full bisection trajectory, so it never warm-starts
-// (only the unchanged-instance cache applies); the 2-approximations run
-// no search and are simply recomputed.  internal/diff enforces the
-// contract differentially over the schedgen catalog and drift traces, the
-// same way PR 4 enforced serial/parallel identity.
+// runs fewer probes; that is the point.  Every result still carries one
+// Trace entry per probe its search ran, as a Solver's does: a session
+// solve runs setupsched.Solver's own solve, core.Prep.Solve, on the
+// maintained preparation.  The eps-search's certified pair is a function
+// of its full bisection trajectory, so it never warm-starts (only the
+// unchanged-instance cache applies); the 2-approximations run no search
+// and are simply recomputed.  internal/diff enforces the contract
+// differentially over the schedgen catalog and drift traces, as it does
+// serial/parallel identity.
 //
 // A Session serializes all access internally (delta application, solves
 // and stats are mutually exclusive); any number of goroutines may share
@@ -145,7 +148,7 @@ func (m chanMutex) lockCtx(ctx context.Context) error {
 	case m <- struct{}{}:
 		return nil
 	case <-ctx.Done():
-		return fmt.Errorf("%w: %w", setupsched.ErrCanceled, ctx.Err())
+		return core.WrapCanceled(ctx.Err())
 	}
 }
 
@@ -188,13 +191,6 @@ func (s *Session) Fingerprint(ctx context.Context) (string, error) {
 	fp := s.fpView.Fingerprint()
 	s.fpView.Unbind()
 	return fp, nil
-}
-
-// Rev returns the session revision: the number of applied deltas.
-func (s *Session) Rev() uint64 {
-	s.mu.lock()
-	defer s.mu.unlock()
-	return s.rev
 }
 
 // Snapshot returns a deep copy of the current instance together with the
@@ -340,56 +336,18 @@ func (s *Session) applyLocked(d sched.Delta) error {
 	return nil
 }
 
-// The convenience delta methods below apply one delta each; they block
-// until the session lock is free (use Apply with a context to bound the
-// wait behind a long-running solve).
-
-// AddJobs appends jobs to class (delta op "add_jobs").
-func (s *Session) AddJobs(class int, jobs ...int64) error {
-	return s.Apply(context.Background(), sched.Delta{Op: sched.DeltaAddJobs, Class: class, Jobs: jobs})
-}
-
-// RemoveJob removes job index job from class (delta op "remove_job").
-func (s *Session) RemoveJob(class, job int) error {
-	return s.Apply(context.Background(), sched.Delta{Op: sched.DeltaRemoveJob, Class: class, Job: job})
-}
-
-// SetSetup replaces class's setup time (delta op "set_setup").
-func (s *Session) SetSetup(class int, setup int64) error {
-	return s.Apply(context.Background(), sched.Delta{Op: sched.DeltaSetSetup, Class: class, Setup: setup})
-}
-
-// AddClass appends a new class (delta op "add_class").
-func (s *Session) AddClass(setup int64, jobs ...int64) error {
-	return s.Apply(context.Background(), sched.Delta{Op: sched.DeltaAddClass, Setup: setup, Jobs: jobs})
-}
-
-// RemoveClass removes class index class (delta op "remove_class"); later
-// class indices shift down by one.
-func (s *Session) RemoveClass(class int) error {
-	return s.Apply(context.Background(), sched.Delta{Op: sched.DeltaRemoveClass, Class: class})
-}
-
-// SetMachines replaces the machine count (delta op "set_machines").
-// Machine scaling invalidates warm seeds (the makespan scale changes);
-// the next solve per key runs cold and re-establishes them.
-func (s *Session) SetMachines(m int64) error {
-	return s.Apply(context.Background(), sched.Delta{Op: sched.DeltaSetMachines, M: m})
-}
-
-// SolveOption configures one Session.Solve or SolveAll call.
+// SolveOption configures one Session.Solve call.
 type SolveOption func(*solveCfg) error
 
 type solveCfg struct {
 	algorithm setupsched.Algorithm
 	epsilon   float64
 	cold      bool
-	observers []setupsched.Observer
+	observers core.Observers
 }
 
 // WithAlgorithm selects the approximation algorithm (default Auto, the
-// exact 3/2-approximation).  Applies to Solve only; SolveAll takes the
-// algorithm from each run.
+// exact 3/2-approximation).
 func WithAlgorithm(a setupsched.Algorithm) SolveOption {
 	return func(c *solveCfg) error {
 		switch a {
@@ -432,8 +390,9 @@ func WithObserver(o setupsched.Observer) SolveOption {
 }
 
 // WithCold disables the session cache and warm seeding for this call: the
-// solve runs exactly like a fresh Solver.  Diff harnesses and benchmarks
-// use it; the result still refreshes the session cache and seeds.
+// solve runs exactly like a fresh Solver.  serve's session route sets it
+// for a request with no_cache; the result still refreshes the session
+// cache and seeds.
 func WithCold() SolveOption {
 	return func(c *solveCfg) error {
 		c.cold = true
@@ -469,80 +428,58 @@ func (s *Session) Solve(ctx context.Context, v sched.Variant, opts ...SolveOptio
 		return nil, err
 	}
 	defer s.mu.unlock()
-	return s.solveLocked(ctx, v, cfg.algorithm, cfg.epsilon, cfg.cold, cfg.observer())
-}
+	key := normKey(v, cfg.algorithm, cfg.epsilon)
+	ent := s.entries[key]
+	if ent != nil && ent.rev == s.rev && !cfg.cold {
+		s.cacheHits++
+		return &Result{Result: ent.res, Cached: true, Rev: s.rev}, nil
+	}
 
-// RunResult is the outcome of one run of SolveAll; exactly one of Result
-// and Err is non-nil.
-type RunResult struct {
-	Run    setupsched.Run
-	Result *Result
-	Err    error
-}
+	ctl := core.Ctl{Ctx: ctx, Obs: cfg.observers}
+	if !cfg.cold && warmable(key.algo) && ent != nil && ent.epoch == s.machEpoch {
+		// Optimism-ordered candidate ladders.  First the previous
+		// certified pair unshifted — small deltas usually leave the
+		// threshold in place, so re-confirming costs two probes — then the
+		// pair shifted by the delta's load bounds (the threshold provably
+		// moves up by at most the added load and down by at most the
+		// removed load), which catches a moved threshold in a bracket of
+		// width |delta| instead of the full cold range.
+		seed := &core.BracketSeed{His: []sched.Rat{ent.res.Guess}}
+		if add := s.cumAdded - ent.cumAdded; add != 0 {
+			if hi, ok := shiftSeed(ent.res.Guess, add); ok {
+				seed.His = append(seed.His, hi)
+			}
+		}
+		if ent.hasSeedLo {
+			seed.Los = append(seed.Los, ent.seedLo)
+			if rem := s.cumRemoved - ent.cumRemoved; rem != 0 {
+				if lo, ok := shiftSeed(ent.seedLo, -rem); ok {
+					seed.Los = append(seed.Los, lo)
+				}
+			}
+		}
+		ctl.Seed = seed
+	}
 
-// SolveAll solves the given (variant, algorithm) runs — nil means the
-// nine paper combinations (setupsched.PaperRuns) — sequentially off the
-// session's shared state, each reusing its own cache and warm seeds.  The
-// returned slice has one entry per run in order; per-run failures land in
-// RunResult.Err, and a canceled context marks every remaining run.
-func (s *Session) SolveAll(ctx context.Context, runs []setupsched.Run, opts ...SolveOption) ([]RunResult, error) {
-	cfg, err := resolveOpts(opts)
+	r, err := s.inc.Prep().Solve(ctl, v, key.algo, cfg.epsilon)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.algorithm != setupsched.Auto {
-		return nil, fmt.Errorf("stream: WithAlgorithm does not apply to SolveAll; the algorithm is part of each run")
+	s.solves++
+	if r.SeedUsed {
+		s.warmHits++
 	}
-	if runs == nil {
-		runs = setupsched.PaperRuns()
+	res := r.Public()
+	s.entries[key] = &entry{
+		rev:        s.rev,
+		epoch:      s.machEpoch,
+		cumAdded:   s.cumAdded,
+		cumRemoved: s.cumRemoved,
+		res:        res,
+		seedLo:     r.SeedLo,
+		hasSeedLo:  r.HasSeedLo,
 	}
-	if err := s.mu.lockCtx(ctx); err != nil {
-		return nil, err
-	}
-	defer s.mu.unlock()
-	obs := cfg.observer()
-	out := make([]RunResult, len(runs))
-	for i, r := range runs {
-		res, err := s.solveLocked(ctx, r.Variant, r.Algorithm, cfg.epsilon, cfg.cold, obs)
-		out[i] = RunResult{Run: r, Result: res, Err: err}
-	}
-	return out, nil
-}
-
-// observer collapses the attached observers into one core.Observer (nil
-// when none).  setupsched.Observer and core.Observer have identical
-// method sets (Rat is an alias), so a single observer passes through
-// without wrapping.
-func (c *solveCfg) observer() core.Observer {
-	switch len(c.observers) {
-	case 0:
-		return nil
-	case 1:
-		return c.observers[0]
-	default:
-		return fanObserver(c.observers)
-	}
-}
-
-// fanObserver fans events out to several observers in order.
-type fanObserver []setupsched.Observer
-
-func (f fanObserver) ProbeStarted(T sched.Rat) {
-	for _, o := range f {
-		o.ProbeStarted(T)
-	}
-}
-
-func (f fanObserver) ProbeFinished(T sched.Rat, accepted bool) {
-	for _, o := range f {
-		o.ProbeFinished(T, accepted)
-	}
-}
-
-func (f fanObserver) SearchFinished(algorithm string, probes int) {
-	for _, o := range f {
-		o.SearchFinished(algorithm, probes)
-	}
+	return &Result{Result: res, Warm: r.SeedUsed, Rev: s.rev}, nil
 }
 
 // warmable reports whether the algorithm's exact search supports bracket
@@ -560,115 +497,6 @@ func normKey(v sched.Variant, a setupsched.Algorithm, eps float64) solveKey {
 		k.eps = eps
 	}
 	return k
-}
-
-func (s *Session) solveLocked(ctx context.Context, v sched.Variant, algo setupsched.Algorithm, eps float64, cold bool, obs core.Observer) (*Result, error) {
-	key := normKey(v, algo, eps)
-	ent := s.entries[key]
-	if ent != nil && ent.rev == s.rev && !cold {
-		s.cacheHits++
-		return &Result{Result: ent.res, Cached: true, Rev: s.rev}, nil
-	}
-
-	var seed *core.BracketSeed
-	if !cold && warmable(key.algo) && ent != nil && ent.epoch == s.machEpoch {
-		// Optimism-ordered candidate ladders.  First the previous
-		// certified pair unshifted — small deltas usually leave the
-		// threshold in place, so re-confirming costs two probes — then the
-		// pair shifted by the delta's load bounds (the threshold provably
-		// moves up by at most the added load and down by at most the
-		// removed load), which catches a moved threshold in a bracket of
-		// width |delta| instead of the full cold range.
-		seed = &core.BracketSeed{His: []sched.Rat{ent.res.Guess}}
-		if add := s.cumAdded - ent.cumAdded; add != 0 {
-			if hi, ok := shiftSeed(ent.res.Guess, add); ok {
-				seed.His = append(seed.His, hi)
-			}
-		}
-		if ent.hasSeedLo {
-			seed.Los = append(seed.Los, ent.seedLo)
-			if rem := s.cumRemoved - ent.cumRemoved; rem != 0 {
-				if lo, ok := shiftSeed(ent.seedLo, -rem); ok {
-					seed.Los = append(seed.Los, lo)
-				}
-			}
-		}
-	}
-
-	r, err := s.runCore(ctx, v, key.algo, eps, seed, obs)
-	if err != nil {
-		return nil, wrapErr(err)
-	}
-	if r.Fallback && seed != nil {
-		// The bounded-round fallback's certified bound depends on the
-		// search trajectory, which a warm bracket changes; discard and
-		// re-run cold so the session answer matches a fresh solve exactly.
-		// The observer sees both searches' probes — they all ran.
-		if r, err = s.runCore(ctx, v, key.algo, eps, nil, obs); err != nil {
-			return nil, wrapErr(err)
-		}
-	}
-	s.solves++
-	if r.SeedUsed {
-		s.warmHits++
-	}
-	if obs != nil {
-		obs.SearchFinished(r.Algorithm, r.Probes)
-	}
-
-	res := &setupsched.Result{
-		Schedule:   r.Schedule,
-		Makespan:   r.Makespan,
-		Guess:      r.T,
-		LowerBound: r.LowerBound,
-		Ratio:      core.Ratio(r.Makespan, r.LowerBound),
-		Algorithm:  r.Algorithm,
-		Probes:     r.Probes,
-		Fallback:   r.Fallback,
-	}
-	s.entries[key] = &entry{
-		rev:        s.rev,
-		epoch:      s.machEpoch,
-		cumAdded:   s.cumAdded,
-		cumRemoved: s.cumRemoved,
-		res:        res,
-		seedLo:     r.SeedLo,
-		hasSeedLo:  r.HasSeedLo,
-	}
-	return &Result{Result: res, Warm: r.SeedUsed, Rev: s.rev}, nil
-}
-
-// runCore dispatches one algorithm run against the maintained Prep.
-func (s *Session) runCore(ctx context.Context, v sched.Variant, algo setupsched.Algorithm, eps float64, seed *core.BracketSeed, obs core.Observer) (*core.Result, error) {
-	ctl := core.Ctl{Ctx: ctx, Obs: obs, Seed: seed}
-	p := s.inc.Prep()
-	switch algo {
-	case setupsched.TwoApprox:
-		if v == sched.Splittable {
-			return p.SolveSplit2(ctl)
-		}
-		return p.SolveNonp2(ctl, v)
-	case setupsched.EpsilonSearch:
-		return p.SolveEps(ctl, v, eps)
-	default: // Auto, Exact32
-		switch v {
-		case sched.Splittable:
-			return p.SolveSplitJump(ctl)
-		case sched.Preemptive:
-			return p.SolvePmtnJump(ctl)
-		default:
-			return p.SolveNonpSearch(ctl)
-		}
-	}
-}
-
-// wrapErr gives context errors escaping a solve the
-// setupsched.ErrCanceled identity, mirroring the Solver API's contract.
-func wrapErr(err error) error {
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("%w: %w", setupsched.ErrCanceled, err)
-	}
-	return err
 }
 
 // shiftSeed shifts a certified guess by a signed load delta, reporting
